@@ -41,18 +41,13 @@ class UnknownPromptError(BackendError):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One text-completion call.
-
-    ``greedy`` requests deterministic single-path decoding (beam size 1);
-    all bundled backends are deterministic regardless.
-    """
+    """One text-completion call."""
 
     prompt: str
     max_new_tokens: int = 512
     temperature: float = 1.0
     stop: Tuple[str, ...] = ()
     want_logprobs: bool = True
-    greedy: bool = True
 
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1:
@@ -115,7 +110,14 @@ class CompletionBackend:
     Implementations must be safe for concurrent ``generate`` calls and
     immutable once constructed, so that results are a pure function of the
     request (plus any configured seed), never of call order.
+
+    ``max_in_flight`` is how many ``generate`` calls the backend serves at
+    once; ``run_corpus`` gives its pool at least that many threads, so one
+    document's requests can all be in flight together.  In-process
+    backends are bound by the interpreter and leave it at 1.
     """
+
+    max_in_flight: int = 1
 
     def generate(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError

@@ -51,6 +51,7 @@ class HttpBackend(CompletionBackend):
         self._timeout_s = timeout_s
         self._max_retries = max_retries
         self._backoff_s = backoff_s
+        self.max_in_flight = max_in_flight
         self._semaphore = threading.Semaphore(max_in_flight)
         self._session = session or requests.Session()
         self._headers: Dict[str, str] = {}

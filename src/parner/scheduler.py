@@ -1,12 +1,25 @@
-"""Decoding schedulers: request fan-out, parsing, scoring, latency accounting.
+"""Decoding pipeline: plan, issue, parse and attribute, for every mode.
 
-The pair scheduler runs the two-step protocol: one count request per label,
-then one request per (label, mention index), every step-two prompt rebuilt
-from scratch so backends stay stateless.  "multi" issues each sequence as
-its own call and charges a document the slowest count+mention sum; "batch"
-groups each step into one logical backend batch and charges the sum of the
-two batch walls.  The baseline schedulers decode one sequence per document
-(autoreg) or per label (onestep).
+Every mode decodes a document the same way.  It plans a step of requests
+(one count per label, one JSON list per label, or one autoreg sequence),
+issues it, then traces and parses each result in request order.  The pair
+modes add a second step: one request per (label, mention index) counted in
+step one, every prompt rebuilt from scratch so backends stay stateless.
+"pair-batch" issues each step as one ``generate_batch`` call; the other
+modes issue one call per request.  A mention's latency includes its
+upstream: its label's count in "pair-multi", the whole first step's wall in
+"pair-batch" (lockstep batches).  A document's latency is therefore the
+max over its traces in every mode.
+
+``run_corpus`` runs at most ``parallelism`` documents at once, on one
+thread pool that also carries their requests.  The pool has as many
+workers as the larger of ``parallelism`` and the backend's
+``max_in_flight`` (``HttpBackend(max_in_flight=...)``; 1 for in-process
+backends), so one document's requests fan out even at parallelism 1,
+and at parallelism 1 with an in-process backend the scheduler starts no
+thread.  A thread waiting for its items runs every one no worker has
+started yet, so the nesting cannot deadlock.  A backend's own
+``generate_batch`` may still fan out on threads of its own.
 
 Parsing or backend failures for one sequence degrade to defect records; a
 document never hard-fails.
@@ -14,11 +27,13 @@ document never hard-fails.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from parner.backends.base import (
     BackendError,
@@ -48,16 +63,11 @@ __all__ = [
     "ScoredMention",
     "DecodeOutcome",
     "span_probability",
-    "decode_pair",
-    "decode_onestep",
-    "decode_autoreg",
     "decode_document",
     "run_corpus",
 ]
 
 MODES = ("pair-multi", "pair-batch", "onestep", "autoreg-aug", "autoreg-struct")
-
-_FAN_OUT_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -120,315 +130,42 @@ def span_probability(
     return min(1.0, math.exp(math.fsum(token_logprobs[start : end + 1])))
 
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 _CallOutcome = Union[CompletionResult, BackendError]
+# (label, mention index, request) of one planned sequence
+_Planned = Tuple[Optional[str], Optional[int], CompletionRequest]
 
 
-def _fan_out(
-    backend: CompletionBackend,
-    requests: Sequence[CompletionRequest],
-    parallel: bool,
-) -> List[_CallOutcome]:
-    """Issue requests (concurrently when asked), keeping request order.
+def _run_all(pool: Optional[Executor], fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
+    """``fn`` over ``items`` in order, shared with ``pool``'s workers if given.
 
-    Backend errors are captured per item so one failed sequence cannot
-    take down its siblings.
+    The calling thread works too: it takes back every item no worker has
+    started yet (a successful ``cancel()``) and runs it here, so it only
+    ever waits for items already running on another thread.  A worker of
+    ``pool`` may therefore call this for nested items without deadlock, no
+    thread is started beyond the pool's own, and a single item never leaves
+    the calling thread.
     """
-
-    def one(request: CompletionRequest) -> _CallOutcome:
-        try:
-            return backend.generate(request)
-        except BackendError as exc:
-            return exc
-
-    if not parallel or len(requests) <= 1:
-        return [one(r) for r in requests]
-    with ThreadPoolExecutor(max_workers=min(len(requests), _FAN_OUT_WIDTH)) as pool:
-        return list(pool.map(one, requests))
-
-
-def _batch(
-    backend: CompletionBackend, requests: Sequence[CompletionRequest]
-) -> Union[List[CompletionResult], BackendError]:
+    if pool is None or len(items) <= 1:
+        return [fn(item) for item in items]
+    futures = [pool.submit(fn, item) for item in items]
     try:
-        return backend.generate_batch(requests)
+        done = {i: fn(item) for i, (f, item) in enumerate(zip(futures, items)) if f.cancel()}
+        return [done[i] if i in done else f.result() for i, f in enumerate(futures)]
+    except BaseException:
+        for f in futures:  # as ``Executor.map`` does: queued items never start
+            f.cancel()
+        raise
+
+
+def _call(backend: CompletionBackend, request: CompletionRequest) -> _CallOutcome:
+    """One backend call; an error is kept as this item's result, so one failed
+    sequence cannot take down its siblings."""
+    try:
+        return backend.generate(request)
     except BackendError as exc:
         return exc
-
-
-def _mention_request(
-    count_prompt: str, count: int, index: int, t: PromptTemplate, max_new_tokens: int
-) -> CompletionRequest:
-    return CompletionRequest(
-        prompt=build_mention_prompt(count_prompt, count, index, t),
-        max_new_tokens=max_new_tokens,
-    )
-
-
-def decode_pair(
-    doc: Document,
-    labels: LabelSet,
-    backend: CompletionBackend,
-    t: PromptTemplate,
-    batch: bool = False,
-    max_new_tokens: int = 512,
-) -> DecodeOutcome:
-    """Two-step decode of one document.
-
-    Step one asks every label for its mention count; an empty completion
-    counts as zero and skips step two for that label.  Step two asks for
-    each indexed mention.  In multi mode the document's latency is the max
-    over per-sequence latencies (count-only labels included); in batch mode
-    it is the sum of the two batch walls, where a batch's wall is the max
-    latency among its members (lockstep decoding).
-    """
-    traces: List[SequenceTrace] = []
-    defects: List[str] = []
-    mentions: List[ScoredMention] = []
-
-    count_prompts = {label: build_count_prompt(doc, labels.surface(label), t)
-                     for label in labels}
-    count_requests = [
-        CompletionRequest(prompt=count_prompts[label], max_new_tokens=max_new_tokens)
-        for label in labels
-    ]
-
-    if batch:
-        got = _batch(backend, count_requests)
-        if isinstance(got, BackendError):
-            defects.append(f"count batch failed: {got}")
-            got = [None] * len(count_requests)
-        count_results: List[Optional[_CallOutcome]] = list(got)
-    else:
-        count_results = list(_fan_out(backend, count_requests, parallel=True))
-
-    counts: Dict[str, int] = {}
-    step1_latency: Dict[str, float] = {}
-    for label, request, result in zip(labels, count_requests, count_results):
-        if result is None:
-            continue
-        if isinstance(result, BackendError):
-            defects.append(f"count request failed for label {label}: {result}")
-            continue
-        traces.append(SequenceTrace(
-            seq_id=f"{doc.id}/{label}/count",
-            label=label,
-            kind="count",
-            mention_index=None,
-            request=request,
-            result=result,
-            latency_ms=result.latency_ms,
-        ))
-        step1_latency[label] = result.latency_ms
-        try:
-            counts[label] = parse_count(result, t).value
-        except CountParseError as exc:
-            defects.append(f"count unparseable for label {label}: {exc}")
-
-    mention_keys: List[Tuple[str, int]] = []
-    mention_requests: List[CompletionRequest] = []
-    for label in labels:
-        count = counts.get(label, 0)
-        for index in range(1, count + 1):
-            mention_keys.append((label, index))
-            mention_requests.append(
-                _mention_request(count_prompts[label], count, index, t, max_new_tokens)
-            )
-
-    if batch:
-        got = _batch(backend, mention_requests)
-        if isinstance(got, BackendError):
-            defects.append(f"mention batch failed: {got}")
-            got = [None] * len(mention_requests)
-        mention_results: List[Optional[_CallOutcome]] = list(got)
-    else:
-        mention_results = list(_fan_out(backend, mention_requests, parallel=True))
-
-    step1_wall = max(step1_latency.values(), default=0.0)
-    step2_wall = 0.0
-    for (label, index), request, result in zip(mention_keys, mention_requests, mention_results):
-        if result is None:
-            continue
-        if isinstance(result, BackendError):
-            defects.append(f"mention request failed for {label} index {index}: {result}")
-            continue
-        step2_wall = max(step2_wall, result.latency_ms)
-        upstream = step1_wall if batch else step1_latency[label]
-        seq_id = f"{doc.id}/{label}/mention{index}"
-        traces.append(SequenceTrace(
-            seq_id=seq_id,
-            label=label,
-            kind="mention",
-            mention_index=index,
-            request=request,
-            result=result,
-            latency_ms=upstream + result.latency_ms,
-        ))
-        parsed = parse_mention(result, t)
-        text = parsed.text.strip()
-        if not text:
-            defects.append(f"empty mention for label {label} index {index}")
-            continue
-        mentions.append(ScoredMention(
-            label=label,
-            text=text,
-            probability=span_probability(result.token_logprobs, parsed.token_span),
-            seq_id=seq_id,
-        ))
-
-    if batch:
-        example_latency = step1_wall + step2_wall
-    else:
-        example_latency = max((tr.latency_ms for tr in traces), default=0.0)
-
-    return DecodeOutcome(
-        doc_id=doc.id,
-        raw_mentions=mentions,
-        traces=traces,
-        example_latency_ms=example_latency,
-        step1_batch_size=len(labels),
-        step2_batch_size=sum(counts.values()),
-        defects=defects,
-    )
-
-
-def decode_onestep(
-    doc: Document,
-    labels: LabelSet,
-    backend: CompletionBackend,
-    t: PromptTemplate,
-    batch: bool = False,
-    max_new_tokens: int = 512,
-) -> DecodeOutcome:
-    """One JSON-list sequence per label, decoded in parallel.
-
-    The document's latency is the max over the label sequences (multi) or
-    the single batch wall (batch); both reduce to the slowest label.
-    """
-    traces: List[SequenceTrace] = []
-    defects: List[str] = []
-    mentions: List[ScoredMention] = []
-
-    requests = [
-        CompletionRequest(
-            prompt=build_onestep_prompt(doc, labels.surface(label), t),
-            max_new_tokens=max_new_tokens,
-        )
-        for label in labels
-    ]
-    if batch:
-        got = _batch(backend, requests)
-        if isinstance(got, BackendError):
-            defects.append(f"onestep batch failed: {got}")
-            got = [None] * len(requests)
-        results: List[Optional[_CallOutcome]] = list(got)
-    else:
-        results = list(_fan_out(backend, requests, parallel=True))
-
-    for label, request, result in zip(labels, requests, results):
-        if result is None:
-            continue
-        if isinstance(result, BackendError):
-            defects.append(f"onestep request failed for label {label}: {result}")
-            continue
-        seq_id = f"{doc.id}/{label}/onestep"
-        traces.append(SequenceTrace(
-            seq_id=seq_id,
-            label=label,
-            kind="onestep",
-            mention_index=None,
-            request=request,
-            result=result,
-            latency_ms=result.latency_ms,
-        ))
-        parsed, parse_defects = parse_onestep(result, t)
-        defects.extend(f"label {label}: {d}" for d in parse_defects)
-        for item in parsed:
-            text = item.text.strip()
-            if not text:
-                defects.append(f"empty mention in onestep list for label {label}")
-                continue
-            mentions.append(ScoredMention(
-                label=label,
-                text=text,
-                probability=span_probability(result.token_logprobs, item.token_span),
-                seq_id=seq_id,
-            ))
-
-    example_latency = max((tr.latency_ms for tr in traces), default=0.0)
-    return DecodeOutcome(
-        doc_id=doc.id,
-        raw_mentions=mentions,
-        traces=traces,
-        example_latency_ms=example_latency,
-        step1_batch_size=len(labels),
-        step2_batch_size=0,
-        defects=defects,
-    )
-
-
-def decode_autoreg(
-    doc: Document,
-    labels: LabelSet,
-    backend: CompletionBackend,
-    t: PromptTemplate,
-    fmt: str,
-    max_new_tokens: int = 512,
-) -> DecodeOutcome:
-    """Single-sequence baseline decode in the aug or struct format.
-
-    These formats expose no per-mention token spans, so every mention is
-    scored with probability 1.0 and de-duplication falls back to the
-    label-order tie-break.
-    """
-    request = CompletionRequest(
-        prompt=build_autoreg_prompt(doc, fmt, labels, t),
-        max_new_tokens=max_new_tokens,
-    )
-    defects: List[str] = []
-    try:
-        result = backend.generate(request)
-    except BackendError as exc:
-        return DecodeOutcome(
-            doc_id=doc.id,
-            raw_mentions=[],
-            traces=[],
-            example_latency_ms=0.0,
-            step1_batch_size=1,
-            step2_batch_size=0,
-            defects=[f"autoreg request failed: {exc}"],
-        )
-    seq_id = f"{doc.id}/autoreg"
-    trace = SequenceTrace(
-        seq_id=seq_id,
-        label=None,
-        kind="autoreg",
-        mention_index=None,
-        request=request,
-        result=result,
-        latency_ms=result.latency_ms,
-    )
-    text = visible_text(result, t)
-    if fmt == "struct":
-        parsed, parse_defects = parse_structured(text, labels)
-    else:
-        parsed, parse_defects = parse_augmented(text, labels)
-    defects.extend(parse_defects)
-    mentions = []
-    for m in parsed:
-        stripped = m.text.strip()
-        if not stripped:
-            defects.append(f"empty mention surface under label {m.label}")
-            continue
-        mentions.append(ScoredMention(m.label, stripped, 1.0, seq_id))
-    return DecodeOutcome(
-        doc_id=doc.id,
-        raw_mentions=mentions,
-        traces=[trace],
-        example_latency_ms=result.latency_ms,
-        step1_batch_size=1,
-        step2_batch_size=0,
-        defects=defects,
-    )
 
 
 def decode_document(
@@ -438,19 +175,128 @@ def decode_document(
     t: PromptTemplate,
     mode: str,
     max_new_tokens: int = 512,
+    *,
+    pool: Optional[Executor] = None,
 ) -> DecodeOutcome:
-    """Decode one document in any supported mode."""
-    if mode == "pair-multi":
-        return decode_pair(doc, labels, backend, t, batch=False, max_new_tokens=max_new_tokens)
-    if mode == "pair-batch":
-        return decode_pair(doc, labels, backend, t, batch=True, max_new_tokens=max_new_tokens)
+    """Decode one document in any mode of ``MODES``.
+
+    Step one asks every label for its mention count ("pair-*") or its JSON
+    mention list ("onestep"), or asks once for the whole annotated output
+    ("autoreg-*").  In the pair modes an empty completion counts as zero
+    and the label gets no step two.  Requests that are not batched run on
+    ``pool`` when one is given.  The aug and struct formats expose no
+    per-mention token spans, so their mentions score probability 1.0 and
+    de-duplication falls back to the label-order tie-break.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
+    traces: List[SequenceTrace] = []
+    defects: List[str] = []
+    mentions: List[ScoredMention] = []
+
+    def request(prompt: str) -> CompletionRequest:
+        return CompletionRequest(prompt=prompt, max_new_tokens=max_new_tokens)
+
+    def issue(
+        kind: str,
+        planned: Sequence[_Planned],
+        upstream: Callable[[Optional[str]], float] = lambda label: 0.0,
+    ) -> Iterator[Tuple[Optional[str], Optional[int], CompletionResult, str]]:
+        """Issue one step and yield each traced result in request order.
+
+        Failures become defects here; the caller parses each result before
+        the next is traced, so defects keep request order across kinds.
+        """
+        if not planned:  # no call at all, not even an empty batch a backend may reject
+            return
+        requests = [r for _, _, r in planned]
+        if mode == "pair-batch":
+            try:
+                results: Sequence[_CallOutcome] = backend.generate_batch(requests)
+            except BackendError as exc:
+                defects.append(f"{kind} batch failed: {exc}")
+                return
+        else:
+            results = _run_all(pool, functools.partial(_call, backend), requests)
+        for (label, index, req), result in zip(planned, results):
+            if isinstance(result, BackendError):
+                subject = (f" for {label} index {index}" if index is not None
+                           else f" for label {label}" if label is not None else "")
+                defects.append(f"{kind} request failed{subject}: {result}")
+                continue
+            seq_id = (f"{doc.id}/{label}/{kind}{index or ''}" if label is not None
+                      else f"{doc.id}/{kind}")
+            traces.append(SequenceTrace(
+                seq_id=seq_id, label=label, kind=kind, mention_index=index, request=req,
+                result=result, latency_ms=upstream(label) + result.latency_ms,
+            ))
+            yield label, index, result, seq_id
+
+    def keep(label: str, text: str, probability: float, seq_id: str, empty_defect: str) -> None:
+        text = text.strip()
+        if text:
+            mentions.append(ScoredMention(label, text, probability, seq_id))
+        else:
+            defects.append(empty_defect)
+
+    step2: List[_Planned] = []
     if mode == "onestep":
-        return decode_onestep(doc, labels, backend, t, max_new_tokens=max_new_tokens)
-    if mode == "autoreg-aug":
-        return decode_autoreg(doc, labels, backend, t, "aug", max_new_tokens=max_new_tokens)
-    if mode == "autoreg-struct":
-        return decode_autoreg(doc, labels, backend, t, "struct", max_new_tokens=max_new_tokens)
-    raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
+        step1 = [(label, None, request(build_onestep_prompt(doc, labels.surface(label), t)))
+                 for label in labels]
+        for label, _, result, seq_id in issue("onestep", step1):
+            parsed, parse_defects = parse_onestep(result, t)
+            defects.extend(f"label {label}: {d}" for d in parse_defects)
+            for item in parsed:
+                keep(label, item.text, span_probability(result.token_logprobs, item.token_span),
+                     seq_id, f"empty mention in onestep list for label {label}")
+    elif mode.startswith("autoreg-"):
+        fmt = mode[len("autoreg-"):]
+        step1 = [(None, None, request(build_autoreg_prompt(doc, fmt, labels, t)))]
+        for _, _, result, seq_id in issue("autoreg", step1):
+            text = visible_text(result, t)
+            parser = parse_structured if fmt == "struct" else parse_augmented
+            parsed, parse_defects = parser(text, labels)
+            defects.extend(parse_defects)
+            for m in parsed:
+                keep(m.label, m.text, 1.0, seq_id, f"empty mention surface under label {m.label}")
+    else:
+        count_prompts = {label: build_count_prompt(doc, labels.surface(label), t)
+                         for label in labels}
+        step1 = [(label, None, request(count_prompts[label])) for label in labels]
+        counts: Dict[str, int] = {}
+        step1_latency: Dict[str, float] = {}
+        for label, _, result, _ in issue("count", step1):
+            step1_latency[label] = result.latency_ms
+            try:
+                counts[label] = parse_count(result, t).value
+            except CountParseError as exc:
+                defects.append(f"count unparseable for label {label}: {exc}")
+        step2 = [
+            (label, index, request(build_mention_prompt(count_prompts[label], count, index, t)))
+            for label, count in counts.items()
+            for index in range(1, count + 1)
+        ]
+        step1_wall = max(step1_latency.values(), default=0.0)
+
+        # In pair-batch the max over traces is then exactly step-one wall plus
+        # step-two wall, because rounding ``a + x`` is monotone in ``x``.
+        def upstream(label: str) -> float:
+            return step1_wall if mode == "pair-batch" else step1_latency[label]
+
+        for label, index, result, seq_id in issue("mention", step2, upstream):
+            parsed = parse_mention(result, t)
+            keep(label, parsed.text, span_probability(result.token_logprobs, parsed.token_span),
+                 seq_id, f"empty mention for label {label} index {index}")
+
+    return DecodeOutcome(
+        doc_id=doc.id,
+        raw_mentions=mentions,
+        traces=traces,
+        example_latency_ms=max((tr.latency_ms for tr in traces), default=0.0),
+        step1_batch_size=len(step1),
+        step2_batch_size=len(step2),
+        defects=defects,
+    )
 
 
 def run_corpus(
@@ -463,12 +309,20 @@ def run_corpus(
     repeats: int = 1,
     max_new_tokens: int = 512,
 ) -> List[DecodeOutcome]:
-    """Decode a corpus with bounded document parallelism.
+    """Decode a corpus with at most ``parallelism`` documents in flight.
 
-    Output order always equals input order regardless of completion order.
-    With ``repeats`` > 1 each document is decoded that many times and the
-    reported example latency is the mean; mentions and traces come from the
-    first run (deterministic backends reproduce them exactly anyway).
+    One pool serves the documents and, nested, their requests.  It has
+    ``max(parallelism, backend.max_in_flight)`` workers, so even at
+    parallelism 1 one document's requests can all be in flight together
+    (``HttpBackend``'s bound; in-process backends keep 1).  Documents run
+    on ``parallelism`` strands, each decoding one document after another.
+    No pool is made when nothing would be submitted to it: at parallelism 1
+    with an in-process backend, or for one document in a mode that issues
+    one call per step.  Output order always equals input order regardless
+    of completion order.  With ``repeats`` > 1 each document is decoded
+    that many times and the reported example latency is the mean; mentions
+    and traces come from the first run (deterministic backends reproduce
+    them exactly anyway).
     """
     if mode not in MODES:
         raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
@@ -477,9 +331,10 @@ def run_corpus(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
 
-    def decode_with_repeats(doc: Document) -> DecodeOutcome:
+    def decode_with_repeats(doc: Document, pool: Optional[Executor]) -> DecodeOutcome:
         runs = [
-            decode_document(doc, labels, backend, t, mode, max_new_tokens=max_new_tokens)
+            decode_document(doc, labels, backend, t, mode, max_new_tokens=max_new_tokens,
+                            pool=pool)
             for _ in range(repeats)
         ]
         outcome = runs[0]
@@ -489,7 +344,27 @@ def run_corpus(
             outcome.example_latency_ms = statistics.fmean(latencies)
         return outcome
 
-    if parallelism == 1 or len(docs) <= 1:
-        return [decode_with_repeats(doc) for doc in docs]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(decode_with_repeats, docs))
+    strands = min(parallelism, len(docs))
+    workers = max(parallelism, backend.max_in_flight)
+    # pair-batch and autoreg issue one call per step, so submit no request
+    fans_out = workers > 1 and mode in ("pair-multi", "onestep")
+    if strands <= 1 and not fans_out:
+        return [decode_with_repeats(doc, None) for doc in docs]
+    todo = collections.deque(enumerate(docs))
+    outcomes: Dict[int, DecodeOutcome] = {}
+
+    def strand(_: int) -> None:
+        while True:
+            try:
+                i, doc = todo.popleft()
+            except IndexError:
+                return
+            try:
+                outcomes[i] = decode_with_repeats(doc, pool)
+            except BaseException:
+                todo.clear()  # the other strands start no new document
+                raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        _run_all(pool, strand, range(strands))
+    return [outcomes[i] for i in range(len(docs))]

@@ -30,7 +30,7 @@ from parner.corpus import (
 from parner.dedup import DedupPolicy, deduplicate
 from parner.evaluation import LatencyStats, latency_stats, micro_f1, speedup
 from parner.reformulate import generate_pair_examples
-from parner.scheduler import decode_pair, run_corpus, span_probability
+from parner.scheduler import decode_document, run_corpus, span_probability
 from parner.synthetic import make_corpus
 from parner.templates import (
     emit_aug,
@@ -110,7 +110,7 @@ def test_criterion_03_probability_dedup_resolves_duplicates(cuttitta, labels, te
     with criterion(3, "duplicate surface resolves by probability under all policies"):
         doc, _ = cuttitta
         oracle = _duplicate_surface_oracle(cuttitta, labels, template)
-        outcome = decode_pair(doc, labels, oracle, template)
+        outcome = decode_document(doc, labels, oracle, template, "pair-multi")
 
         raw = {(m.label, m.text) for m in outcome.raw_mentions}
         assert ("LOC", "Italy") in raw and ("MISC", "Italy") in raw
@@ -131,11 +131,11 @@ def test_criterion_04_latency_attribution_and_batch_sizes(cuttitta, labels, temp
     with criterion(4, "slowest-path latency is exact and batch sizes are 4 then 5"):
         doc, _ = cuttitta
         scripted = ScriptedBackend(two_step_fixture_entries(doc, labels, template))
-        outcome = decode_pair(doc, labels, scripted, template)
+        outcome = decode_document(doc, labels, scripted, template, "pair-multi")
         assert outcome.example_latency_ms == TRACE_EXPECTED_EXAMPLE_LATENCY  # 11 + 22
 
         oracle = _duplicate_surface_oracle(cuttitta, labels, template)
-        batched = decode_pair(doc, labels, oracle, template, batch=True)
+        batched = decode_document(doc, labels, oracle, template, "pair-batch")
         assert batched.step1_batch_size == 4
         assert batched.step2_batch_size == 5
 

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 import threading
 import time
 from collections import Counter
 
 import pytest
 
+from parner import scheduler
 from parner.backends import (
+    BackendError,
     CompletionBackend,
     CompletionRequest,
     CompletionResult,
@@ -23,7 +26,6 @@ from parner.corpus import Document, GoldAnnotation, Mention, mention_multiset
 from parner.scheduler import (
     MODES,
     decode_document,
-    decode_pair,
     run_corpus,
     span_probability,
 )
@@ -58,7 +60,7 @@ class TestPairDecodeTrace:
     def outcome(self, cuttitta, labels, template):
         doc, _ = cuttitta
         backend = ScriptedBackend(two_step_fixture_entries(doc, labels, template))
-        return decode_pair(doc, labels, backend, template)
+        return decode_document(doc, labels, backend, template, "pair-multi")
 
     def test_sequence_inventory(self, outcome):
         kinds = Counter(tr.kind for tr in outcome.traces)
@@ -95,7 +97,7 @@ class TestPairDecodeTrace:
     def test_batch_mode_sums_step_walls(self, cuttitta, labels, template):
         doc, _ = cuttitta
         backend = ScriptedBackend(two_step_fixture_entries(doc, labels, template))
-        outcome = decode_pair(doc, labels, backend, template, batch=True)
+        outcome = decode_document(doc, labels, backend, template, "pair-batch")
         assert outcome.example_latency_ms == 12.0 + 22.0  # max counts + max mentions
         assert outcome.step1_batch_size == 4
         assert outcome.step2_batch_size == 5
@@ -124,14 +126,14 @@ class TestPairDecodeDegradation:
                 })
             else:
                 entries.append({"prompt": prompt, "tokens": ["<eos>"]})
-        outcome = decode_pair(doc, labels, ScriptedBackend(entries), template)
+        outcome = decode_document(doc, labels, ScriptedBackend(entries), template, "pair-multi")
         assert len(outcome.defects) == 1
         assert "PER" in outcome.defects[0]
         assert [m.text for m in outcome.raw_mentions] == ["Italy"]
 
     def test_missing_fixture_is_defect_not_crash(self, labels, template):
         doc = Document(id="x", text="some text")
-        outcome = decode_pair(doc, labels, ScriptedBackend([]), template)
+        outcome = decode_document(doc, labels, ScriptedBackend([]), template, "pair-multi")
         assert len(outcome.defects) == len(labels)
         assert outcome.raw_mentions == []
         assert outcome.example_latency_ms == 0.0
@@ -150,7 +152,7 @@ class TestPairDecodeDegradation:
                 })
             else:
                 entries.append({"prompt": prompt, "tokens": ["<eos>"]})
-        outcome = decode_pair(doc, labels, ScriptedBackend(entries), template)
+        outcome = decode_document(doc, labels, ScriptedBackend(entries), template, "pair-multi")
         assert outcome.raw_mentions == []
         assert len(outcome.defects) == 1
 
@@ -158,7 +160,7 @@ class TestPairDecodeDegradation:
         doc = Document(id="x", text="nothing")
         gold = GoldAnnotation(doc_id="x", mentions=[])
         oracle = OracleBackend([(doc, gold)], labels, template)
-        outcome = decode_pair(doc, labels, oracle, template)
+        outcome = decode_document(doc, labels, oracle, template, "pair-multi")
         assert outcome.raw_mentions == []
         assert outcome.step2_batch_size == 0
         # eos-only count answers: 1 token at 10ms each
@@ -265,7 +267,7 @@ class TestCostAccounting:
         gold = GoldAnnotation(doc_id="x", mentions=[Mention("PER", "Villa")])
         cost = CostModel(ms_per_token=10.0, fixed_overhead_ms=5.0, batch_penalty_alpha=0.05)
         oracle = OracleBackend([(doc, gold)], labels, template, cost=cost)
-        outcome = decode_pair(doc, labels, oracle, template, batch=True)
+        outcome = decode_document(doc, labels, oracle, template, "pair-batch")
         penalty4 = 1.0 + 0.05 * 3
         step1_wall = 5.0 + 10.0 * 2 * penalty4   # "1" + terminator, batch of 4
         step2_wall = 5.0 + 10.0 * 2 * 1.0        # "Villa" + eos, batch of 1
@@ -276,6 +278,226 @@ class TestCostAccounting:
         gold = GoldAnnotation(doc_id="x", mentions=[Mention("PER", "Villa")])
         cost = CostModel(ms_per_token=10.0, fixed_overhead_ms=5.0)
         oracle = OracleBackend([(doc, gold)], labels, template, cost=cost)
-        outcome = decode_pair(doc, labels, oracle, template, batch=False)
+        outcome = decode_document(doc, labels, oracle, template, "pair-multi")
         # PER path: count (2 tokens, 25ms) + mention (2 tokens, 25ms) = 50ms
         assert outcome.example_latency_ms == pytest.approx(50.0)
+
+
+class _DownBackend(CompletionBackend):
+    """Every call fails, batched or not."""
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        raise BackendError("down")
+
+    def generate_batch(self, requests):
+        raise BackendError("down")
+
+
+class _MentionBatchDownBackend(CompletionBackend):
+    """Answers the first batch (the counts) from an oracle, fails every later one."""
+
+    def __init__(self, inner: CompletionBackend):
+        self._inner = inner
+        self._batches = 0
+
+    def generate_batch(self, requests):
+        self._batches += 1
+        if self._batches > 1:
+            raise BackendError("down")
+        return self._inner.generate_batch(requests)
+
+
+class TestFailurePaths:
+    """Backend failures become exact defect strings; the CLI writes them out."""
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_call_failing(self, mode, parallelism, labels, template):
+        doc = Document(id="x", text="some text")
+        outcome = run_corpus([doc], labels, _DownBackend(), template, mode,
+                             parallelism=parallelism)[0]
+        expected = {
+            "pair-multi": [f"count request failed for label {label}: down" for label in labels],
+            "pair-batch": ["count batch failed: down"],
+            "onestep": [f"onestep request failed for label {label}: down" for label in labels],
+            "autoreg-aug": ["autoreg request failed: down"],
+            "autoreg-struct": ["autoreg request failed: down"],
+        }[mode]
+        assert outcome.defects == expected
+        assert outcome.traces == []
+        assert outcome.raw_mentions == []
+        assert outcome.example_latency_ms == 0.0
+        assert outcome.step1_batch_size == (1 if mode.startswith("autoreg") else 4)
+        assert outcome.step2_batch_size == 0
+
+    def test_mention_batch_failing(self, cuttitta, labels, template):
+        doc, gold = cuttitta
+        oracle = OracleBackend([(doc, gold)], labels, template)
+        outcome = decode_document(doc, labels, _MentionBatchDownBackend(oracle), template,
+                                  "pair-batch")
+        assert outcome.defects == ["mention batch failed: down"]
+        assert [tr.seq_id for tr in outcome.traces] == [
+            f"d0/{label}/count" for label in labels]
+        assert outcome.raw_mentions == []
+        assert outcome.example_latency_ms == max(tr.latency_ms for tr in outcome.traces)
+        assert outcome.step1_batch_size == 4
+        assert outcome.step2_batch_size == 4
+
+
+class _ThreadCountingBackend(CompletionBackend):
+    """Sleeps briefly per call and records the most threads alive at once."""
+
+    def __init__(self, inner: CompletionBackend, max_in_flight: int = 1):
+        self._inner = inner
+        self.max_in_flight = max_in_flight
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        with self._lock:
+            self.peak = max(self.peak, threading.active_count())
+        time.sleep(0.001)
+        return self._inner.generate(request)
+
+
+def _decoded(outcomes):
+    return [(o.doc_id, [(m.label, m.text, m.probability, m.seq_id) for m in o.raw_mentions],
+             [(tr.seq_id, tr.latency_ms) for tr in o.traces], o.example_latency_ms,
+             o.step1_batch_size, o.step2_batch_size, o.defects) for o in outcomes]
+
+
+class _CountsTogetherBackend(CompletionBackend):
+    """Serves four calls at once, and holds the first four until all have
+    arrived: they fail unless they are in flight together."""
+
+    max_in_flight = 4
+
+    def __init__(self, inner: CompletionBackend):
+        self._inner = inner
+        self._first = threading.Barrier(4, timeout=10)
+        self._calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        with self._lock:
+            self._calls += 1
+            first = self._calls <= 4
+        if first:
+            self._first.wait()
+        return self._inner.generate(request)
+
+
+class _BrokenBackend(CompletionBackend):
+    """Raises a non-backend error, as a bug would, and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        with self._lock:
+            self.calls += 1
+        time.sleep(0.001)
+        raise ValueError("bug")
+
+
+class TestSharedPool:
+    """Documents and their requests share one pool of
+    ``max(parallelism, backend.max_in_flight)`` workers."""
+
+    def test_threads_bounded_by_parallelism(self, labels, template):
+        pairs = make_corpus(40, labels, seed=4)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template))
+        before = threading.active_count()
+        run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
+                   parallelism=4)
+        assert backend.peak - before <= 4
+
+    def test_documents_bounded_by_parallelism_requests_by_backend(
+            self, monkeypatch, labels, template):
+        pairs = make_corpus(40, labels, seed=4)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template),
+                                         max_in_flight=6)
+        decode, lock = scheduler.decode_document, threading.Lock()
+        docs_in_flight, docs_peak = 0, 0
+
+        def counting_decode(*args, **kwargs):
+            nonlocal docs_in_flight, docs_peak
+            with lock:
+                docs_in_flight += 1
+                docs_peak = max(docs_peak, docs_in_flight)
+            try:
+                return decode(*args, **kwargs)
+            finally:
+                with lock:
+                    docs_in_flight -= 1
+
+        monkeypatch.setattr(scheduler, "decode_document", counting_decode)
+        before = threading.active_count()
+        run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
+                   parallelism=2)
+        assert docs_peak == 2
+        assert backend.peak - before <= 6
+
+    def test_one_documents_requests_in_flight_together_at_parallelism_one(
+            self, labels, template):
+        pairs = make_corpus(1, labels, seed=4)
+        backend = _CountsTogetherBackend(OracleBackend(pairs, labels, template))
+        serial = run_corpus([pairs[0][0]], labels, OracleBackend(pairs, labels, template),
+                            template, "pair-multi", parallelism=1)
+        got = run_corpus([pairs[0][0]], labels, backend, template, "pair-multi",
+                         parallelism=1)
+        assert _decoded(got) == _decoded(serial)
+
+    @pytest.mark.parametrize("mode", ["pair-batch", "autoreg-struct"])
+    def test_one_call_per_step_makes_no_pool_for_one_document(
+            self, monkeypatch, mode, labels, template):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool expected")
+
+        monkeypatch.setattr(scheduler, "ThreadPoolExecutor", no_pool)
+        pairs = make_corpus(1, labels, seed=4)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template),
+                                         max_in_flight=8)
+        run_corpus([pairs[0][0]], labels, backend, template, mode, parallelism=4)
+
+    def test_bug_stops_the_run_without_decoding_the_rest(self, labels, template):
+        pairs = make_corpus(40, labels, seed=4)
+        backend = _BrokenBackend()
+        with pytest.raises(ValueError, match="bug"):
+            run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
+                       parallelism=4)
+        # each of the 4 strands fails on its first document's 4 count requests
+        assert backend.calls <= 4 * 4
+
+    def test_parallelism_one_starts_no_thread(self, labels, template):
+        pairs = make_corpus(5, labels, seed=4)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template))
+        before = threading.active_count()
+        run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
+                   parallelism=1)
+        assert backend.peak <= before
+
+    @pytest.mark.parametrize("mode", ["pair-multi", "onestep"])
+    def test_oversubscribed_pool_finishes_and_matches_serial(self, mode, labels, template):
+        """A deadlock in the shared pool would hang, so the join timeout is the check."""
+        pairs = make_corpus(24, labels, seed=9)
+        docs = [doc for doc, _ in pairs]
+        oracle = OracleBackend(pairs, labels, template,
+                               errors=ErrorInjection(p_count=0.3, p_index=0.3))
+        serial = run_corpus(docs, labels, oracle, template, mode, parallelism=1)
+        got = []
+        worker = threading.Thread(
+            target=lambda: got.append(run_corpus(docs, labels, _JitteryBackend(oracle),
+                                                 template, mode, parallelism=8)),
+            daemon=True,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive(), "run_corpus did not finish: shared pool deadlocked"
+        assert _decoded(got[0]) == _decoded(serial)
