@@ -59,7 +59,9 @@ class CompletionResult:
     """Generated tokens with aligned natural-log probabilities.
 
     ``text`` is always the exact concatenation of ``tokens``; parsers rely
-    on that alignment to map character ranges back to token spans.
+    on that alignment to map character ranges back to token spans.  Every
+    backend's results are checked here: a misaligned result, like a bad
+    ``stop_reason`` or logprob count, raises ``ValueError``.
     """
 
     tokens: Tuple[str, ...]
@@ -78,6 +80,11 @@ class CompletionResult:
         if self.token_logprobs and len(self.token_logprobs) != len(self.tokens):
             raise ValueError(
                 f"{len(self.token_logprobs)} logprobs for {len(self.tokens)} tokens"
+            )
+        joined = "".join(self.tokens)
+        if joined != self.text:
+            raise ValueError(
+                f"tokens concatenate to {joined[:80]!r}, not to text {self.text[:80]!r}"
             )
 
 
@@ -123,18 +130,18 @@ class CompletionBackend:
         raise NotImplementedError
 
     def generate_batch(self, requests: Sequence[CompletionRequest]) -> List[CompletionResult]:
-        """One logical batch; the default fans out concurrently.
+        """One logical batch; the default fans out up to ``max_in_flight``.
 
-        Simulated backends override batch accounting to tax every member
-        with the batch-size penalty.  The batch's wall latency is the max
-        of the member latencies (lockstep decode: early finishers wait for
-        the longest sequence).
+        With one call in flight at most (in-process backends) the batch runs
+        on the calling thread.  Simulated backends override batch accounting
+        to tax every member with the batch-size penalty.  The batch's wall
+        latency is the max of the member latencies (lockstep decode: early
+        finishers wait for the longest sequence).
         """
-        if not requests:
-            return []
-        if len(requests) == 1:
-            return [self.generate(requests[0])]
-        with ThreadPoolExecutor(max_workers=min(len(requests), 16)) as pool:
+        workers = min(len(requests), self.max_in_flight)
+        if workers <= 1:
+            return [self.generate(request) for request in requests]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(self.generate, requests))
 
 

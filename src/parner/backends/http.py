@@ -32,10 +32,21 @@ class HttpBackend(CompletionBackend):
         {"prompt": ..., "max_tokens": ..., "temperature": ...,
          "stop": [...], "logprobs": true, "echo": false}
 
-    Expected response fields: ``text``, ``tokens``, ``token_logprobs``
-    (required when logprobs were requested), ``finish_reason``.  Transport
-    failures and 5xx responses are retried with exponential backoff;
-    ``latency_ms`` is wall-clock measured around the successful call.
+    Expected response fields: ``text``, ``tokens`` (concatenating to
+    ``text``), ``token_logprobs`` (required when logprobs were requested),
+    ``finish_reason``.  Transport failures and 5xx responses are retried
+    with exponential backoff; a response that breaks the
+    ``CompletionResult`` contract is a ``TransportError``.  ``latency_ms``
+    is wall-clock measured around the successful call.
+
+    The environment is read once, when the backend is built: proxies for
+    ``url`` (honouring ``NO_PROXY``), the CA bundle
+    (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``), ``.netrc`` credentials and
+    ``PARNER_HTTP_TOKEN``.  Every request then carries those settings, so
+    it is the one ``requests`` would have built from the environment, with
+    no lookup per call.  ``session`` (default: a new ``requests.Session``)
+    gets ``trust_env`` turned off for the same reason, so a session shared
+    with a later backend gives that one no environment settings.
     """
 
     def __init__(
@@ -58,6 +69,15 @@ class HttpBackend(CompletionBackend):
         token = os.environ.get(TOKEN_ENV_VAR)
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
+        # What requests would look up in the environment on every call;
+        # .netrc applies only when the session has no auth of its own.
+        settings = self._session.merge_environment_settings(url, {}, None, None, None)
+        self._proxies = settings["proxies"]
+        self._verify = settings["verify"]
+        self._auth = None
+        if self._session.trust_env and not self._session.auth:
+            self._auth = requests.utils.get_netrc_auth(url)
+        self._session.trust_env = False
 
     def generate(self, request: CompletionRequest) -> CompletionResult:
         payload = {
@@ -80,7 +100,8 @@ class HttpBackend(CompletionBackend):
             start = time.perf_counter()
             try:
                 response = self._session.post(
-                    self._url, json=payload, headers=self._headers, timeout=self._timeout_s
+                    self._url, json=payload, headers=self._headers, timeout=self._timeout_s,
+                    proxies=self._proxies, verify=self._verify, auth=self._auth,
                 )
             except requests.RequestException as exc:
                 last_error = f"transport failure: {exc}"
@@ -111,22 +132,21 @@ class HttpBackend(CompletionBackend):
         if tokens is None:
             raise TransportError("completion response is missing 'tokens'")
         logprobs = body.get("token_logprobs")
-        if request.want_logprobs:
-            if logprobs is None:
-                raise TransportError(
-                    "completion response is missing 'token_logprobs' (required for scoring)"
-                )
-            if len(logprobs) != len(tokens):
-                raise TransportError(
-                    f"{len(logprobs)} token_logprobs for {len(tokens)} tokens"
-                )
+        # CompletionResult checks their length only when logprobs are present
+        if request.want_logprobs and (logprobs is None or (tokens and not logprobs)):
+            raise TransportError(
+                "completion response is missing 'token_logprobs' (required for scoring)"
+            )
         stop_reason = _FINISH_TO_STOP_REASON.get(body.get("finish_reason", "eos"))
         if stop_reason is None:
             raise TransportError(f"unknown finish_reason: {body.get('finish_reason')!r}")
-        return CompletionResult(
-            tokens=tuple(str(t) for t in tokens),
-            token_logprobs=tuple(float(x) for x in logprobs) if request.want_logprobs else (),
-            text=str(text),
-            stop_reason=stop_reason,
-            latency_ms=latency_ms,
-        )
+        try:
+            return CompletionResult(
+                tokens=tuple(str(t) for t in tokens),
+                token_logprobs=tuple(float(x) for x in logprobs) if request.want_logprobs else (),
+                text=str(text),
+                stop_reason=stop_reason,
+                latency_ms=latency_ms,
+            )
+        except (TypeError, ValueError) as exc:
+            raise TransportError(f"completion response breaks the result contract: {exc}") from None

@@ -19,7 +19,8 @@ backends), so one document's requests fan out even at parallelism 1,
 and at parallelism 1 with an in-process backend the scheduler starts no
 thread.  A thread waiting for its items runs every one no worker has
 started yet, so the nesting cannot deadlock.  A backend's own
-``generate_batch`` may still fan out on threads of its own.
+``generate_batch`` may still fan out on up to ``max_in_flight`` threads
+of its own.
 
 Parsing or backend failures for one sequence degrade to defect records; a
 document never hard-fails.

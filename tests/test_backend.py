@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import json
 import math
+import os
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from parner.backends import (
     CompletionBackend,
@@ -25,6 +30,7 @@ from parner.backends import (
 )
 from parner.backends.http import TOKEN_ENV_VAR, HttpBackend
 from parner.corpus import Document, GoldAnnotation, Mention
+from parner.scheduler import run_corpus
 from parner.templates import build_count_prompt, build_mention_prompt, parse_count
 
 
@@ -43,6 +49,13 @@ class TestRequestAndResult:
             CompletionResult(
                 tokens=("a",), token_logprobs=(), text="a",
                 stop_reason="halted", latency_ms=0.0,
+            )
+
+    def test_text_must_concatenate_tokens(self):
+        with pytest.raises(ValueError, match="concatenate"):
+            CompletionResult(
+                tokens=("It", "aly"), token_logprobs=(-0.1, -0.2), text="Italy!",
+                stop_reason="eos", latency_ms=0.0,
             )
 
     def test_generated_token_count(self):
@@ -79,12 +92,16 @@ class TestCostModel:
 
 
 class _EchoBackend(CompletionBackend):
-    """Echoes the prompt back, sleeping per a schedule keyed by prompt."""
+    """Echoes the prompt back, sleeping per a schedule keyed by prompt, and
+    records the threads it was called on."""
 
-    def __init__(self, delays_ms):
+    def __init__(self, delays_ms, max_in_flight: int = 1):
         self._delays = delays_ms
+        self.max_in_flight = max_in_flight
+        self.threads = set()
 
     def generate(self, request):
+        self.threads.add(threading.get_ident())
         time.sleep(self._delays.get(request.prompt, 0) / 1000.0)
         return CompletionResult(
             tokens=(request.prompt,), token_logprobs=(0.0,), text=request.prompt,
@@ -101,6 +118,22 @@ class TestBatchFanOut:
 
     def test_empty_batch(self):
         assert _EchoBackend({}).generate_batch([]) == []
+
+    def test_single_flight_batch_starts_no_thread(self):
+        prompts = [f"p{i}" for i in range(6)]
+        backend = _EchoBackend({p: 2 for p in prompts})
+        results = backend.generate_batch([CompletionRequest(prompt=p) for p in prompts])
+        assert [r.text for r in results] == prompts
+        assert backend.threads == {threading.get_ident()}
+
+    def test_batch_threads_bounded_by_max_in_flight(self):
+        prompts = [f"p{i}" for i in range(10)]
+        backend = _EchoBackend({p: 2 * (10 - i) for i, p in enumerate(prompts)},
+                               max_in_flight=2)
+        results = backend.generate_batch([CompletionRequest(prompt=p) for p in prompts])
+        assert [r.text for r in results] == prompts
+        assert 1 <= len(backend.threads) <= 2
+        assert threading.get_ident() not in backend.threads
 
 
 class TestScriptedBackend:
@@ -320,7 +353,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
-        self.server.calls.append({"payload": payload, "headers": dict(self.headers)})
+        self.server.calls.append(
+            {"path": self.path, "payload": payload, "headers": dict(self.headers)})
         status, body = self.server.behavior(payload, len(self.server.calls))
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
@@ -341,8 +375,8 @@ _OK_BODY = {
 }
 
 
-@pytest.fixture
-def stub_server():
+@contextlib.contextmanager
+def _running_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.calls = []
     server.behavior = lambda payload, n: (200, _OK_BODY)
@@ -352,12 +386,36 @@ def stub_server():
         yield server
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 
-def _url(server) -> str:
+@pytest.fixture
+def stub_server():
+    with _running_stub() as server:
+        yield server
+
+
+@pytest.fixture
+def proxy_server():
+    """A second stub; as an HTTP proxy it sees absolute-form request targets."""
+    with _running_stub() as server:
+        yield server
+
+
+@pytest.fixture
+def session():
+    with requests.Session() as session:
+        yield session
+
+
+def _origin(server) -> str:
     host, port = server.server_address
-    return f"http://{host}:{port}/v1/completions"
+    return f"http://{host}:{port}"
+
+
+def _url(server) -> str:
+    return _origin(server) + "/v1/completions"
 
 
 class TestHttpBackend:
@@ -425,6 +483,34 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             backend.generate(CompletionRequest(prompt="p"))
 
+    def test_empty_logprobs_rejected(self, stub_server, session):
+        body = dict(_OK_BODY, token_logprobs=[])
+        stub_server.behavior = lambda payload, n: (200, body)
+        backend = HttpBackend(_url(stub_server), session=session)
+        with pytest.raises(TransportError) as err:
+            backend.generate(CompletionRequest(prompt="p"))
+        assert "token_logprobs" in str(err.value)
+
+    def test_misaligned_text_rejected(self, stub_server, session):
+        body = dict(_OK_BODY, tokens=["It", "aly"], text="Italy!")
+        stub_server.behavior = lambda payload, n: (200, body)
+        backend = HttpBackend(_url(stub_server), session=session)
+        with pytest.raises(TransportError) as err:
+            backend.generate(CompletionRequest(prompt="p"))
+        assert "concatenate" in str(err.value)
+
+    def test_misaligned_text_is_a_decode_defect(self, stub_server, session, labels, template):
+        body = dict(_OK_BODY, tokens=["It", "aly"], text="Italy!")
+        stub_server.behavior = lambda payload, n: (200, body)
+        backend = HttpBackend(_url(stub_server), session=session)
+        doc = Document(id="x", text="Italy beat England.")
+        outcome = run_corpus([doc], labels, backend, template, "pair-multi")[0]
+        assert len(outcome.defects) == len(labels)
+        for label, defect in zip(labels, outcome.defects):
+            assert defect.startswith(f"count request failed for label {label}: ")
+            assert "concatenate" in defect
+        assert outcome.traces == [] and outcome.raw_mentions == []
+
     def test_stop_finish_maps_to_stop_string(self, stub_server):
         body = dict(_OK_BODY, finish_reason="stop")
         stub_server.behavior = lambda payload, n: (200, body)
@@ -443,3 +529,94 @@ class TestHttpBackend:
         backend = HttpBackend(_url(stub_server))
         backend.generate(CompletionRequest(prompt="p"))
         assert "Authorization" not in stub_server.calls[0]["headers"]
+
+
+_INVALID_URL = "http://completion.invalid/v1/completions"
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    """No proxy, CA bundle or .netrc settings from the surrounding environment."""
+    for key in list(os.environ):
+        if key.lower().endswith("_proxy"):
+            monkeypatch.delenv(key)
+    for key in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", TOKEN_ENV_VAR):
+        monkeypatch.delenv(key, raising=False)
+    monkeypatch.setenv("NETRC", os.devnull)
+
+
+@pytest.fixture
+def invalid_host_resolves_to_stub(monkeypatch, stub_server):
+    """``completion.invalid`` connects to ``stub_server``; no DNS query is made."""
+    real = socket.getaddrinfo
+
+    def getaddrinfo(host, *args, **kwargs):
+        if host == "completion.invalid":
+            return [(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "",
+                     stub_server.server_address)]
+        return real(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+
+
+class _RecordingSession(requests.Session):
+    """Keeps the keyword arguments of its last ``post``."""
+
+    def post(self, url, **kwargs):
+        self.kwargs = kwargs
+        return super().post(url, **kwargs)
+
+
+@pytest.mark.usefixtures("clean_env")
+class TestHttpEnvironment:
+    """The environment is read when the backend is built, and requests on the
+    wire are the ones ``requests`` would build from it on every call."""
+
+    @pytest.mark.usefixtures("invalid_host_resolves_to_stub")
+    def test_proxy_from_environment(self, stub_server, proxy_server, session, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", _origin(proxy_server))
+        backend = HttpBackend(_INVALID_URL, session=session)
+        assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+        assert [call["path"] for call in proxy_server.calls] == [_INVALID_URL]
+        assert stub_server.calls == []
+
+    @pytest.mark.usefixtures("invalid_host_resolves_to_stub")
+    def test_no_proxy_bypasses_proxy(self, stub_server, proxy_server, session, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", _origin(proxy_server))
+        monkeypatch.setenv("NO_PROXY", "completion.invalid")
+        backend = HttpBackend(_INVALID_URL, session=session)
+        assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+        assert [call["path"] for call in stub_server.calls] == ["/v1/completions"]
+        assert proxy_server.calls == []
+
+    def test_no_environment_lookup_per_call(self, stub_server, session, monkeypatch):
+        backend = HttpBackend(_url(stub_server), session=session)
+
+        def lookup(*args, **kwargs):
+            raise AssertionError("environment looked up per call")
+
+        monkeypatch.setattr(requests.sessions, "get_environ_proxies", lookup)
+        monkeypatch.setattr(requests.sessions, "get_netrc_auth", lookup)
+        monkeypatch.setattr(requests.utils, "get_environ_proxies", lookup)
+        assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+        assert backend.generate(CompletionRequest(prompt="q")).text == "Italy<eos>"
+
+    def test_netrc_credentials(self, stub_server, session, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password s3cret\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        backend = HttpBackend(_url(stub_server), session=session)
+        backend.generate(CompletionRequest(prompt="p"))
+        expected = "Basic " + base64.b64encode(b"alice:s3cret").decode("ascii")
+        assert stub_server.calls[0]["headers"].get("Authorization") == expected
+
+    def test_ca_bundle_and_session_settings(self, stub_server, monkeypatch, tmp_path):
+        ca_bundle = str(tmp_path / "ca.pem")
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", ca_bundle)
+        with _RecordingSession() as session:
+            backend = HttpBackend(_url(stub_server), session=session)
+            assert session.trust_env is False
+            backend.generate(CompletionRequest(prompt="p"))
+        assert session.kwargs["verify"] == ca_bundle
+        assert session.kwargs["proxies"] == {}
+        assert session.kwargs["auth"] is None
