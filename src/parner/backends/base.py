@@ -41,7 +41,13 @@ class UnknownPromptError(BackendError):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One text-completion call."""
+    """One text-completion call.
+
+    ``want_logprobs`` asks for one logprob per generated token.  The
+    scheduler sets it only on mention and onestep requests, whose token
+    probabilities score mentions for de-duplication; counts and autoreg
+    answers are never scored, so their results carry no logprobs.
+    """
 
     prompt: str
     max_new_tokens: int = 512
@@ -147,38 +153,36 @@ class CompletionBackend:
 
 def apply_request_limits(
     tokens: List[str],
-    logprobs: List[float],
     request: CompletionRequest,
     default_reason: str = "eos",
-) -> Tuple[List[str], List[float], str, str]:
+) -> Tuple[List[str], str, str]:
     """Apply stop strings and the token budget to a would-be completion.
 
     Stop strings are honored at their first occurrence in the concatenated
     text (a token straddling the cut is kept truncated, preserving
     text/token alignment), then ``max_new_tokens`` caps the length.
-    Returns (tokens, logprobs, text, stop_reason).
+    Returns (tokens, text, stop_reason).  The kept tokens are always a
+    prefix of ``tokens``, the last one possibly truncated, so their
+    logprobs are the first ``len(tokens)`` of the full list.
     """
     text = "".join(tokens)
     reason = default_reason
     cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)
     if cut >= 0:
-        kept_tokens: List[str] = []
-        kept_logprobs: List[float] = []
+        kept: List[str] = []
         pos = 0
-        for tok, lp in zip(tokens, logprobs):
+        for tok in tokens:
             if pos >= cut:
                 break
-            kept_tokens.append(tok if pos + len(tok) <= cut else tok[: cut - pos])
-            kept_logprobs.append(lp)
+            kept.append(tok if pos + len(tok) <= cut else tok[: cut - pos])
             pos += len(tok)
-        tokens, logprobs, text = kept_tokens, kept_logprobs, text[:cut]
+        tokens, text = kept, text[:cut]
         reason = "stop_string"
     if len(tokens) > request.max_new_tokens:
         tokens = tokens[: request.max_new_tokens]
-        logprobs = logprobs[: request.max_new_tokens]
         text = "".join(tokens)
         reason = "length"
-    return tokens, logprobs, text, reason
+    return tokens, text, reason
 
 
 _TOKEN_RE = re.compile(r"\s*\S+|\s+")

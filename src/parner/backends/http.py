@@ -30,7 +30,7 @@ class HttpBackend(CompletionBackend):
     Request body::
 
         {"prompt": ..., "max_tokens": ..., "temperature": ...,
-         "stop": [...], "logprobs": true, "echo": false}
+         "stop": [...], "logprobs": ..., "echo": false}
 
     Expected response fields: ``text``, ``tokens`` (concatenating to
     ``text``), ``token_logprobs`` (required when logprobs were requested),
@@ -41,12 +41,13 @@ class HttpBackend(CompletionBackend):
 
     The environment is read once, when the backend is built: proxies for
     ``url`` (honouring ``NO_PROXY``), the CA bundle
-    (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``), ``.netrc`` credentials and
-    ``PARNER_HTTP_TOKEN``.  Every request then carries those settings, so
-    it is the one ``requests`` would have built from the environment, with
-    no lookup per call.  ``session`` (default: a new ``requests.Session``)
-    gets ``trust_env`` turned off for the same reason, so a session shared
-    with a later backend gives that one no environment settings.
+    (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``), ``PARNER_HTTP_TOKEN`` and,
+    only when that token is unset, ``.netrc`` credentials.  Every request
+    then carries those settings, so it is the one ``requests`` would have
+    built from the environment, with no lookup per call.  ``session``
+    (default: a new ``requests.Session``) gets ``trust_env`` turned off for
+    the same reason, so a session shared with a later backend gives that
+    one no environment settings.
     """
 
     def __init__(
@@ -69,13 +70,15 @@ class HttpBackend(CompletionBackend):
         token = os.environ.get(TOKEN_ENV_VAR)
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
-        # What requests would look up in the environment on every call;
-        # .netrc applies only when the session has no auth of its own.
+        # What requests would look up in the environment on every call.
+        # .netrc applies only when neither the token nor the session's own
+        # auth is set: requests applies auth after the headers, so .netrc
+        # credentials would replace the bearer token.
         settings = self._session.merge_environment_settings(url, {}, None, None, None)
         self._proxies = settings["proxies"]
         self._verify = settings["verify"]
         self._auth = None
-        if self._session.trust_env and not self._session.auth:
+        if not token and self._session.trust_env and not self._session.auth:
             self._auth = requests.utils.get_netrc_auth(url)
         self._session.trust_env = False
 

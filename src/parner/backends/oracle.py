@@ -19,7 +19,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from parner.backends.base import (
     CompletionBackend,
@@ -43,6 +43,13 @@ from parner.templates import (
 )
 
 __all__ = ["ErrorInjection", "OracleBackend"]
+
+# the logprobs of an answer's first n tokens, computed only when asked for
+_Logprobs = Callable[[int], List[float]]
+
+
+def _clamped_log(p: float) -> float:
+    return math.log(min(max(p, 1e-6), 1.0 - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,9 @@ class OracleBackend(CompletionBackend):
     corpus reformulation exactly: decoding any document in any format
     reproduces its gold mentions.  Token probabilities are synthesized
     near ``hi_token_prob`` for faithful answers and near ``lo_token_prob``
-    for injected errors, with a small seeded jitter.
+    for injected errors, with a small seeded jitter.  They are computed
+    only when the request sets ``want_logprobs``, and only for the tokens
+    that stop strings and ``max_new_tokens`` keep.
 
     The instance is immutable after construction and safe for concurrent
     use.
@@ -140,7 +149,27 @@ class OracleBackend(CompletionBackend):
         base = self._lo if erroneous else self._hi
         if self._jitter:
             base += (self._unit("jitter", *key) * 2.0 - 1.0) * self._jitter
-        return math.log(min(max(base, 1e-6), 1.0 - 1e-9))
+        return _clamped_log(base)
+
+    def _logprobs(self, n: int, erroneous: bool, *key: object) -> List[float]:
+        """``[_logprob(erroneous, *key, i) for i in range(n)]``, hashing the key once.
+
+        SHA-256 and UTF-8 both compose over prefixes, so each token's digest
+        extends a copy of the sequence's hashed key by the token index and
+        every value is bit-identical to ``_logprob``'s.
+        """
+        base = self._lo if erroneous else self._hi
+        if not self._jitter:
+            return [_clamped_log(base)] * n
+        material = "\x1f".join(str(p) for p in (self._seed, "jitter", *key)) + "\x1f"
+        sequence = hashlib.sha256(material.encode("utf-8"))
+        logprobs = []
+        for i in range(n):
+            token = sequence.copy()
+            token.update(b"%d" % i)
+            unit = int.from_bytes(token.digest()[:8], "big") / 2.0**64
+            logprobs.append(_clamped_log(base + (unit * 2.0 - 1.0) * self._jitter))
+        return logprobs
 
     # -- answers --------------------------------------------------------------
 
@@ -151,49 +180,37 @@ class OracleBackend(CompletionBackend):
         return [self._answer(r, batch_size=len(requests)) for r in requests]
 
     def _answer(self, request: CompletionRequest, batch_size: int) -> CompletionResult:
-        entry = self._exact.get(request.prompt)
-        if entry is not None:
-            kind = entry[0]
-            if kind == "count":
-                tokens, logprobs = self._count_answer(entry[1], entry[2], entry[3])
-            elif kind == "onestep":
-                _, doc, gold, label = entry
-                tokens, logprobs = self._serialized_answer(
-                    emit_onestep(gold, label), doc.id, f"onestep/{label}")
-            else:
-                _, doc, _, output = entry
-                if output is None:
-                    raise UnknownPromptError(
-                        f"augmented answer unbuildable for document {doc.id}"
-                    )
-                tokens, logprobs = self._serialized_answer(output, doc.id, "autoreg")
-            return self._finish(tokens, logprobs, request, batch_size)
-
-        mention = self._match_mention_prompt(request.prompt)
-        if mention is None:
-            raise UnknownPromptError(
-                f"prompt does not match any document/label in the oracle corpus: "
-                f"{request.prompt[-120:]!r}"
-            )
-        doc, gold, label, index = mention
-        tokens, logprobs = self._mention_answer(doc, gold, label, index)
-        return self._finish(tokens, logprobs, request, batch_size)
-
-    def _finish(
-        self,
-        tokens: List[str],
-        logprobs: List[float],
-        request: CompletionRequest,
-        batch_size: int,
-    ) -> CompletionResult:
-        tokens, logprobs, text, reason = apply_request_limits(tokens, logprobs, request)
+        tokens, logprobs = self._full_answer(request.prompt)
+        tokens, text, reason = apply_request_limits(tokens, request)
         return CompletionResult(
             tokens=tuple(tokens),
-            token_logprobs=tuple(logprobs) if request.want_logprobs else (),
+            token_logprobs=tuple(logprobs(len(tokens))) if request.want_logprobs else (),
             text=text,
             stop_reason=reason,
             latency_ms=self._cost.latency_ms(len(tokens), batch_size),
         )
+
+    def _full_answer(self, prompt: str) -> Tuple[List[str], _Logprobs]:
+        """The unlimited answer's tokens, and the logprobs of its first n tokens."""
+        entry = self._exact.get(prompt)
+        if entry is None:
+            mention = self._match_mention_prompt(prompt)
+            if mention is None:
+                raise UnknownPromptError(
+                    f"prompt does not match any document/label in the oracle corpus: "
+                    f"{prompt[-120:]!r}"
+                )
+            return self._mention_answer(*mention)
+        kind = entry[0]
+        if kind == "count":
+            return self._count_answer(entry[1], entry[2], entry[3])
+        if kind == "onestep":
+            _, doc, gold, label = entry
+            return self._serialized_answer(emit_onestep(gold, label), doc.id, f"onestep/{label}")
+        _, doc, _, output = entry
+        if output is None:
+            raise UnknownPromptError(f"augmented answer unbuildable for document {doc.id}")
+        return self._serialized_answer(output, doc.id, "autoreg")
 
     def _match_mention_prompt(
         self, prompt: str
@@ -214,7 +231,7 @@ class OracleBackend(CompletionBackend):
 
     def _count_answer(
         self, doc: Document, gold: GoldAnnotation, label: str
-    ) -> Tuple[List[str], List[float]]:
+    ) -> Tuple[List[str], _Logprobs]:
         t = self._t
         gold_m = len(gold.for_label(label))
         forced = self._errors.forced_counts.get((doc.id, label))
@@ -230,13 +247,11 @@ class OracleBackend(CompletionBackend):
             tokens = [t.eos_literal]
         else:
             tokens = list(str(m)) + [t.count_terminator]
-        logprobs = [self._logprob(erroneous, doc.id, label, "count", i)
-                    for i in range(len(tokens))]
-        return tokens, logprobs
+        return tokens, lambda n: self._logprobs(n, erroneous, doc.id, label, "count")
 
     def _mention_answer(
         self, doc: Document, gold: GoldAnnotation, label: str, index: int
-    ) -> Tuple[List[str], List[float]]:
+    ) -> Tuple[List[str], _Logprobs]:
         mentions = gold.for_label(label)
         forced = self._errors.forced_mentions.get((doc.id, label, index))
         if forced is not None:
@@ -254,9 +269,14 @@ class OracleBackend(CompletionBackend):
             surface = self._cross_label_surface(doc, gold, label, index) or "unknown"
             erroneous = True
         tokens = simple_tokenize(surface) + [self._t.eos_literal]
-        logprobs = [self._logprob(erroneous, doc.id, label, "mention", index, i)
-                    for i in range(len(tokens) - 1)]
-        logprobs.append(self._logprob(False, doc.id, label, "mention-eos", index))
+
+        def logprobs(n: int) -> List[float]:
+            kept = self._logprobs(min(n, len(tokens) - 1), erroneous,
+                                  doc.id, label, "mention", index)
+            if n == len(tokens):
+                kept.append(self._logprob(False, doc.id, label, "mention-eos", index))
+            return kept
+
         return tokens, logprobs
 
     def _cross_label_surface(
@@ -270,7 +290,6 @@ class OracleBackend(CompletionBackend):
 
     def _serialized_answer(
         self, output: str, doc_id: str, key: str
-    ) -> Tuple[List[str], List[float]]:
+    ) -> Tuple[List[str], _Logprobs]:
         tokens = simple_tokenize(output) + [self._t.eos_literal]
-        logprobs = [self._logprob(False, doc_id, key, i) for i in range(len(tokens))]
-        return tokens, logprobs
+        return tokens, lambda n: self._logprobs(n, False, doc_id, key)

@@ -53,12 +53,12 @@ class ScriptedBackend(CompletionBackend):
         logprobs = [float(x) for x in entry.get("logprobs") or [0.0] * len(tokens)]
         if len(logprobs) != len(tokens):
             raise ValueError(f"fixture logprobs misaligned for prompt {request.prompt[-80:]!r}")
-        tokens, logprobs, text, stop_reason = apply_request_limits(
-            tokens, logprobs, request, default_reason=entry.get("finish", "eos")
+        tokens, text, stop_reason = apply_request_limits(
+            tokens, request, default_reason=entry.get("finish", "eos")
         )
         return CompletionResult(
             tokens=tuple(tokens),
-            token_logprobs=tuple(logprobs) if request.want_logprobs else (),
+            token_logprobs=tuple(logprobs[: len(tokens)]) if request.want_logprobs else (),
             text=text,
             stop_reason=stop_reason,
             latency_ms=float(entry.get("latency_ms", 0.0)),

@@ -8,7 +8,6 @@ load into the same (Document, GoldAnnotation) pairs.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -20,11 +19,9 @@ __all__ = [
     "GoldAnnotation",
     "apply_label_map",
     "bio_spans",
-    "spans_to_bio",
     "parse_bio",
     "parse_spans_json",
     "filter_max_mentions",
-    "mention_multiset",
     "emit_spans_json",
 ]
 
@@ -187,26 +184,6 @@ def bio_spans(tags: Sequence[str], malformed: str = "treat-as-b") -> List[Tuple[
     return spans
 
 
-def spans_to_bio(spans: Sequence[Tuple[str, int, int]], length: int) -> List[str]:
-    """Encode (label, start, end) spans back into a BIO tag sequence.
-
-    Spans must be within bounds, non-empty and non-overlapping.
-    """
-    tags = ["O"] * length
-    occupied = [False] * length
-    for label, start, end in spans:
-        if not (0 <= start < end <= length):
-            raise CorpusError(f"span out of bounds: {(label, start, end)}")
-        if any(occupied[start:end]):
-            raise CorpusError(f"overlapping span: {(label, start, end)}")
-        for i in range(start, end):
-            occupied[i] = True
-        tags[start] = f"B-{label}"
-        for i in range(start + 1, end):
-            tags[i] = f"I-{label}"
-    return tags
-
-
 def parse_bio(
     text: str,
     labels: LabelSet,
@@ -335,11 +312,6 @@ def filter_max_mentions(
         else:
             kept.append((doc, gold))
     return kept, dropped
-
-
-def mention_multiset(mentions: Iterable[Mention]) -> Counter:
-    """Multiset view of mentions as (label, text) pairs, for scoring."""
-    return Counter((m.label, m.text) for m in mentions)
 
 
 def emit_spans_json(pairs: Iterable[Tuple[Document, GoldAnnotation]]) -> str:

@@ -9,7 +9,9 @@ step one, every prompt rebuilt from scratch so backends stay stateless.
 modes issue one call per request.  A mention's latency includes its
 upstream: its label's count in "pair-multi", the whole first step's wall in
 "pair-batch" (lockstep batches).  A document's latency is therefore the
-max over its traces in every mode.
+max over its traces in every mode.  Only mention and onestep requests ask
+for token logprobs: theirs score mentions for de-duplication, while counts
+and autoreg answers (aug and struct mentions score 1.0) never read them.
 
 ``run_corpus`` runs at most ``parallelism`` documents at once, on one
 thread pool that also carries their requests.  The pool has as many
@@ -134,8 +136,10 @@ def span_probability(
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 _CallOutcome = Union[CompletionResult, BackendError]
-# (label, mention index, request) of one planned sequence
-_Planned = Tuple[Optional[str], Optional[int], CompletionRequest]
+# (label, mention index, prompt) of one planned sequence
+_Planned = Tuple[Optional[str], Optional[int], str]
+# the only kinds whose token logprobs are read: they score mentions for dedup
+_SCORED_KINDS = ("mention", "onestep")
 
 
 def _run_all(pool: Optional[Executor], fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
@@ -195,9 +199,6 @@ def decode_document(
     defects: List[str] = []
     mentions: List[ScoredMention] = []
 
-    def request(prompt: str) -> CompletionRequest:
-        return CompletionRequest(prompt=prompt, max_new_tokens=max_new_tokens)
-
     def issue(
         kind: str,
         planned: Sequence[_Planned],
@@ -210,7 +211,9 @@ def decode_document(
         """
         if not planned:  # no call at all, not even an empty batch a backend may reject
             return
-        requests = [r for _, _, r in planned]
+        requests = [CompletionRequest(prompt=prompt, max_new_tokens=max_new_tokens,
+                                      want_logprobs=kind in _SCORED_KINDS)
+                    for _, _, prompt in planned]
         if mode == "pair-batch":
             try:
                 results: Sequence[_CallOutcome] = backend.generate_batch(requests)
@@ -219,7 +222,7 @@ def decode_document(
                 return
         else:
             results = _run_all(pool, functools.partial(_call, backend), requests)
-        for (label, index, req), result in zip(planned, results):
+        for (label, index, _), req, result in zip(planned, requests, results):
             if isinstance(result, BackendError):
                 subject = (f" for {label} index {index}" if index is not None
                            else f" for label {label}" if label is not None else "")
@@ -242,7 +245,7 @@ def decode_document(
 
     step2: List[_Planned] = []
     if mode == "onestep":
-        step1 = [(label, None, request(build_onestep_prompt(doc, labels.surface(label), t)))
+        step1 = [(label, None, build_onestep_prompt(doc, labels.surface(label), t))
                  for label in labels]
         for label, _, result, seq_id in issue("onestep", step1):
             parsed, parse_defects = parse_onestep(result, t)
@@ -252,7 +255,7 @@ def decode_document(
                      seq_id, f"empty mention in onestep list for label {label}")
     elif mode.startswith("autoreg-"):
         fmt = mode[len("autoreg-"):]
-        step1 = [(None, None, request(build_autoreg_prompt(doc, fmt, labels, t)))]
+        step1 = [(None, None, build_autoreg_prompt(doc, fmt, labels, t))]
         for _, _, result, seq_id in issue("autoreg", step1):
             text = visible_text(result, t)
             parser = parse_structured if fmt == "struct" else parse_augmented
@@ -263,7 +266,7 @@ def decode_document(
     else:
         count_prompts = {label: build_count_prompt(doc, labels.surface(label), t)
                          for label in labels}
-        step1 = [(label, None, request(count_prompts[label])) for label in labels]
+        step1 = [(label, None, count_prompts[label]) for label in labels]
         counts: Dict[str, int] = {}
         step1_latency: Dict[str, float] = {}
         for label, _, result, _ in issue("count", step1):
@@ -273,7 +276,7 @@ def decode_document(
             except CountParseError as exc:
                 defects.append(f"count unparseable for label {label}: {exc}")
         step2 = [
-            (label, index, request(build_mention_prompt(count_prompts[label], count, index, t)))
+            (label, index, build_mention_prompt(count_prompts[label], count, index, t))
             for label, count in counts.items()
             for index in range(1, count + 1)
         ]

@@ -24,7 +24,6 @@ from parner.corpus import (
     LabelSet,
     Mention,
     emit_spans_json,
-    mention_multiset,
     parse_spans_json,
 )
 from parner.dedup import DedupPolicy, deduplicate
@@ -45,6 +44,7 @@ from conftest import (
     completion,
     two_step_fixture_entries,
 )
+from helpers import mention_multiset
 
 
 @contextmanager

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -28,10 +29,20 @@ from parner.backends import (
     UnknownPromptError,
     simple_tokenize,
 )
+from parner.backends import oracle as oracle_module
 from parner.backends.http import TOKEN_ENV_VAR, HttpBackend
 from parner.corpus import Document, GoldAnnotation, Mention
 from parner.scheduler import run_corpus
-from parner.templates import build_count_prompt, build_mention_prompt, parse_count
+from parner.templates import (
+    build_autoreg_prompt,
+    build_count_prompt,
+    build_mention_prompt,
+    build_onestep_prompt,
+    emit_aug,
+    emit_onestep,
+    emit_struct,
+    parse_count,
+)
 
 
 class TestRequestAndResult:
@@ -167,6 +178,14 @@ class TestScriptedBackend:
         assert result.text == "a"
         assert result.tokens == ("a",)
         assert result.stop_reason == "stop_string"
+
+    def test_limits_keep_the_kept_tokens_logprobs(self):
+        backend = ScriptedBackend([{"prompt": "p", "tokens": ["ab", "cd", "ef"],
+                                    "logprobs": [-0.1, -0.2, -0.3]}])
+        stopped = backend.generate(CompletionRequest(prompt="p", stop=("de",)))
+        assert stopped.tokens == ("ab", "c") and stopped.token_logprobs == (-0.1, -0.2)
+        capped = backend.generate(CompletionRequest(prompt="p", max_new_tokens=1))
+        assert capped.tokens == ("ab",) and capped.token_logprobs == (-0.1,)
 
     def test_max_new_tokens_caps(self):
         backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b", "c"]}])
@@ -349,6 +368,82 @@ class TestOracleBackend:
         assert result.token_logprobs == ()
 
 
+_SEED = 7
+
+
+def _reference_logprob(erroneous: bool, *key) -> float:
+    """The oracle's logprob formula at default probabilities, hashing the
+    whole joined key of every token."""
+    material = "\x1f".join(str(p) for p in (_SEED, "jitter", *key))
+    unit = int.from_bytes(hashlib.sha256(material.encode("utf-8")).digest()[:8], "big") / 2.0**64
+    base = (0.61 if erroneous else 0.93) + (unit * 2.0 - 1.0) * 0.02
+    return math.log(min(max(base, 1e-6), 1.0 - 1e-9))
+
+
+class TestOracleLogprobs:
+    """Logprobs follow the per-token formula, for the kept tokens only, and
+    cost no hashing when not asked for."""
+
+    @pytest.fixture
+    def oracle(self, oracle_corpus, labels, template):
+        errors = ErrorInjection(forced_counts={("d0", "MISC"): 2},
+                                forced_mentions={("d0", "MISC", 2): "Italy"})
+        return OracleBackend(oracle_corpus, labels, template, errors=errors, seed=_SEED)
+
+    @pytest.fixture
+    def cases(self, oracle_corpus, labels, template):
+        """(prompt, (erroneous, key) of each token of the full answer, sha256 calls)."""
+        doc, gold = oracle_corpus[0]
+        count = {label: build_count_prompt(doc, label, template) for label in labels}
+
+        def serialized(output, key):
+            n = len(simple_tokenize(output)) + 1
+            return [(False, ("d0", key, i)) for i in range(n)]
+
+        return [
+            (count["LOC"], [(False, ("d0", "LOC", "count", i)) for i in range(2)], 1),
+            (count["MISC"], [(True, ("d0", "MISC", "count", i)) for i in range(2)], 1),
+            (count["ORG"], [(False, ("d0", "ORG", "count", 0))], 1),
+            (build_mention_prompt(count["MISC"], 2, 1, template),
+             [(False, ("d0", "MISC", "mention", 1, i)) for i in range(3)]
+             + [(False, ("d0", "MISC", "mention-eos", 1))], 2),
+            (build_mention_prompt(count["MISC"], 2, 2, template),
+             [(True, ("d0", "MISC", "mention", 2, 0)), (False, ("d0", "MISC", "mention-eos", 2))],
+             2),
+            (build_onestep_prompt(doc, "LOC", template),
+             serialized(emit_onestep(gold, "LOC"), "onestep/LOC"), 1),
+            (build_autoreg_prompt(doc, "struct", labels, template),
+             serialized(emit_struct(gold, labels), "autoreg"), 1),
+            (build_autoreg_prompt(doc, "aug", labels, template),
+             serialized(emit_aug(doc, gold, labels), "autoreg"), 1),
+        ]
+
+    @pytest.mark.parametrize("max_new_tokens", [512, 3, 1])
+    def test_logprobs_match_per_token_formula(self, oracle, cases, max_new_tokens):
+        for prompt, keys, _ in cases:
+            result = oracle.generate(CompletionRequest(prompt, max_new_tokens=max_new_tokens))
+            kept = keys[:max_new_tokens]
+            assert len(result.tokens) == len(kept)
+            assert result.token_logprobs == tuple(_reference_logprob(e, *k) for e, k in kept)
+
+    def test_unrequested_logprobs_cost_no_hashing(self, oracle, cases, monkeypatch):
+        calls = []
+        real = oracle_module.hashlib.sha256
+
+        def counting_sha256(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle_module.hashlib, "sha256", counting_sha256)
+        for prompt, keys, hashed in cases:
+            calls.clear()
+            result = oracle.generate(CompletionRequest(prompt, want_logprobs=False))
+            assert result.token_logprobs == () and len(result.tokens) == len(keys)
+            assert calls == []
+            oracle.generate(CompletionRequest(prompt))
+            assert len(calls) == hashed  # once per sequence key, not per token
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -380,7 +475,7 @@ def _running_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.calls = []
     server.behavior = lambda payload, n: (200, _OK_BODY)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server
@@ -609,6 +704,15 @@ class TestHttpEnvironment:
         backend.generate(CompletionRequest(prompt="p"))
         expected = "Basic " + base64.b64encode(b"alice:s3cret").decode("ascii")
         assert stub_server.calls[0]["headers"].get("Authorization") == expected
+
+    def test_bearer_token_wins_over_netrc(self, stub_server, session, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password s3cret\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")
+        backend = HttpBackend(_url(stub_server), session=session)
+        backend.generate(CompletionRequest(prompt="p"))
+        assert stub_server.calls[0]["headers"].get("Authorization") == "Bearer sekrit"
 
     def test_ca_bundle_and_session_settings(self, stub_server, monkeypatch, tmp_path):
         ca_bundle = str(tmp_path / "ca.pem")

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from parner.backends import CompletionRequest, OracleBackend
 from parner.cli import main
 from parner.corpus import emit_spans_json, parse_spans_json
+from parner.scheduler import MODES
 from parner.synthetic import make_corpus
 
 
@@ -88,7 +91,7 @@ class TestDecode:
         assert code == 0
         pred = parse_spans_json((out / "predictions.jsonl").read_text(encoding="utf-8"),
                                 labels)
-        gold = parse_spans_json(open(corpus_path, encoding="utf-8").read(), labels)
+        gold = parse_spans_json(Path(corpus_path).read_text(encoding="utf-8"), labels)
         assert [doc.id for doc, _ in pred] == [doc.id for doc, _ in gold]
         for (_, p), (_, g) in zip(pred, gold):
             assert sorted((m.label, m.text) for m in p.mentions) == \
@@ -159,10 +162,33 @@ class TestDecode:
         assert blobs[0] == blobs[1]
         # and the injected errors actually moved the output away from gold
         pred = parse_spans_json(blobs[0].decode("utf-8"), labels)
-        gold = parse_spans_json(open(corpus_path, encoding="utf-8").read(), labels)
+        gold = parse_spans_json(Path(corpus_path).read_text(encoding="utf-8"), labels)
         flat_pred = [(d.id, m.label, m.text) for d, a in pred for m in a.mentions]
         flat_gold = [(d.id, m.label, m.text) for d, a in gold for m in a.mentions]
         assert flat_pred != flat_gold
+
+    # sha256 over predictions.jsonl, outcomes.jsonl and metrics.json, first 16 hex digits
+    NOISY_DIGESTS = {
+        "pair-multi": "84fa1b07586c4c71",
+        "pair-batch": "9887feeaa58d6fbb",
+        "onestep": "7c5a8a2384ed17d7",
+        "autoreg-aug": "ee713b59bb28ce9e",
+        "autoreg-struct": "88863306a62fb062",
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_noisy_decode_outputs_pinned(self, tmp_path, labels, mode):
+        corpus = write_corpus(tmp_path, make_corpus(12, labels, seed=6))
+        backend_config = write_json(tmp_path, "backend.json", {"p_count": 0.3, "p_index": 0.3})
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus, "--labels", LABELS_ARG,
+                     "--backend-config", backend_config, "--seed", "3", "--mode", mode,
+                     "--parallelism", "2", "--out", str(out)])
+        assert code == 0
+        digest = hashlib.sha256()
+        for name in ("predictions.jsonl", "outcomes.jsonl", "metrics.json"):
+            digest.update((out / name).read_bytes())
+        assert digest.hexdigest()[:16] == self.NOISY_DIGESTS[mode]
 
     def test_bio_corpus_with_label_map(self, tmp_path, capsys):
         bio = tmp_path / "corpus.bio"
@@ -320,7 +346,7 @@ class TestHttpEndToEnd:
         corpus = write_corpus(tmp_path, pairs)
         server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleHandler)
         server.oracle = OracleBackend(pairs, labels, template)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
         thread.start()
         try:
             host, port = server.server_address
@@ -332,6 +358,7 @@ class TestHttpEndToEnd:
                          "--out", str(out)])
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=5)
         assert code == 0
         pred = parse_spans_json((out / "predictions.jsonl").read_text(encoding="utf-8"),

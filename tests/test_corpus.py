@@ -19,11 +19,11 @@ from parner.corpus import (
     bio_spans,
     emit_spans_json,
     filter_max_mentions,
-    mention_multiset,
     parse_bio,
     parse_spans_json,
-    spans_to_bio,
 )
+
+from helpers import mention_multiset, spans_to_bio
 
 
 class TestLabelSet:

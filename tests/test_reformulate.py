@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from parner.backends import simple_tokenize
-from parner.corpus import Document, GoldAnnotation, LabelSet, Mention, mention_multiset
+from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.reformulate import (
     FORMATS,
     corpus_stats,
@@ -17,6 +17,8 @@ from parner.reformulate import (
 )
 from parner.synthetic import make_corpus
 from parner.templates import PromptTemplate, TemplateError, build_count_prompt
+
+from helpers import mention_multiset
 
 
 class TestPairExamples:

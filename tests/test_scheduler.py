@@ -22,7 +22,7 @@ from parner.backends import (
     OracleBackend,
     ScriptedBackend,
 )
-from parner.corpus import Document, GoldAnnotation, Mention, mention_multiset
+from parner.corpus import Document, GoldAnnotation, Mention
 from parner.scheduler import (
     MODES,
     decode_document,
@@ -37,6 +37,7 @@ from conftest import (
     TRACE_STEP2,
     two_step_fixture_entries,
 )
+from helpers import mention_multiset
 
 
 class TestSpanProbability:
@@ -182,6 +183,47 @@ class TestModeEquivalence:
             got = mention_multiset(
                 Mention(m.label, m.text) for m in outcome.raw_mentions)
             assert got == mention_multiset(gold.mentions), f"{mode} on {doc.id}"
+
+
+class _RecordingBackend(CompletionBackend):
+    """Records every request it is sent, singly or in a batch."""
+
+    def __init__(self, inner: CompletionBackend):
+        self._inner = inner
+        self.requests = []
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        self.requests.append(request)
+        return self._inner.generate(request)
+
+    def generate_batch(self, requests):
+        self.requests.extend(requests)
+        return self._inner.generate_batch(requests)
+
+
+class TestLogprobRequests:
+    """Only mention and onestep sequences are scored, so only they ask for logprobs."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_logprobs_requested_only_where_read(self, mode, labels, template):
+        pairs = make_corpus(6, labels, seed=4)
+        oracle = OracleBackend(pairs, labels, template, seed=2,
+                               errors=ErrorInjection(p_count=0.3, p_index=0.3))
+        backend = _RecordingBackend(oracle)
+        outcomes = run_corpus([doc for doc, _ in pairs], labels, backend, template, mode,
+                              parallelism=1)
+        traces = [tr for outcome in outcomes for tr in outcome.traces]
+        assert [tr.request for tr in traces] == backend.requests
+        kinds = set()
+        for tr in traces:
+            scored = tr.kind in ("mention", "onestep")
+            kinds.add((tr.kind, scored))
+            assert tr.request.want_logprobs is scored, tr.seq_id
+            assert bool(tr.result.token_logprobs) is scored, tr.seq_id
+        expected = {"onestep": {("onestep", True)},
+                    "autoreg-aug": {("autoreg", False)},
+                    "autoreg-struct": {("autoreg", False)}}
+        assert kinds == expected.get(mode, {("count", False), ("mention", True)})
 
 
 class _JitteryBackend(CompletionBackend):

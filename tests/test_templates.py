@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parner.corpus import Document, GoldAnnotation, LabelSet, Mention, mention_multiset
+from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.templates import (
     CountParseError,
     PromptTemplate,
@@ -30,6 +30,7 @@ from parner.templates import (
 )
 
 from conftest import completion
+from helpers import mention_multiset
 
 
 class TestPromptConstruction:
