@@ -41,9 +41,6 @@ class ScriptedBackend(CompletionBackend):
         with open(path, encoding="utf-8") as handle:
             return cls(json.loads(line) for line in handle if line.strip())
 
-    def __len__(self) -> int:
-        return len(self._fixtures)
-
     def generate(self, request: CompletionRequest) -> CompletionResult:
         entry = self._fixtures.get(request.prompt)
         if entry is None:

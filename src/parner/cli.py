@@ -26,20 +26,18 @@ from parner.backends import (
     HttpBackend,
     OracleBackend,
     ScriptedBackend,
-    simple_tokenize,
 )
 from parner.corpus import (
     CorpusError,
     Document,
     GoldAnnotation,
     LabelSet,
-    apply_label_map,
     emit_spans_json,
     filter_max_mentions,
     parse_bio,
     parse_spans_json,
 )
-from parner.dedup import DEDUP_MODES, DedupPolicy, deduplicate
+from parner.dedup import DEDUP_MODES, deduplicate
 from parner.evaluation import (
     EvalError,
     emit_report,
@@ -143,12 +141,11 @@ def _split_csv(value) -> List[str]:
 
 
 def _load_labels(options: Dict) -> LabelSet:
-    labels = LabelSet(_split_csv(options["labels"]))
+    mapping = None
     if options.get("label_map"):
         with open(options["label_map"], encoding="utf-8") as handle:
             mapping = json.load(handle)
-        labels = apply_label_map(labels, mapping)
-    return labels
+    return LabelSet(_split_csv(options["labels"]), surface_map=mapping)
 
 
 def _load_template(options: Dict) -> PromptTemplate:
@@ -291,7 +288,7 @@ def _cmd_reformat(ns: argparse.Namespace) -> int:
             print(f"skipped {doc_id} for {fmt}: {reason}", file=sys.stderr)
         print(f"{fmt}: {len(result.examples)} examples"
               + (f" ({len(result.skipped)} documents skipped)" if result.skipped else ""))
-    stats = corpus_stats(all_examples, tokenizer=simple_tokenize)
+    stats = corpus_stats(all_examples)
     stats["documents"] = len(pairs)
     stats["documents_dropped_by_mention_filter"] = dropped
     _write(out_dir, "stats.json",
@@ -300,25 +297,46 @@ def _cmd_reformat(ns: argparse.Namespace) -> int:
     return _defect_exit(total_skipped, int(options["max_defects"]))
 
 
-def _decode_corpus(options: Dict):
+def _load_run(options: Dict, modes: Sequence[str]):
+    """Check a decode or bench run's options, then load what every mode shares.
+
+    Every check runs before anything is loaded, decoded or written.  Labels,
+    template, corpus and backend are loaded once; the returned
+    ``decode(mode)`` decodes the corpus in one mode and de-duplicates it.
+    """
+    unknown = [mode for mode in modes if mode not in MODES]
+    if unknown:
+        raise ConfigError(f"unknown mode: {unknown[0]!r} (expected one of {MODES})")
+    if options["dedup"] not in DEDUP_MODES:
+        raise ConfigError(f"unknown dedup policy: {options['dedup']!r}")
+    for key in ("parallelism", "repeats", "max_new_tokens"):
+        try:
+            positive = int(options[key]) >= 1
+        except (TypeError, ValueError):
+            positive = False
+        if not positive:
+            raise ConfigError(f"{key} must be a positive integer, got {options[key]!r}")
     labels = _load_labels(options)
     template = _load_template(options)
     pairs, dropped = _load_corpus(options, labels)
     backend = _make_backend(options, pairs, labels, template)
     docs = [doc for doc, _ in pairs]
-    outcomes = run_corpus(
-        docs, labels, backend, template, options["mode"],
-        parallelism=int(options["parallelism"]),
-        repeats=int(options["repeats"]),
-        max_new_tokens=int(options["max_new_tokens"]),
-    )
-    policy = DedupPolicy(mode=options["dedup"])
-    predictions = [
-        (doc, GoldAnnotation(doc_id=doc.id,
-                             mentions=deduplicate(outcome.raw_mentions, labels, policy)))
-        for doc, outcome in zip(docs, outcomes)
-    ]
-    return labels, pairs, dropped, outcomes, predictions
+
+    def decode(mode: str):
+        outcomes = run_corpus(
+            docs, labels, backend, template, mode,
+            parallelism=int(options["parallelism"]),
+            repeats=int(options["repeats"]),
+            max_new_tokens=int(options["max_new_tokens"]),
+        )
+        predictions = [
+            (doc, GoldAnnotation(doc_id=doc.id, mentions=deduplicate(
+                outcome.raw_mentions, labels, options["dedup"])))
+            for doc, outcome in zip(docs, outcomes)
+        ]
+        return outcomes, predictions
+
+    return labels, pairs, dropped, decode
 
 
 def _outcome_row(outcome) -> Dict:
@@ -336,11 +354,8 @@ def _outcome_row(outcome) -> Dict:
 
 def _cmd_decode(ns: argparse.Namespace) -> int:
     options = _resolve_options(ns, "decode")
-    if options["mode"] not in MODES:
-        raise ConfigError(f"unknown mode: {options['mode']!r} (expected one of {MODES})")
-    if options["dedup"] not in DEDUP_MODES:
-        raise ConfigError(f"unknown dedup policy: {options['dedup']!r}")
-    labels, pairs, dropped, outcomes, predictions = _decode_corpus(options)
+    _, _, dropped, decode = _load_run(options, [options["mode"]])
+    outcomes, predictions = decode(options["mode"])
     out_dir = options["out"]
 
     _write(out_dir, "predictions.jsonl", emit_spans_json(predictions))
@@ -349,7 +364,7 @@ def _cmd_decode(ns: argparse.Namespace) -> int:
     stats = latency_stats(outcomes)
     total_defects = sum(len(o.defects) for o in outcomes)
     metrics = {
-        "latency": stats.to_json_dict(),
+        "latency": dataclasses.asdict(stats),
         "total_defects": total_defects,
         "documents_dropped_by_mention_filter": dropped,
     }
@@ -391,16 +406,13 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         raise ConfigError(f"baseline {baseline_mode!r} must be one of the benched modes {modes}")
     out_dir = options["out"]
 
+    labels, pairs, _, decode = _load_run(options, modes)
+    gold = {doc.id: ann.mentions for doc, ann in pairs}
     per_mode_stats = {}
     per_mode_f1 = {}
     total_defects = 0
-    labels = _load_labels(options)
-    gold = None
     for mode in modes:
-        mode_options = dict(options, mode=mode)
-        _, pairs, _, outcomes, predictions = _decode_corpus(mode_options)
-        if gold is None:
-            gold = {doc.id: ann.mentions for doc, ann in pairs}
+        outcomes, predictions = decode(mode)
         per_mode_stats[mode] = latency_stats(outcomes)
         pred = {doc.id: ann.mentions for doc, ann in predictions}
         per_mode_f1[mode] = micro_f1(pred, gold, labels).f1
@@ -413,7 +425,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     }
     payload = {
         "modes": {
-            mode: {"latency": per_mode_stats[mode].to_json_dict(), "f1": per_mode_f1[mode]}
+            mode: {"latency": dataclasses.asdict(per_mode_stats[mode]), "f1": per_mode_f1[mode]}
             for mode in modes
         },
         "speedup": speedups,

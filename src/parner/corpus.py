@@ -17,7 +17,6 @@ __all__ = [
     "Document",
     "Mention",
     "GoldAnnotation",
-    "apply_label_map",
     "bio_spans",
     "parse_bio",
     "parse_spans_json",
@@ -129,15 +128,6 @@ class LabelSet:
             raise CorpusError(f"unknown label surface: {surface!r}") from None
 
 
-def apply_label_map(labels: LabelSet, mapping: Dict[str, str]) -> LabelSet:
-    """Attach a label -> surface mapping, validating completeness.
-
-    Every label must have a mapping and the mapping must be invertible;
-    either violation raises :class:`CorpusError`.
-    """
-    return LabelSet(labels.labels, surface_map=mapping)
-
-
 # ---------------------------------------------------------------------------
 # BIO column format
 # ---------------------------------------------------------------------------
@@ -189,7 +179,6 @@ def parse_bio(
     labels: LabelSet,
     joiner: str = " ",
     malformed: str = "treat-as-b",
-    id_prefix: str = "",
 ) -> List[Tuple[Document, GoldAnnotation]]:
     """Parse a column-style BIO file into documents and gold annotations.
 
@@ -220,7 +209,7 @@ def parse_bio(
                 raise CorpusError(
                     f"lines {first_line}-{end_line}: tag label {label!r} not in label set"
                 )
-        doc_id = f"{id_prefix}{len(docs)}"
+        doc_id = str(len(docs))
         doc = Document(id=doc_id, text=joiner.join(tokens))
         mentions = [Mention(label, joiner.join(tokens[s:e])) for label, s, e in spans]
         docs.append((doc, GoldAnnotation(doc_id=doc_id, mentions=mentions)))

@@ -1,71 +1,53 @@
 """Cross-label de-duplication of predicted mentions by decoding probability.
 
-A two-step decode can emit the same surface under several labels; at most
-one label can be right, so the default policy keeps the occurrence the
-model was most confident about.  The reverse policy (keep the least
-confident) exists to demonstrate the probabilities carry signal, and "off"
-disables the filter.
+A decode can emit the same surface under several labels; at most one label
+can be right, so the default policy keeps the label the model was most
+confident about, with every occurrence the surface has under it.  Repeats
+under one label are separate mentions (scoring counts each), so they are
+never collapsed.  The reverse policy (keep the least confident label)
+exists to demonstrate the probabilities carry signal, and "off" disables
+the filter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from parner.corpus import LabelSet, Mention
 from parner.scheduler import ScoredMention
 
-__all__ = ["DEDUP_MODES", "DedupPolicy", "tie_break", "deduplicate"]
+__all__ = ["DEDUP_MODES", "deduplicate"]
 
 DEDUP_MODES = ("keep-max", "off", "reverse")
 
-
-@dataclass(frozen=True)
-class DedupPolicy:
-    """How to resolve the same surface predicted under multiple labels.
-
-    Surfaces are compared exactly (case-sensitive) after whitespace
-    trimming.  Probabilities within ``tie_epsilon`` of the group's best
-    count as tied; ties break toward the earliest label in the label set,
-    keeping results deterministic.
-    """
-
-    mode: str = "keep-max"
-    tie_epsilon: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.mode not in DEDUP_MODES:
-            raise ValueError(f"unknown dedup mode: {self.mode!r} (expected one of {DEDUP_MODES})")
-        if self.tie_epsilon < 0:
-            raise ValueError("tie_epsilon must be non-negative")
-
-
-def tie_break(
-    candidates: Sequence[Tuple[int, ScoredMention]], labels: LabelSet
-) -> Tuple[int, ScoredMention]:
-    """Pick the winner among equally probable candidates.
-
-    Candidates are (input position, mention) pairs; the earliest label in
-    the label-set order wins, then the earliest input position.
-    """
-    return min(candidates, key=lambda item: (labels.rank(item[1].label), item[0]))
+# probabilities within this of a group's best count as tied
+_TIE_EPSILON = 1e-12
 
 
 def deduplicate(
     mentions: Sequence[ScoredMention],
     labels: LabelSet,
-    policy: DedupPolicy = DedupPolicy(),
+    mode: str = "keep-max",
 ) -> List[Mention]:
-    """Resolve repeated surfaces and return plain mentions in stable order.
+    """Resolve surfaces predicted under several labels, in stable order.
 
-    keep-max retains, per trimmed surface, only the single most probable
-    occurrence (reverse: the least probable); repeats of the surface under
-    the winning label collapse into that one retained mention.  "off" is
-    the identity on the multiset.  Output is ordered by label-set rank,
-    then by input position, so equal inputs always produce equal outputs.
+    Surfaces are compared exactly (case-sensitive) after whitespace
+    trimming.  keep-max picks, per trimmed surface, the label of its most
+    probable occurrence (reverse: of its least probable) and keeps every
+    occurrence of the surface under that label, dropping those under the
+    other labels.  Probabilities within 1e-12 of the best count as tied,
+    and ties go to the earliest label in the label set.  "off" is the
+    identity on the multiset.  Output is ordered by label-set rank, then by
+    input position, so equal inputs always produce equal outputs.
+
+    Raises:
+        ValueError: for a ``mode`` outside ``DEDUP_MODES``.
     """
+    if mode not in DEDUP_MODES:
+        raise ValueError(f"unknown dedup mode: {mode!r} (expected one of {DEDUP_MODES})")
+
     indexed = list(enumerate(mentions))
-    if policy.mode == "off":
+    if mode == "off":
         chosen = indexed
     else:
         groups: Dict[str, List[Tuple[int, ScoredMention]]] = {}
@@ -74,12 +56,9 @@ def deduplicate(
         chosen = []
         for group in groups.values():
             probabilities = [m.probability for _, m in group]
-            best = max(probabilities) if policy.mode == "keep-max" else min(probabilities)
-            tied = [
-                (position, mention)
-                for position, mention in group
-                if abs(mention.probability - best) <= policy.tie_epsilon
-            ]
-            chosen.append(tie_break(tied, labels))
+            best = max(probabilities) if mode == "keep-max" else min(probabilities)
+            winner = min(labels.rank(m.label) for _, m in group
+                         if abs(m.probability - best) <= _TIE_EPSILON)
+            chosen.extend(item for item in group if labels.rank(item[1].label) == winner)
     chosen.sort(key=lambda item: (labels.rank(item[1].label), item[0]))
     return [Mention(mention.label, mention.text.strip()) for _, mention in chosen]

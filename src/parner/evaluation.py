@@ -8,6 +8,7 @@ negative.  Set semantics (distinct pairs only) are available behind a flag.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import statistics
 from collections import Counter
@@ -61,19 +62,6 @@ class EvalReport:
     recall: float
     f1: float
     per_label: Dict[str, LabelScore]
-
-    def to_json_dict(self) -> Dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "per_label": {
-                label: {
-                    "tp": s.tp, "fp": s.fp, "fn": s.fn,
-                    "precision": s.precision, "recall": s.recall, "f1": s.f1,
-                }
-                for label, s in self.per_label.items()
-            },
-        }
 
 
 def micro_f1(
@@ -131,15 +119,6 @@ class LatencyStats:
     sequences: int
     generated_tokens: int
 
-    def to_json_dict(self) -> Dict:
-        return {
-            "mean_example_latency_ms": self.mean_example_latency_ms,
-            "mean_generated_tokens_per_sequence": self.mean_generated_tokens_per_sequence,
-            "documents": self.documents,
-            "sequences": self.sequences,
-            "generated_tokens": self.generated_tokens,
-        }
-
 
 def latency_stats(outcomes: Iterable[DecodeOutcome]) -> LatencyStats:
     """Mean example latency and tokens-per-sequence over decode outcomes.
@@ -178,9 +157,9 @@ def emit_report(
     if fmt == "json":
         payload: Dict = {}
         if evaluation is not None:
-            payload["evaluation"] = evaluation.to_json_dict()
+            payload["evaluation"] = dataclasses.asdict(evaluation)
         if latency is not None:
-            payload["latency"] = {name: s.to_json_dict() for name, s in latency.items()}
+            payload["latency"] = {name: dataclasses.asdict(s) for name, s in latency.items()}
         if speedups is not None:
             payload["speedup"] = dict(speedups)
         return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from parner.backends.base import simple_tokenize
 from parner.corpus import Document, GoldAnnotation, LabelSet
 from parner.templates import (
     PromptTemplate,
@@ -212,14 +213,10 @@ def _length_summary(lengths: List[int]) -> Dict[str, float]:
     }
 
 
-def corpus_stats(
-    examples: Iterable[TrainingExample],
-    tokenizer: Optional[Callable[[str], List[str]]] = None,
-) -> Dict:
+def corpus_stats(examples: Iterable[TrainingExample]) -> Dict:
     """Per-format example counts and output-length summaries.
 
-    Lengths are reported in characters, and additionally in tokens when a
-    tokenizer is supplied.
+    Lengths are reported in characters and in ``simple_tokenize`` tokens.
     """
     by_format: Dict[str, List[TrainingExample]] = {}
     total = 0
@@ -229,13 +226,10 @@ def corpus_stats(
     report: Dict = {"total_examples": total, "per_format": {}}
     for fmt in sorted(by_format):
         group = by_format[fmt]
-        entry: Dict = {
+        report["per_format"][fmt] = {
             "examples": len(group),
             "output_chars": _length_summary([len(ex.output) for ex in group]),
+            "output_tokens": _length_summary(
+                [len(simple_tokenize(ex.output)) for ex in group]),
         }
-        if tokenizer is not None:
-            entry["output_tokens"] = _length_summary(
-                [len(tokenizer(ex.output)) for ex in group]
-            )
-        report["per_format"][fmt] = entry
     return report

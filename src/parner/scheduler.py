@@ -272,7 +272,7 @@ def decode_document(
         for label, _, result, _ in issue("count", step1):
             step1_latency[label] = result.latency_ms
             try:
-                counts[label] = parse_count(result, t).value
+                counts[label] = parse_count(result, t)
             except CountParseError as exc:
                 defects.append(f"count unparseable for label {label}: {exc}")
         step2 = [

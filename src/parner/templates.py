@@ -10,6 +10,8 @@ round-trip contract (parse(emit(gold)) == gold) is easy to state and test.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -23,7 +25,6 @@ __all__ = [
     "PromptTemplate",
     "chinese_template",
     "Completion",
-    "ParsedCount",
     "ParsedMention",
     "build_count_prompt",
     "build_mention_prompt",
@@ -47,11 +48,7 @@ class TemplateError(ValueError):
 
 
 class CountParseError(TemplateError):
-    """A count completion held something other than digits; carries the raw text."""
-
-    def __init__(self, message: str, raw_text: str = ""):
-        super().__init__(message)
-        self.raw_text = raw_text
+    """A count completion held something other than a count up to ``max_count``."""
 
 
 class Completion(Protocol):
@@ -168,18 +165,6 @@ def build_onestep_prompt(doc: Document, label_surface: str, t: PromptTemplate) -
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ParsedCount:
-    """Decoded mention count; ``empty`` marks an immediate end-of-sequence.
-
-    An empty completion is the trained "no mentions" signal and is
-    equivalent to a count of zero.
-    """
-
-    value: int
-    empty: bool = False
-
-
-@dataclass(frozen=True)
 class ParsedMention:
     """Decoded mention surface plus the inclusive token span that produced it.
 
@@ -190,10 +175,6 @@ class ParsedMention:
     text: str
     token_span: Optional[Tuple[int, int]]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.text == ""
-
 
 def visible_text(completion: Completion, t: PromptTemplate) -> str:
     """Generated text up to (excluding) the end-of-sequence literal."""
@@ -202,51 +183,47 @@ def visible_text(completion: Completion, t: PromptTemplate) -> str:
     return text[:cut] if cut >= 0 else text
 
 
-def parse_count(completion: Completion, t: PromptTemplate) -> ParsedCount:
+def parse_count(completion: Completion, t: PromptTemplate) -> int:
     """Read the mention count from a step-one completion.
 
     The count is the digit run before the terminator; leading zeros are
-    fine ("007" -> 7).  An immediate end-of-sequence (no digits at all)
-    parses as the empty marker.
+    fine ("007" -> 7).  An immediate end-of-sequence (no digits at all) is
+    the trained "no mentions" signal and parses as 0.
 
     Raises:
-        CountParseError: for non-digit content (the raw completion text is
-            attached) or a count above ``t.max_count``.
+        CountParseError: for non-digit content (the message quotes the raw
+            completion text) or a count above ``t.max_count``.
     """
     visible = visible_text(completion, t)
     idx = visible.find(t.count_terminator)
     digits = visible[:idx] if idx >= 0 else visible
     if digits == "":
-        return ParsedCount(0, empty=True)
+        return 0
     if not (digits.isascii() and digits.isdigit()):
         raise CountParseError(
-            f"expected a digit run before the terminator, got {completion.text!r}",
-            raw_text=completion.text,
-        )
+            f"expected a digit run before the terminator, got {completion.text!r}")
     value = int(digits)
     if value > t.max_count:
-        raise CountParseError(
-            f"mention count {value} exceeds maximum {t.max_count}",
-            raw_text=completion.text,
-        )
-    return ParsedCount(value)
+        raise CountParseError(f"mention count {value} exceeds maximum {t.max_count}")
+    return value
 
 
-def _tokens_overlapping(tokens: Sequence[str], char_end: int) -> Optional[Tuple[int, int]]:
-    """Inclusive span of tokens overlapping the char range [0, char_end)."""
-    if char_end <= 0:
+def _token_ends(completion: Completion) -> List[int]:
+    """Character offset, in ``completion.text``, at which each token ends."""
+    return list(itertools.accumulate(len(tok) for tok in completion.tokens))
+
+
+def _token_span(ends: Sequence[int], start: int, end: int) -> Optional[Tuple[int, int]]:
+    """Inclusive span of the tokens holding characters [start, end) of the text.
+
+    ``ends`` comes from :func:`_token_ends`.  An empty token holds no
+    character, so it never starts or ends a span.  None when no token holds
+    any character of the range.
+    """
+    end = min(end, ends[-1] if ends else 0)
+    if start >= end:
         return None
-    offset = 0
-    last = None
-    for i, tok in enumerate(tokens):
-        if offset >= char_end:
-            break
-        if offset + len(tok) > 0 and offset < char_end and tok:
-            last = i
-        offset += len(tok)
-    if last is None:
-        return None
-    return (0, last)
+    return bisect.bisect_right(ends, start), bisect.bisect_right(ends, end - 1)
 
 
 def parse_mention(completion: Completion, t: PromptTemplate) -> ParsedMention:
@@ -264,10 +241,9 @@ def parse_mention(completion: Completion, t: PromptTemplate) -> ParsedMention:
     visible = visible_text(completion, t)
     while visible.endswith(t.count_terminator):
         visible = visible[: -len(t.count_terminator)]
-    span = _tokens_overlapping(completion.tokens, len(visible))
     if visible == "":
         return ParsedMention("", None)
-    return ParsedMention(visible, span)
+    return ParsedMention(visible, _token_span(_token_ends(completion), 0, len(visible)))
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +423,7 @@ def parse_onestep(completion: Completion, t: PromptTemplate) -> Tuple[List[Parse
     except (json.JSONDecodeError, ValueError):
         defects.append(f"completion is not well-formed JSON: {visible!r}")
 
-    # token char offsets; completion.text is the token concatenation
-    offsets: List[Tuple[int, int]] = []
-    pos = 0
-    for tok in completion.tokens:
-        offsets.append((pos, pos + len(tok)))
-        pos += len(tok)
-
+    ends = _token_ends(completion)
     mentions: List[ParsedMention] = []
     for match in _QUOTED.finditer(visible):
         try:
@@ -464,8 +434,6 @@ def parse_onestep(completion: Completion, t: PromptTemplate) -> Tuple[List[Parse
         if surface == "":
             defects.append("empty mention surface in list")
             continue
-        a, b = match.start() + 1, match.end() - 1
-        covering = [i for i, (s, e) in enumerate(offsets) if s < b and e > a]
-        span = (covering[0], covering[-1]) if covering else None
-        mentions.append(ParsedMention(surface, span))
+        mentions.append(ParsedMention(surface, _token_span(ends, match.start() + 1,
+                                                           match.end() - 1)))
     return mentions, defects

@@ -26,7 +26,7 @@ from parner.corpus import (
     emit_spans_json,
     parse_spans_json,
 )
-from parner.dedup import DedupPolicy, deduplicate
+from parner.dedup import deduplicate
 from parner.evaluation import LatencyStats, latency_stats, micro_f1, speedup
 from parner.reformulate import generate_pair_examples
 from parner.scheduler import decode_document, run_corpus, span_probability
@@ -97,7 +97,7 @@ def test_criterion_02_noiseless_decode_is_lossless(labels, template):
         for mode in ("pair-multi", "onestep", "autoreg-struct"):
             outcomes = run_corpus(docs, labels, oracle, template, mode, parallelism=8)
             pred = {
-                o.doc_id: deduplicate(o.raw_mentions, labels, DedupPolicy())
+                o.doc_id: deduplicate(o.raw_mentions, labels)
                 for o in outcomes
             }
             report = micro_f1(pred, gold, labels)
@@ -118,7 +118,7 @@ def test_criterion_03_probability_dedup_resolves_duplicates(cuttitta, labels, te
         assert probs[("MISC", "Italy")] < probs[("LOC", "Italy")]
 
         def mentions_under(mode):
-            kept = deduplicate(outcome.raw_mentions, labels, DedupPolicy(mode=mode))
+            kept = deduplicate(outcome.raw_mentions, labels, mode)
             return {(m.label, m.text) for m in kept}
 
         base = {("PER", "Cuttitta"), ("MISC", "1995 World Cup"), ("LOC", "England")}

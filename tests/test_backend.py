@@ -206,7 +206,6 @@ class TestScriptedBackend:
             encoding="utf-8",
         )
         backend = ScriptedBackend.from_jsonl(str(path))
-        assert len(backend) == 2
         assert backend.generate(CompletionRequest(prompt="b")).text == "2"
 
 
@@ -225,7 +224,7 @@ class TestOracleBackend:
         prompt = build_count_prompt(doc, "LOC", template)
         result = oracle.generate(CompletionRequest(prompt=prompt))
         assert result.tokens == ("2", "\n")
-        assert parse_count(result, template).value == 2
+        assert parse_count(result, template) == 2
         assert result.latency_ms == pytest.approx(CostModel().latency_ms(2, 1))
 
     def test_zero_count_is_immediate_eos(self, oracle_corpus, labels, template):
@@ -234,8 +233,7 @@ class TestOracleBackend:
         prompt = build_count_prompt(doc, "ORG", template)
         result = oracle.generate(CompletionRequest(prompt=prompt))
         assert result.tokens == ("<eos>",)
-        parsed = parse_count(result, template)
-        assert parsed.value == 0 and parsed.empty
+        assert parse_count(result, template) == 0
 
     def test_mention_answers_match_gold(self, oracle_corpus, labels, template):
         oracle = OracleBackend(oracle_corpus, labels, template)

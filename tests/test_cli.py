@@ -129,6 +129,28 @@ class TestDecode:
                   "--mode", "warp"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("command, flags, config, message", [
+        ("decode", ["--parallelism", "0"], None, "parallelism must be a positive integer, got 0"),
+        ("decode", ["--repeats", "0"], None, "repeats must be a positive integer, got 0"),
+        ("decode", ["--max-new-tokens", "0"], None,
+         "max_new_tokens must be a positive integer, got 0"),
+        ("bench", [], {"dedup": "keep-all"}, "unknown dedup policy: 'keep-all'"),
+        ("bench", ["--parallelism", "0"], None, "parallelism must be a positive integer, got 0"),
+        ("bench", ["--modes", "pair-multi,bogus", "--baseline", "pair-multi"], None,
+         "unknown mode: 'bogus'"),
+    ], ids=["decode-parallelism", "decode-repeats", "decode-max-new-tokens",
+            "bench-config-dedup", "bench-parallelism", "bench-modes"])
+    def test_bad_run_option_rejected_before_decoding(self, tmp_path, corpus_path, capsys,
+                                                     command, flags, config, message):
+        out = tmp_path / "out"
+        if config is not None:
+            flags = flags + ["--config", write_json(tmp_path, "config.json", config)]
+        code = main([command, "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--out", str(out), *flags])
+        assert code == 1
+        assert f"parner: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_corpus_flag(self, capsys):
         assert main(["decode", "--labels", LABELS_ARG]) == 1
         assert "corpus" in capsys.readouterr().err
@@ -169,8 +191,8 @@ class TestDecode:
 
     # sha256 over predictions.jsonl, outcomes.jsonl and metrics.json, first 16 hex digits
     NOISY_DIGESTS = {
-        "pair-multi": "84fa1b07586c4c71",
-        "pair-batch": "9887feeaa58d6fbb",
+        "pair-multi": "f743feda4897a5aa",
+        "pair-batch": "9000acce41efc734",
         "onestep": "7c5a8a2384ed17d7",
         "autoreg-aug": "ee713b59bb28ce9e",
         "autoreg-struct": "88863306a62fb062",
@@ -301,6 +323,21 @@ class TestBench:
         assert (out / "bench.md").exists()
         console = capsys.readouterr().out
         assert "speedup autoreg-struct/pair-multi" in console
+
+    def test_backend_built_once_for_every_mode(self, tmp_path, corpus_path, monkeypatch):
+        built = []
+
+        class CountingOracle(OracleBackend):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("parner.cli.OracleBackend", CountingOracle)
+        code = main(["bench", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--modes", "pair-multi,onestep,autoreg-struct",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(built) == 1
 
     def test_baseline_must_be_benched(self, tmp_path, corpus_path, capsys):
         code = main(["bench", "--corpus", corpus_path, "--labels", LABELS_ARG,

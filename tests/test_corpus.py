@@ -15,7 +15,6 @@ from parner.corpus import (
     GoldAnnotation,
     LabelSet,
     Mention,
-    apply_label_map,
     bio_spans,
     emit_spans_json,
     filter_max_mentions,
@@ -69,15 +68,13 @@ class TestLabelSet:
             ls.canonical("PER")
 
     def test_apply_label_map(self):
-        ls = LabelSet(["LOC", "PER"])
-        mapped = apply_label_map(ls, {"LOC": "location", "PER": "person"})
+        mapped = LabelSet(["LOC", "PER"], surface_map={"LOC": "location", "PER": "person"})
         assert mapped.surface("LOC") == "location"
         assert list(mapped) == ["LOC", "PER"]
 
     def test_apply_label_map_requires_every_label(self):
-        ls = LabelSet(["LOC", "PER"])
         with pytest.raises(CorpusError):
-            apply_label_map(ls, {"LOC": "location"})
+            LabelSet(["LOC", "PER"], surface_map={"LOC": "location"})
 
 
 class TestBioSpans:
@@ -154,10 +151,6 @@ class TestParseBio:
         assert doc1.id == "1"
         assert doc1.text == "nothing here"
         assert gold1.mentions == []
-
-    def test_id_prefix(self, labels):
-        pairs = parse_bio("a O\n", labels, id_prefix="test-")
-        assert pairs[0][0].id == "test-0"
 
     def test_multi_token_mention(self, labels):
         text = "1995 B-MISC\nWorld I-MISC\nCup I-MISC\n"

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from parner.corpus import LabelSet, Mention
-from parner.dedup import DedupPolicy, deduplicate, tie_break
-from parner.scheduler import ScoredMention
+from parner.backends import OracleBackend
+from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
+from parner.dedup import deduplicate
+from parner.evaluation import micro_f1
+from parner.scheduler import MODES, ScoredMention, decode_document
 
 
 def sm(label, text, probability, seq_id="s"):
@@ -38,12 +40,12 @@ class TestPolicies:
         ]
 
     def test_reverse_keeps_least_confident(self, duplicate_italy, labels):
-        result = deduplicate(duplicate_italy, labels, DedupPolicy(mode="reverse"))
+        result = deduplicate(duplicate_italy, labels, mode="reverse")
         assert Mention("MISC", "Italy") in result
         assert Mention("LOC", "Italy") not in result
 
     def test_off_is_identity_ordered(self, duplicate_italy, labels):
-        result = deduplicate(duplicate_italy, labels, DedupPolicy(mode="off"))
+        result = deduplicate(duplicate_italy, labels, mode="off")
         assert result == [
             Mention("PER", "Cuttitta"),
             Mention("MISC", "1995 World Cup"),
@@ -52,11 +54,9 @@ class TestPolicies:
             Mention("LOC", "England"),
         ]
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_mode_rejected(self, labels):
         with pytest.raises(ValueError):
-            DedupPolicy(mode="keep-all")
-        with pytest.raises(ValueError):
-            DedupPolicy(tie_epsilon=-1e-9)
+            deduplicate([], labels, mode="keep-all")
 
 
 class TestGrouping:
@@ -70,11 +70,17 @@ class TestGrouping:
         result = deduplicate(mentions, labels)
         assert len(result) == 2
 
-    def test_same_label_repeats_collapse(self, labels):
+    def test_same_label_repeats_kept(self, labels):
         mentions = [sm("LOC", "Italy", 0.8), sm("LOC", "Italy", 0.6)]
-        assert deduplicate(mentions, labels) == [Mention("LOC", "Italy")]
-        off = deduplicate(mentions, labels, DedupPolicy(mode="off"))
-        assert len(off) == 2
+        for mode in ("keep-max", "reverse", "off"):
+            assert deduplicate(mentions, labels, mode=mode) == [Mention("LOC", "Italy")] * 2
+
+    def test_winning_label_keeps_its_less_probable_repeats(self, labels):
+        mentions = [sm("LOC", "Italy", 0.8), sm("MISC", "Italy", 0.7), sm("LOC", "Italy", 0.6)]
+        assert deduplicate(mentions, labels) == [Mention("LOC", "Italy")] * 2
+        assert deduplicate(mentions, labels, mode="reverse") == [Mention("LOC", "Italy")] * 2
+        mentions[0] = sm("LOC", "Italy", 0.65)
+        assert deduplicate(mentions, labels) == [Mention("MISC", "Italy")]
 
     def test_three_way_group(self, labels):
         mentions = [
@@ -83,7 +89,7 @@ class TestGrouping:
             sm("LOC", "Villa", 0.7),
         ]
         assert deduplicate(mentions, labels) == [Mention("PER", "Villa")]
-        assert deduplicate(mentions, labels, DedupPolicy(mode="reverse")) == [
+        assert deduplicate(mentions, labels, mode="reverse") == [
             Mention("ORG", "Villa")
         ]
 
@@ -95,7 +101,7 @@ class TestOrderingAndTies:
             sm("PER", "Cuttitta", 0.9),
             sm("PER", "Moret", 0.9),
         ]
-        result = deduplicate(mentions, labels, DedupPolicy(mode="off"))
+        result = deduplicate(mentions, labels, mode="off")
         assert result == [
             Mention("PER", "Cuttitta"),
             Mention("PER", "Moret"),
@@ -111,14 +117,10 @@ class TestOrderingAndTies:
     def test_near_tie_within_epsilon(self, labels):
         mentions = [sm("LOC", "Italy", 0.8), sm("MISC", "Italy", 0.8 - 1e-13)]
         assert deduplicate(mentions, labels) == [Mention("MISC", "Italy")]
-        wide = deduplicate(mentions, labels, DedupPolicy(tie_epsilon=0.0))
-        assert wide == [Mention("LOC", "Italy")]
 
-    def test_tie_break_prefers_position_within_label(self, labels):
-        a = sm("LOC", "Italy", 0.8, seq_id="first")
-        b = sm("LOC", "Italy", 0.8, seq_id="second")
-        winner = tie_break([(1, b), (0, a)], labels)
-        assert winner == (0, a)
+    def test_tie_within_winning_label_keeps_every_occurrence(self, labels):
+        mentions = [sm("LOC", "Italy", 0.8), sm("MISC", "Italy", 0.8), sm("MISC", "Italy", 0.8)]
+        assert deduplicate(mentions, labels) == [Mention("MISC", "Italy")] * 2
 
     def test_empty_input(self, labels):
         assert deduplicate([], labels) == []
@@ -139,9 +141,10 @@ class TestAgainstBruteForce:
                          if m.text.strip() == surface]
                 probs = [m.probability for _, m in group]
                 target = max(probs) if mode == "keep-max" else min(probs)
-                tied = [(i, m) for i, m in group
-                        if abs(m.probability - target) <= 1e-12]
-                kept.append(min(tied, key=lambda x: (labels.rank(x[1].label), x[0])))
+                tied_labels = [m.label for _, m in group
+                               if abs(m.probability - target) <= 1e-12]
+                winner = min(tied_labels, key=labels.rank)
+                kept.extend((i, m) for i, m in group if m.label == winner)
         kept.sort(key=lambda x: (labels.rank(x[1].label), x[0]))
         return [Mention(m.label, m.text.strip()) for _, m in kept]
 
@@ -156,7 +159,7 @@ class TestAgainstBruteForce:
                    rng.choice([0.2, 0.5, 0.5, 0.9]))  # forced ties
                 for _ in range(rng.randrange(0, 7))
             ]
-            got = deduplicate(mentions, labels, DedupPolicy(mode=mode))
+            got = deduplicate(mentions, labels, mode=mode)
             assert got == self._reference(mentions, labels, mode)
 
     def test_keep_max_idempotent(self, labels):
@@ -170,3 +173,17 @@ class TestAgainstBruteForce:
             once = deduplicate(mentions, labels)
             rewrapped = [sm(m.label, m.text, 1.0) for m in once]
             assert deduplicate(rewrapped, labels) == once
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_noiseless_oracle_keeps_same_label_repeats(mode, labels, template):
+    """A surface repeated under one label is two gold mentions, not a conflict."""
+    doc = Document("d0", "Bob flew to Paris, and Paris was warm.")
+    gold = GoldAnnotation("d0", [Mention("PER", "Bob"), Mention("LOC", "Paris"),
+                                 Mention("LOC", "Paris")])
+    oracle = OracleBackend([(doc, gold)], labels, template)
+    outcome = decode_document(doc, labels, oracle, template, mode)
+    for dedup in ("keep-max", "reverse", "off"):
+        pred = deduplicate(outcome.raw_mentions, labels, mode=dedup)
+        report = micro_f1({"d0": pred}, {"d0": gold.mentions}, labels)
+        assert report.f1 == 1.0, f"dedup {dedup}: {pred}"

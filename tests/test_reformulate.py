@@ -6,7 +6,6 @@ from collections import Counter
 
 import pytest
 
-from parner.backends import simple_tokenize
 from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.reformulate import (
     FORMATS,
@@ -153,7 +152,7 @@ class TestStats:
         examples = reformulate_corpus(
             make_corpus(12, labels, seed=5), "pair", labels, template
         ).examples
-        stats = corpus_stats(examples, tokenizer=simple_tokenize)
+        stats = corpus_stats(examples)
         assert stats["total_examples"] == len(examples)
         pair = stats["per_format"]["pair"]
         assert pair["examples"] == len(examples)

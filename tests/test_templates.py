@@ -101,32 +101,25 @@ class TestPromptConstruction:
 
 class TestParseCount:
     def test_basic(self, template):
-        parsed = parse_count(completion("2\n", tokens=["2", "\n"]), template)
-        assert parsed.value == 2
-        assert not parsed.empty
+        assert parse_count(completion("2\n", tokens=["2", "\n"]), template) == 2
 
     def test_multi_digit_and_leading_zeros(self, template):
-        assert parse_count(completion("12\n", tokens=["1", "2", "\n"]), template).value == 12
-        assert parse_count(completion("007\n", tokens=["0", "0", "7", "\n"]), template).value == 7
+        assert parse_count(completion("12\n", tokens=["1", "2", "\n"]), template) == 12
+        assert parse_count(completion("007\n", tokens=["0", "0", "7", "\n"]), template) == 7
 
     def test_immediate_eos_is_zero(self, template):
-        parsed = parse_count(completion("<eos>", tokens=["<eos>"]), template)
-        assert parsed.value == 0
-        assert parsed.empty
+        assert parse_count(completion("<eos>", tokens=["<eos>"]), template) == 0
 
     def test_explicit_zero_not_empty(self, template):
-        parsed = parse_count(completion("0\n", tokens=["0", "\n"]), template)
-        assert parsed.value == 0
-        assert not parsed.empty
+        assert parse_count(completion("0\n", tokens=["0", "\n"]), template) == 0
 
     def test_content_after_terminator_ignored(self, template):
-        parsed = parse_count(completion("2\ngarbage", tokens=["2", "\ngarbage"]), template)
-        assert parsed.value == 2
+        assert parse_count(completion("2\ngarbage", tokens=["2", "\ngarbage"]), template) == 2
 
     def test_non_digit_raises_with_raw_text(self, template):
         with pytest.raises(CountParseError) as err:
             parse_count(completion("many\n", tokens=["many", "\n"]), template)
-        assert err.value.raw_text == "many\n"
+        assert repr("many\n") in str(err.value)
 
     def test_mixed_digits_raise(self, template):
         with pytest.raises(CountParseError):
@@ -144,8 +137,7 @@ class TestParseCount:
     def test_render_parse_identity(self, n):
         t = PromptTemplate()
         text = f"{n}\n"
-        parsed = parse_count(completion(text, tokens=list(str(n)) + ["\n"]), t)
-        assert parsed.value == n
+        assert parse_count(completion(text, tokens=list(str(n)) + ["\n"]), t) == n
 
 
 class TestParseMention:
@@ -154,13 +146,11 @@ class TestParseMention:
         parsed = parse_mention(c, template)
         assert parsed.text == "Italy"
         assert parsed.token_span == (0, 1)
-        assert not parsed.is_empty
 
     def test_immediate_eos_is_empty(self, template):
         parsed = parse_mention(completion("<eos>", tokens=["<eos>"]), template)
         assert parsed.text == ""
         assert parsed.token_span is None
-        assert parsed.is_empty
 
     def test_multi_word_surface(self, template):
         c = completion("1995 World Cup<eos>", tokens=["1995", " World", " Cup", "<eos>"])
@@ -331,6 +321,59 @@ class TestOnestepFormat:
         mentions, defects = parse_onestep(c, template)
         assert [m.text for m in mentions] == ["Italy"]
         assert len(defects) == 1
+
+
+@st.composite
+def tokenizations(draw, text):
+    """``text`` cut into tokens at drawn offsets, with empty tokens slipped in."""
+    cuts = sorted(draw(st.sets(st.integers(1, len(text) - 1))))
+    tokens = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens.insert(draw(st.integers(0, len(tokens))), "")
+    return tokens
+
+
+def reference_span(tokens, start, end):
+    """First and last non-empty token overlapping characters [start, end)."""
+    hits, offset = [], 0
+    for i, tok in enumerate(tokens):
+        if tok and offset < end and offset + len(tok) > start:
+            hits.append(i)
+        offset += len(tok)
+    return (hits[0], hits[-1]) if hits else None
+
+
+class TestTokenSpans:
+    """Surfaces map to the inclusive span of the non-empty tokens holding them."""
+
+    def test_empty_tokens_never_bound_a_span(self, template):
+        c = completion("Italy<eos>", tokens=["", "Ital", "", "y", "", "<eos>"])
+        assert parse_mention(c, template).token_span == (1, 3)
+        c = completion('["Italy"]<eos>', tokens=['["', "", "Italy", "", '"]', "<eos>"])
+        mentions, _ = parse_onestep(c, template)
+        assert mentions[0].token_span == (2, 2)
+
+    @given(st.text(alphabet="ab ", min_size=1, max_size=8), st.data())
+    def test_mention_span_matches_reference(self, surface, data):
+        tokens = data.draw(tokenizations(surface + "<eos>"))
+        parsed = parse_mention(completion(surface + "<eos>", tokens=tokens), PromptTemplate())
+        assert parsed.text == surface
+        assert parsed.token_span == reference_span(tokens, 0, len(surface))
+
+    @given(st.lists(st.text(alphabet="ab ", min_size=1, max_size=5), max_size=3), st.data())
+    def test_onestep_spans_match_reference(self, surfaces, data):
+        text, ranges = "[", []
+        for i, surface in enumerate(surfaces):
+            text += ", " if i else ""
+            ranges.append((len(text) + 1, len(text) + 1 + len(surface)))
+            text += json.dumps(surface)
+        text += "]<eos>"
+        tokens = data.draw(tokenizations(text))
+        mentions, defects = parse_onestep(completion(text, tokens=tokens), PromptTemplate())
+        assert defects == []
+        assert [m.text for m in mentions] == surfaces
+        assert [m.token_span for m in mentions] == [reference_span(tokens, a, b)
+                                                    for a, b in ranges]
 
 
 @st.composite
