@@ -125,9 +125,12 @@ class CompletionBackend:
     request (plus any configured seed), never of call order.
 
     ``max_in_flight`` is how many ``generate`` calls the backend serves at
-    once; ``run_corpus`` gives its pool at least that many threads, so one
-    document's requests can all be in flight together.  In-process
-    backends are bound by the interpreter and leave it at 1.
+    once.  A ``run_corpus`` run uses at most ``max(parallelism,
+    max_in_flight)`` threads, its calling thread included, and sends a
+    document's requests only to the workers that no document holds; so
+    with ``max_in_flight`` above ``parallelism`` one document's requests
+    can be in flight together.  In-process backends are bound by the
+    interpreter and leave it at 1.
     """
 
     max_in_flight: int = 1

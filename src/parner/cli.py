@@ -156,7 +156,13 @@ def _load_template(options: Dict) -> PromptTemplate:
         fields = json.load(handle)
     if not isinstance(fields, dict):
         raise ConfigError(f"template file must hold a JSON object: {path}")
-    base = chinese_template() if fields.pop("preset", None) == "chinese" else PromptTemplate()
+    preset = fields.pop("preset", None)
+    if preset is None:
+        base = PromptTemplate()
+    elif preset == "chinese":
+        base = chinese_template()
+    else:
+        raise ConfigError(f"unknown template preset: {preset!r} (expected 'chinese')")
     valid = {f.name for f in dataclasses.fields(PromptTemplate)}
     unknown = set(fields) - valid
     if unknown:

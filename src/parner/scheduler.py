@@ -14,13 +14,17 @@ for token logprobs: theirs score mentions for de-duplication, while counts
 and autoreg answers (aug and struct mentions score 1.0) never read them.
 
 ``run_corpus`` runs at most ``parallelism`` documents at once, on one
-thread pool that also carries their requests.  The pool has as many
-workers as the larger of ``parallelism`` and the backend's
-``max_in_flight`` (``HttpBackend(max_in_flight=...)``; 1 for in-process
-backends), so one document's requests fan out even at parallelism 1,
-and at parallelism 1 with an in-process backend the scheduler starts no
+thread pool that also carries their requests.  A run uses at most
+``max(parallelism, backend.max_in_flight)`` threads, the calling thread
+included (``HttpBackend(max_in_flight=...)``; in-process backends count
+1).  Each document is decoded on one thread, a strand, and its requests
+go only to workers no strand holds.  So with ``HttpBackend`` one
+document's requests fan out even at parallelism 1, while with an
+in-process backend they fan out only when the corpus has fewer documents
+than ``parallelism``; otherwise every request runs on the thread that
+decodes its document, and at parallelism 1 the scheduler starts no
 thread.  A thread waiting for its items runs every one no worker has
-started yet, so the nesting cannot deadlock.  A backend's own
+started yet, so it never waits on a queued item.  A backend's own
 ``generate_batch`` may still fan out on up to ``max_in_flight`` threads
 of its own.
 
@@ -145,12 +149,13 @@ _SCORED_KINDS = ("mention", "onestep")
 def _run_all(pool: Optional[Executor], fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
     """``fn`` over ``items`` in order, shared with ``pool``'s workers if given.
 
-    The calling thread works too: it takes back every item no worker has
-    started yet (a successful ``cancel()``) and runs it here, so it only
-    ever waits for items already running on another thread.  A worker of
-    ``pool`` may therefore call this for nested items without deadlock, no
-    thread is started beyond the pool's own, and a single item never leaves
-    the calling thread.
+    The calling thread counts as one of the workers: it takes back every
+    item no worker has started yet (a successful ``cancel()``) and runs it
+    here, so it only ever waits for items already running on another
+    thread.  A worker of ``pool`` may therefore call this for nested items
+    without deadlock, no thread is started beyond the pool's own (a pool of
+    ``n - 1`` threads gives ``n`` workers with the caller), and a single
+    item never leaves the calling thread.
     """
     if pool is None or len(items) <= 1:
         return [fn(item) for item in items]
@@ -315,15 +320,18 @@ def run_corpus(
 ) -> List[DecodeOutcome]:
     """Decode a corpus with at most ``parallelism`` documents in flight.
 
-    One pool serves the documents and, nested, their requests.  It has
-    ``max(parallelism, backend.max_in_flight)`` workers, so even at
-    parallelism 1 one document's requests can all be in flight together
-    (``HttpBackend``'s bound; in-process backends keep 1).  Documents run
-    on ``parallelism`` strands, each decoding one document after another.
-    No pool is made when nothing would be submitted to it: at parallelism 1
-    with an in-process backend, or for one document in a mode that issues
-    one call per step.  Output order always equals input order regardless
-    of completion order.  With ``repeats`` > 1 each document is decoded
+    Documents run on ``min(parallelism, len(docs))`` strands, each decoding
+    one document after another; the calling thread is one of them.  One
+    pool serves the other strands and, nested, their requests.  The run
+    uses at most ``max(parallelism, backend.max_in_flight)`` threads, the
+    caller included.  A document's requests are submitted only when that
+    bound leaves workers no strand holds (``HttpBackend``'s bound, even at
+    parallelism 1); otherwise each strand issues its own requests on its
+    own thread, as at parallelism 1.  No pool is made when nothing would be
+    submitted to it: for no documents, at parallelism 1 with an in-process
+    backend, or for one document in a mode that issues one call per step.
+    Output order always equals input order regardless of completion
+    order.  With ``repeats`` > 1 each document is decoded
     that many times and the reported example latency is the mean; mentions
     and traces come from the first run (deterministic backends reproduce
     them exactly anyway).
@@ -334,6 +342,8 @@ def run_corpus(
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not docs:
+        return []
 
     def decode_with_repeats(doc: Document, pool: Optional[Executor]) -> DecodeOutcome:
         runs = [
@@ -350,8 +360,9 @@ def run_corpus(
 
     strands = min(parallelism, len(docs))
     workers = max(parallelism, backend.max_in_flight)
-    # pair-batch and autoreg issue one call per step, so submit no request
-    fans_out = workers > 1 and mode in ("pair-multi", "onestep")
+    # requests go only to workers no strand holds; pair-batch and autoreg
+    # issue one call per step, so they submit none
+    fans_out = workers > strands and mode in ("pair-multi", "onestep")
     if strands <= 1 and not fans_out:
         return [decode_with_repeats(doc, None) for doc in docs]
     todo = collections.deque(enumerate(docs))
@@ -364,11 +375,12 @@ def run_corpus(
             except IndexError:
                 return
             try:
-                outcomes[i] = decode_with_repeats(doc, pool)
+                outcomes[i] = decode_with_repeats(doc, pool if fans_out else None)
             except BaseException:
                 todo.clear()  # the other strands start no new document
                 raise
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # the calling thread is the last worker: it runs a strand and takes back requests
+    with ThreadPoolExecutor(max_workers=(workers if fans_out else strands) - 1) as pool:
         _run_all(pool, strand, range(strands))
     return [outcomes[i] for i in range(len(docs))]

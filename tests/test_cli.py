@@ -248,6 +248,16 @@ class TestDecode:
         row = json.loads((out / "predictions.jsonl").read_text(encoding="utf-8"))
         assert [m["text"] for m in row["mentions"]] == ["印度", "孟买"]
 
+    def test_unknown_template_preset_rejected(self, tmp_path, corpus_path, capsys):
+        template = write_json(tmp_path, "template.json", {"preset": "japanese"})
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--template", template, "--out", str(out)])
+        assert code == 1
+        assert ("parner: error: unknown template preset: 'japanese' (expected 'chinese')"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestEval:
     def test_decode_then_eval(self, tmp_path, corpus_path, capsys):

@@ -263,6 +263,19 @@ class TestRunCorpus:
     def test_empty_corpus(self, labels, template):
         assert run_corpus([], labels, ScriptedBackend([]), template, "pair-multi") == []
 
+    @pytest.mark.parametrize("max_in_flight", [1, 8])
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_corpus_builds_no_pool(self, monkeypatch, mode, parallelism, max_in_flight,
+                                         labels, template):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool expected")
+
+        monkeypatch.setattr(scheduler, "ThreadPoolExecutor", no_pool)
+        backend = ScriptedBackend([])
+        backend.max_in_flight = max_in_flight
+        assert run_corpus([], labels, backend, template, mode, parallelism=parallelism) == []
+
 
 class _LatencySequenceBackend(CompletionBackend):
     """Returns the same completion with a latency that advances per call."""
@@ -387,17 +400,39 @@ class TestFailurePaths:
 
 
 class _ThreadCountingBackend(CompletionBackend):
-    """Sleeps briefly per call and records the most threads alive at once."""
+    """Sleeps briefly per call and records the most threads alive at once.
+
+    After ``mark_decoding_threads`` it also counts the calls that run off
+    the thread decoding their document.
+    """
 
     def __init__(self, inner: CompletionBackend, max_in_flight: int = 1):
         self._inner = inner
         self.max_in_flight = max_in_flight
         self.peak = 0
+        self.calls = 0
+        self.off_thread = 0
+        self.decoding = threading.local()
         self._lock = threading.Lock()
 
+    def mark_decoding_threads(self, monkeypatch) -> None:
+        decode = scheduler.decode_document
+
+        def marked(doc, *args, **kwargs):
+            self.decoding.doc = doc
+            try:
+                return decode(doc, *args, **kwargs)
+            finally:
+                self.decoding.doc = None
+
+        monkeypatch.setattr(scheduler, "decode_document", marked)
+
     def generate(self, request: CompletionRequest) -> CompletionResult:
+        doc = getattr(self.decoding, "doc", None)
         with self._lock:
             self.peak = max(self.peak, threading.active_count())
+            self.calls += 1
+            self.off_thread += doc is None or doc.text not in request.prompt
         time.sleep(0.001)
         return self._inner.generate(request)
 
@@ -444,8 +479,9 @@ class _BrokenBackend(CompletionBackend):
 
 
 class TestSharedPool:
-    """Documents and their requests share one pool of
-    ``max(parallelism, backend.max_in_flight)`` workers."""
+    """Documents and their requests share one pool; with the calling thread
+    a run has ``max(parallelism, backend.max_in_flight)`` workers, and
+    requests go only to workers no document holds."""
 
     def test_threads_bounded_by_parallelism(self, labels, template):
         pairs = make_corpus(40, labels, seed=4)
@@ -453,7 +489,21 @@ class TestSharedPool:
         before = threading.active_count()
         run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
                    parallelism=4)
-        assert backend.peak - before <= 4
+        assert backend.peak - before <= 4 - 1  # the calling thread is a worker
+
+    @pytest.mark.parametrize("mode", ["pair-multi", "onestep"])
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_requests_run_on_their_documents_thread(
+            self, monkeypatch, parallelism, mode, labels, template):
+        pairs = make_corpus(20, labels, seed=4)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template))
+        backend.mark_decoding_threads(monkeypatch)
+        before = threading.active_count()
+        run_corpus([doc for doc, _ in pairs], labels, backend, template, mode,
+                   parallelism=parallelism)
+        assert backend.calls > 20
+        assert backend.off_thread == 0
+        assert backend.peak - before <= parallelism - 1
 
     def test_documents_bounded_by_parallelism_requests_by_backend(
             self, monkeypatch, labels, template):
@@ -479,7 +529,7 @@ class TestSharedPool:
         run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
                    parallelism=2)
         assert docs_peak == 2
-        assert backend.peak - before <= 6
+        assert backend.peak - before <= 6 - 1  # the calling thread is a worker
 
     def test_one_documents_requests_in_flight_together_at_parallelism_one(
             self, labels, template):
@@ -520,18 +570,26 @@ class TestSharedPool:
                    parallelism=1)
         assert backend.peak <= before
 
-    @pytest.mark.parametrize("mode", ["pair-multi", "onestep"])
-    def test_oversubscribed_pool_finishes_and_matches_serial(self, mode, labels, template):
-        """A deadlock in the shared pool would hang, so the join timeout is the check."""
+    @pytest.mark.parametrize("mode, max_in_flight", [
+        ("pair-multi", 1), ("onestep", 1), ("pair-multi", 12), ("onestep", 12),
+    ], ids=["pair-multi", "onestep", "pair-multi-nested", "onestep-nested"])
+    def test_oversubscribed_pool_finishes_and_matches_serial(
+            self, monkeypatch, mode, max_in_flight, labels, template):
+        """A deadlock in the shared pool would hang, so the join timeout is the
+        check.  With ``max_in_flight`` above ``parallelism`` the strands'
+        requests nest on the pool's free workers."""
         pairs = make_corpus(24, labels, seed=9)
         docs = [doc for doc, _ in pairs]
         oracle = OracleBackend(pairs, labels, template,
                                errors=ErrorInjection(p_count=0.3, p_index=0.3))
         serial = run_corpus(docs, labels, oracle, template, mode, parallelism=1)
+        backend = _ThreadCountingBackend(_JitteryBackend(oracle), max_in_flight=max_in_flight)
+        backend.mark_decoding_threads(monkeypatch)
+        before = threading.active_count()
         got = []
         worker = threading.Thread(
-            target=lambda: got.append(run_corpus(docs, labels, _JitteryBackend(oracle),
-                                                 template, mode, parallelism=8)),
+            target=lambda: got.append(run_corpus(docs, labels, backend, template, mode,
+                                                 parallelism=8)),
             daemon=True,
         )
         interval = sys.getswitchinterval()
@@ -543,3 +601,6 @@ class TestSharedPool:
             sys.setswitchinterval(interval)
         assert not worker.is_alive(), "run_corpus did not finish: shared pool deadlocked"
         assert _decoded(got[0]) == _decoded(serial)
+        assert (backend.off_thread > 0) is (max_in_flight > 8)
+        # the run's own thread is one of its max(parallelism, max_in_flight) workers
+        assert backend.peak - before <= max(8, max_in_flight)
