@@ -138,6 +138,9 @@ class CompletionBackend:
     def generate(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the backend holds open; in-process backends hold nothing."""
+
     def generate_batch(self, requests: Sequence[CompletionRequest]) -> List[CompletionResult]:
         """One logical batch; the default fans out up to ``max_in_flight``.
 

@@ -12,6 +12,7 @@ more runtime defects than --max-defects allows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -303,12 +304,14 @@ def _cmd_reformat(ns: argparse.Namespace) -> int:
     return _defect_exit(total_skipped, int(options["max_defects"]))
 
 
+@contextlib.contextmanager
 def _load_run(options: Dict, modes: Sequence[str]):
     """Check a decode or bench run's options, then load what every mode shares.
 
     Every check runs before anything is loaded, decoded or written.  Labels,
-    template, corpus and backend are loaded once; the returned
+    template, corpus and backend are loaded once; the yielded
     ``decode(mode)`` decodes the corpus in one mode and de-duplicates it.
+    The backend is closed when the ``with`` block ends, however it ends.
     """
     unknown = [mode for mode in modes if mode not in MODES]
     if unknown:
@@ -342,7 +345,10 @@ def _load_run(options: Dict, modes: Sequence[str]):
         ]
         return outcomes, predictions
 
-    return labels, pairs, dropped, decode
+    try:
+        yield labels, pairs, dropped, decode
+    finally:
+        backend.close()
 
 
 def _outcome_row(outcome) -> Dict:
@@ -360,8 +366,8 @@ def _outcome_row(outcome) -> Dict:
 
 def _cmd_decode(ns: argparse.Namespace) -> int:
     options = _resolve_options(ns, "decode")
-    _, _, dropped, decode = _load_run(options, [options["mode"]])
-    outcomes, predictions = decode(options["mode"])
+    with _load_run(options, [options["mode"]]) as (_, _, dropped, decode):
+        outcomes, predictions = decode(options["mode"])
     out_dir = options["out"]
 
     _write(out_dir, "predictions.jsonl", emit_spans_json(predictions))
@@ -412,17 +418,17 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         raise ConfigError(f"baseline {baseline_mode!r} must be one of the benched modes {modes}")
     out_dir = options["out"]
 
-    labels, pairs, _, decode = _load_run(options, modes)
-    gold = {doc.id: ann.mentions for doc, ann in pairs}
     per_mode_stats = {}
     per_mode_f1 = {}
     total_defects = 0
-    for mode in modes:
-        outcomes, predictions = decode(mode)
-        per_mode_stats[mode] = latency_stats(outcomes)
-        pred = {doc.id: ann.mentions for doc, ann in predictions}
-        per_mode_f1[mode] = micro_f1(pred, gold, labels).f1
-        total_defects += sum(len(o.defects) for o in outcomes)
+    with _load_run(options, modes) as (labels, pairs, _, decode):
+        gold = {doc.id: ann.mentions for doc, ann in pairs}
+        for mode in modes:
+            outcomes, predictions = decode(mode)
+            per_mode_stats[mode] = latency_stats(outcomes)
+            pred = {doc.id: ann.mentions for doc, ann in predictions}
+            per_mode_f1[mode] = micro_f1(pred, gold, labels).f1
+            total_defects += sum(len(o.defects) for o in outcomes)
 
     base = per_mode_stats[baseline_mode]
     speedups = {

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import gzip
 import hashlib
 import json
 import math
 import os
+import select
 import socket
+import ssl
+import sys
 import threading
 import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Optional
 
 import pytest
 import requests
@@ -443,21 +449,82 @@ class TestOracleLogprobs:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Answers per ``server.behavior``; ``server.response_headers(n)`` adds
+    headers to the n-th answer, and the body is encoded as they say
+    (``Content-Encoding: gzip``/``deflate``, ``Transfer-Encoding: chunked``)."""
+
+    protocol_version = "HTTP/1.1"
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length))
-        self.server.calls.append(
-            {"path": self.path, "payload": payload, "headers": dict(self.headers)})
-        status, body = self.server.behavior(payload, len(self.server.calls))
-        data = json.dumps(body).encode("utf-8")
+        body = self.rfile.read(length)
+        payload = json.loads(body)
+        self.server.calls.append({
+            "path": self.path, "payload": payload, "headers": dict(self.headers),
+            "wire_headers": self.headers.items(), "body": body,
+            "connection": self.client_address,
+        })
+        n = len(self.server.calls)
+        status, answer = self.server.behavior(payload, n)
+        headers = self.server.response_headers(n)
+        data = json.dumps(answer).encode("utf-8")
+        coding = headers.get("Content-Encoding")
+        if coding == "gzip":
+            data = gzip.compress(data)
+        elif coding == "deflate":
+            data = zlib.compress(data)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        chunked = headers.get("Transfer-Encoding") == "chunked"
+        if not chunked:
+            self.send_header("Content-Length", str(len(data)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(data)
+        if chunked:
+            for i in range(0, len(data), 7):
+                piece = data[i:i + 7]
+                self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+            self.wfile.write(b"0\r\n\r\n")
+        else:
+            self.wfile.write(data)
+        if self.server.drop_idle:
+            self.close_connection = True  # without saying so in a header
 
     def log_message(self, *args):
         pass
+
+
+class _Http10Handler(_StubHandler):
+    protocol_version = "HTTP/1.0"
+
+
+class _StubServer(ThreadingHTTPServer):
+    """Counts the connections it accepts and closes."""
+
+    daemon_threads = True
+
+    def __init__(self, handler, tls: Optional[ssl.SSLContext] = None):
+        super().__init__(("127.0.0.1", 0), handler)
+        if tls is not None:
+            self.socket = tls.wrap_socket(self.socket, server_side=True)
+        self.calls = []
+        self.behavior = lambda payload, n: (200, _OK_BODY)
+        self.response_headers = lambda n: {}
+        self.drop_idle = False
+        self.accepted = 0
+        self.closed = 0
+        self._closed_lock = threading.Lock()
+
+    def get_request(self):
+        request = super().get_request()
+        self.accepted += 1
+        return request
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._closed_lock:  # handler threads close their own connections
+            self.closed += 1
 
 
 _OK_BODY = {
@@ -469,10 +536,8 @@ _OK_BODY = {
 
 
 @contextlib.contextmanager
-def _running_stub():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.calls = []
-    server.behavior = lambda payload, n: (200, _OK_BODY)
+def _running_stub(handler=_StubHandler, tls: Optional[ssl.SSLContext] = None):
+    server = _StubServer(handler, tls)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
@@ -623,6 +688,210 @@ class TestHttpBackend:
         backend.generate(CompletionRequest(prompt="p"))
         assert "Authorization" not in stub_server.calls[0]["headers"]
 
+    @pytest.mark.parametrize("retry_after, waited", [
+        ("1.5", 1.5), ("0", 0.0), (None, 7.0), ("-1", 7.0), ("nan", 7.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 7.0),
+    ])
+    def test_429_retried_after_retry_after(self, stub_server, monkeypatch, retry_after, waited):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        stub_server.behavior = lambda payload, n: (429, {}) if n == 1 else (200, _OK_BODY)
+        stub_server.response_headers = lambda n: (
+            {"Retry-After": retry_after} if n == 1 and retry_after is not None else {})
+        with contextlib.closing(HttpBackend(_url(stub_server), backoff_s=7.0)) as backend:
+            assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+        assert sleeps == [waited]
+        assert len(stub_server.calls) == 2
+
+    def test_429_retries_exhausted(self, stub_server, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        stub_server.behavior = lambda payload, n: (429, {})
+        with contextlib.closing(HttpBackend(_url(stub_server), max_retries=2)) as backend:
+            with pytest.raises(TransportError, match="429"):
+                backend.generate(CompletionRequest(prompt="p"))
+        assert len(stub_server.calls) == 3
+
+    def test_close_closes_connections_and_only_an_owned_session(self, stub_server):
+        class ClosingSession(requests.Session):
+            closed = 0
+
+            def close(self):
+                self.closed += 1
+                super().close()
+
+        with ClosingSession() as session:
+            given = HttpBackend(_url(stub_server), session=session)
+            owned = HttpBackend(_url(stub_server))
+            for backend in (given, owned):
+                backend.generate(CompletionRequest(prompt="p"))
+                backend.close()
+            assert session.closed == 0
+            _wait_for(lambda: stub_server.closed == 2)
+            # a closed backend still works, on a new connection
+            assert given.generate(CompletionRequest(prompt="q")).text == "Italy<eos>"
+            given.close()
+        assert stub_server.accepted == 3
+
+
+def _wait_for(condition, timeout_s: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.005)
+
+
+def _client(server, **kwargs) -> contextlib.closing:
+    return contextlib.closing(HttpBackend(_url(server), **kwargs))
+
+
+class TestKeepAliveTransport:
+    """What ``HttpBackend`` sends and receives below ``session.post``."""
+
+    def test_sequential_calls_share_one_connection(self, stub_server):
+        with _client(stub_server) as backend:
+            for i in range(5):
+                backend.generate(CompletionRequest(prompt=f"p{i}"))
+        assert stub_server.accepted == 1
+        assert len({call["connection"] for call in stub_server.calls}) == 1
+
+    def test_connection_dropped_while_idle_costs_no_failed_call(self, stub_server):
+        stub_server.drop_idle = True
+        with _client(stub_server, max_retries=0) as backend:
+            for i in range(3):
+                assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+                _wait_for(lambda: stub_server.closed == i + 1)
+        assert len(stub_server.calls) == 3
+        assert stub_server.accepted == 3
+
+    @pytest.mark.parametrize("handler, headers", [
+        (_StubHandler, {"Connection": "close"}),
+        (_Http10Handler, {"Connection": "keep-alive"}),
+    ], ids=["connection-close", "http-1.0-keep-alive"])
+    def test_closing_answers_are_not_pooled(self, handler, headers):
+        with _running_stub(handler) as server:
+            server.response_headers = lambda n: headers
+            with _client(server, max_retries=0) as backend:
+                for i in range(3):
+                    assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+                assert not any(backend._adapter._idle.values())
+            assert server.accepted == 3
+
+    @pytest.mark.parametrize("headers", [
+        {"Content-Encoding": "gzip"},
+        {"Content-Encoding": "deflate"},
+        {"Transfer-Encoding": "chunked"},
+        {"Content-Encoding": "gzip", "Transfer-Encoding": "chunked"},
+    ], ids=["gzip", "deflate", "chunked", "gzip-chunked"])
+    def test_encoded_answers_decode(self, stub_server, headers):
+        stub_server.response_headers = lambda n: headers
+        with _client(stub_server) as backend:
+            for i in range(2):
+                result = backend.generate(CompletionRequest(prompt=f"p{i}"))
+                assert result.tokens == ("Italy", "<eos>")
+                assert result.token_logprobs == (-0.1, -0.05)
+        assert stub_server.accepted == 1
+
+    def test_concurrent_calls_open_at_most_max_in_flight_connections(self, stub_server):
+        def slow(payload, n):
+            time.sleep(0.002)
+            return 200, _OK_BODY
+
+        stub_server.behavior = slow
+        results = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _client(stub_server, max_in_flight=3) as backend:
+                def calls(i):
+                    for j in range(10):
+                        results.append(backend.generate(CompletionRequest(prompt=f"p{i}.{j}")))
+
+                threads = [threading.Thread(target=calls, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                # every connection opened went back to the pool exactly once
+                idle = backend._adapter._idle.values()
+                assert sum(len(conns) for conns in idle) == stub_server.accepted
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert len(results) == len(stub_server.calls) == 80
+        assert all(result.text == "Italy<eos>" for result in results)
+        assert 1 <= stub_server.accepted <= 3
+
+    @pytest.mark.usefixtures("clean_env", "invalid_host_resolves_to_stub")
+    @pytest.mark.parametrize("via_proxy", [False, True], ids=["direct", "proxy"])
+    def test_request_on_the_wire_matches_stock_adapter(self, stub_server, proxy_server,
+                                                       monkeypatch, via_proxy):
+        url = _url(stub_server)
+        receiver = stub_server
+        if via_proxy:
+            host, port = proxy_server.server_address
+            monkeypatch.setenv("HTTP_PROXY", f"http://al%20ice:s3cret@{host}:{port}")
+            url, receiver = _INVALID_URL, proxy_server
+        with contextlib.closing(HttpBackend(url)) as backend:
+            backend.generate(CompletionRequest(prompt="Köln", max_new_tokens=9, stop=("\n",)))
+        with requests.Session() as stock:
+            assert isinstance(stock.get_adapter(url), requests.adapters.HTTPAdapter)
+            stock.post(url, json=receiver.calls[0]["payload"], timeout=60.0)
+        ours, theirs = receiver.calls
+        for part in ("path", "wire_headers", "body"):
+            assert ours[part] == theirs[part]
+        if via_proxy:
+            expected = "Basic " + base64.b64encode(b"al ice:s3cret").decode("ascii")
+            assert ours["headers"]["Proxy-Authorization"] == expected
+            assert stub_server.calls == []
+
+    def test_failures_map_to_requests_exceptions(self, stub_server):
+        def slow(payload, n):
+            time.sleep(0.5)
+            return 200, _OK_BODY
+
+        stub_server.behavior = slow
+        with requests.Session() as session:
+            with contextlib.closing(HttpBackend(_url(stub_server), session=session)) as backend:
+                with pytest.raises(requests.ReadTimeout):
+                    session.post(_url(stub_server), json={}, timeout=0.05)
+                assert not any(backend._adapter._idle.values())
+        with socket.socket() as unused:
+            unused.bind(("127.0.0.1", 0))
+            refused = "http://127.0.0.1:{}/v1/completions".format(unused.getsockname()[1])
+        with requests.Session() as session:
+            with contextlib.closing(HttpBackend(refused, session=session, max_retries=0)):
+                with pytest.raises(requests.ConnectionError):
+                    session.post(refused, json={}, timeout=5)
+
+    def test_session_keeps_cookies_the_server_sets(self, stub_server):
+        stub_server.response_headers = lambda n: {"Set-Cookie": "sid=abc; Path=/"} if n == 1 else {}
+        with requests.Session() as session:
+            with contextlib.closing(HttpBackend(_url(stub_server), session=session)) as backend:
+                backend.generate(CompletionRequest(prompt="p"))
+                backend.generate(CompletionRequest(prompt="q"))
+            assert session.cookies.get("sid") == "abc"
+        assert "Cookie" not in stub_server.calls[0]["headers"]
+        assert stub_server.calls[1]["headers"]["Cookie"] == "sid=abc"
+
+    def test_session_subclass_sees_each_response(self, stub_server):
+        class HeaderSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def post(self, url, **kwargs):
+                response = super().post(url, **kwargs)
+                self.seen.append(response.headers["X-Call"])
+                return response
+
+        stub_server.response_headers = lambda n: {"X-Call": str(n)}
+        with HeaderSession() as session:
+            with contextlib.closing(HttpBackend(_url(stub_server), session=session)) as backend:
+                for i in range(3):
+                    backend.generate(CompletionRequest(prompt=f"p{i}"))
+                assert type(session.get_adapter(_url(stub_server))).__name__ == "_KeepAliveAdapter"
+        assert session.seen == ["1", "2", "3"]
+
 
 _INVALID_URL = "http://completion.invalid/v1/completions"
 
@@ -682,6 +951,15 @@ class TestHttpEnvironment:
         assert [call["path"] for call in stub_server.calls] == ["/v1/completions"]
         assert proxy_server.calls == []
 
+    @pytest.mark.parametrize("scheme", ["https", "socks5"])
+    def test_unsupported_proxy_is_a_transport_error(self, stub_server, proxy_server, session,
+                                                    monkeypatch, scheme):
+        monkeypatch.setenv("HTTP_PROXY", _origin(proxy_server).replace("http", scheme, 1))
+        backend = HttpBackend(_url(stub_server), session=session, max_retries=0)
+        with pytest.raises(TransportError, match="unsupported proxy URL"):
+            backend.generate(CompletionRequest(prompt="p"))
+        assert stub_server.calls == [] and proxy_server.calls == []
+
     def test_no_environment_lookup_per_call(self, stub_server, session, monkeypatch):
         backend = HttpBackend(_url(stub_server), session=session)
 
@@ -722,3 +1000,162 @@ class TestHttpEnvironment:
         assert session.kwargs["verify"] == ca_bundle
         assert session.kwargs["proxies"] == {}
         assert session.kwargs["auth"] is None
+
+
+@pytest.fixture(scope="module")
+def tls_files(tmp_path_factory):
+    """PEM paths: a throwaway CA, a server certificate for 127.0.0.1 and a
+    client certificate it signed, and an unrelated CA."""
+    x509 = pytest.importorskip("cryptography.x509")
+    import datetime
+    import ipaddress
+
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
+
+    directory = tmp_path_factory.mktemp("tls")
+    now = datetime.datetime.now(datetime.timezone.utc)
+
+    def issue(name, issuer=None, usage=None):
+        key = ec.generate_private_key(ec.SECP256R1())
+        subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, name)])
+        signer_key, signer_name = issuer if issuer else (key, subject)
+        builder = (
+            x509.CertificateBuilder()
+            .subject_name(subject).issuer_name(signer_name)
+            .public_key(key.public_key()).serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(hours=1))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.BasicConstraints(ca=usage is None, path_length=None),
+                           critical=True)
+            .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()),
+                           critical=False)
+            .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(
+                signer_key.public_key()), critical=False)
+        )
+        if usage is None:
+            builder = builder.add_extension(x509.KeyUsage(
+                digital_signature=True, key_cert_sign=True, crl_sign=True,
+                content_commitment=False, key_encipherment=False, data_encipherment=False,
+                key_agreement=False, encipher_only=False, decipher_only=False), critical=True)
+        else:
+            builder = builder.add_extension(x509.ExtendedKeyUsage([usage]), critical=False)
+            builder = builder.add_extension(x509.SubjectAlternativeName(
+                [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+        cert = builder.sign(signer_key, hashes.SHA256())
+        cert_path, key_path = directory / f"{name}.pem", directory / f"{name}.key"
+        cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+        key_path.write_bytes(key.private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption()))
+        return key, subject, str(cert_path), str(key_path)
+
+    ca_key, ca_name, ca, _ = issue("ca")
+    _, _, server_cert, server_key = issue("server", (ca_key, ca_name),
+                                          ExtendedKeyUsageOID.SERVER_AUTH)
+    _, _, client_cert, client_key = issue("client", (ca_key, ca_name),
+                                          ExtendedKeyUsageOID.CLIENT_AUTH)
+    _, _, other_ca, _ = issue("other-ca")
+    return {"ca": ca, "server": (server_cert, server_key),
+            "client": (client_cert, client_key), "other_ca": other_ca}
+
+
+@contextlib.contextmanager
+def _https_stub(tls_files, client_ca: Optional[str] = None):
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(*tls_files["server"])
+    if client_ca:
+        context.verify_mode = ssl.CERT_REQUIRED
+        context.load_verify_locations(client_ca)
+    with _running_stub(tls=context) as server:
+        yield server
+
+
+def _https_url(server) -> str:
+    host, port = server.server_address
+    return f"https://{host}:{port}/v1/completions"
+
+
+class _TunnelHandler(BaseHTTPRequestHandler):
+    """An HTTP proxy that only tunnels: ``CONNECT``, then bytes both ways."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_CONNECT(self):
+        self.server.calls.append({"path": self.path, "headers": dict(self.headers)})
+        host, port = self.path.rsplit(":", 1)
+        with socket.create_connection((host, int(port))) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            peers = {self.connection: upstream, upstream: self.connection}
+            while True:
+                readable, _, _ = select.select(list(peers), [], [], 5)
+                data = readable and readable[0].recv(65536)
+                if not data:
+                    break
+                peers[readable[0]].sendall(data)
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.usefixtures("clean_env")
+class TestHttps:
+    def test_ca_bundle_path_verifies_and_reuses_connection(self, tls_files, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", tls_files["ca"])
+        with _https_stub(tls_files) as server:
+            with contextlib.closing(HttpBackend(_https_url(server), max_retries=0)) as backend:
+                for i in range(3):
+                    assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+                assert len(backend._adapter._contexts) == 1
+            assert server.accepted == 1
+
+    @pytest.mark.parametrize("bundle", ["other_ca", None], ids=["unknown-ca", "default-bundle"])
+    def test_unknown_ca_is_a_transport_error(self, tls_files, monkeypatch, bundle):
+        if bundle:
+            monkeypatch.setenv("REQUESTS_CA_BUNDLE", tls_files[bundle])
+        with _https_stub(tls_files) as server:
+            with contextlib.closing(HttpBackend(_https_url(server), max_retries=0)) as backend:
+                with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+                    backend.generate(CompletionRequest(prompt="p"))
+            assert server.calls == []
+
+    def test_verify_off_warns_and_succeeds(self, tls_files):
+        with _https_stub(tls_files) as server, requests.Session() as session:
+            session.verify = False
+            with contextlib.closing(HttpBackend(_https_url(server), session=session)) as backend:
+                with pytest.warns(requests.urllib3.exceptions.InsecureRequestWarning):
+                    assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+
+    @pytest.mark.parametrize("with_cert", [True, False], ids=["client-cert", "no-client-cert"])
+    def test_client_certificate(self, tls_files, monkeypatch, with_cert):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", tls_files["ca"])
+        with _https_stub(tls_files, client_ca=tls_files["ca"]) as server, \
+                requests.Session() as session:
+            if with_cert:
+                session.cert = tls_files["client"]
+            with contextlib.closing(HttpBackend(_https_url(server), session=session,
+                                                max_retries=0)) as backend:
+                if with_cert:
+                    assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+                else:
+                    with pytest.raises(TransportError):
+                        backend.generate(CompletionRequest(prompt="p"))
+            assert len(server.calls) == int(with_cert)
+
+    def test_https_through_connect_tunnel(self, tls_files, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", tls_files["ca"])
+        with _https_stub(tls_files) as server, _running_stub(_TunnelHandler) as proxy:
+            host, port = proxy.server_address
+            monkeypatch.setenv("HTTPS_PROXY", f"http://alice:s3cret@{host}:{port}")
+            with contextlib.closing(HttpBackend(_https_url(server), max_retries=0)) as backend:
+                for i in range(2):
+                    assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+            target = "{}:{}".format(*server.server_address)
+            assert [call["path"] for call in proxy.calls] == [target]
+            expected = "Basic " + base64.b64encode(b"alice:s3cret").decode("ascii")
+            assert proxy.calls[0]["headers"]["Proxy-Authorization"] == expected
+        assert [call["path"] for call in server.calls] == ["/v1/completions"] * 2
+        assert all("Proxy-Authorization" not in call["headers"] for call in server.calls)

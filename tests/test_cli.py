@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import threading
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from parner.backends import CompletionRequest, OracleBackend
+from parner import cli
+from parner.backends import CompletionRequest, HttpBackend, OracleBackend
 from parner.cli import main
 from parner.corpus import emit_spans_json, parse_spans_json
 from parner.scheduler import MODES
@@ -387,26 +389,32 @@ class _OracleHandler(BaseHTTPRequestHandler):
         pass
 
 
+@contextlib.contextmanager
+def _oracle_server(pairs, labels, template):
+    """A completion server over ``pairs``; yields its URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleHandler)
+    server.oracle = OracleBackend(pairs, labels, template)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        yield f"http://{host}:{port}/v1/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 class TestHttpEndToEnd:
     def test_decode_via_http_backend(self, tmp_path, labels, template):
         pairs = make_corpus(5, labels, seed=8)
         corpus = write_corpus(tmp_path, pairs)
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleHandler)
-        server.oracle = OracleBackend(pairs, labels, template)
-        thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address
-            backend_config = write_json(tmp_path, "backend.json",
-                                        {"url": f"http://{host}:{port}/v1/completions"})
+        with _oracle_server(pairs, labels, template) as url:
+            backend_config = write_json(tmp_path, "backend.json", {"url": url})
             out = tmp_path / "out"
             code = main(["decode", "--corpus", corpus, "--labels", LABELS_ARG,
                          "--backend", "http", "--backend-config", backend_config,
                          "--out", str(out)])
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
         assert code == 0
         pred = parse_spans_json((out / "predictions.jsonl").read_text(encoding="utf-8"),
                                 labels)
@@ -416,3 +424,28 @@ class TestHttpEndToEnd:
         metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
         assert metrics["latency"]["mean_example_latency_ms"] > 0
         assert metrics["total_defects"] == 0
+
+    @pytest.mark.parametrize("command, fails", [
+        ("decode", False), ("bench", False), ("decode", True),
+    ], ids=["decode", "bench", "decode-raises"])
+    def test_backend_closed_when_the_command_ends(self, tmp_path, labels, template,
+                                                  monkeypatch, command, fails):
+        closed = []
+        close = HttpBackend.close
+        monkeypatch.setattr(HttpBackend, "close", lambda self: closed.append(close(self)))
+        if fails:
+            def boom(*args, **kwargs):
+                raise RuntimeError("decode failed")
+
+            monkeypatch.setattr(cli, "run_corpus", boom)
+        pairs = make_corpus(2, labels, seed=8)
+        corpus = write_corpus(tmp_path, pairs)
+        with _oracle_server(pairs, labels, template) as url:
+            argv = [command, "--corpus", corpus, "--labels", LABELS_ARG, "--backend", "http",
+                    "--backend-config", write_json(tmp_path, "backend.json", {"url": url}),
+                    "--out", str(tmp_path / "out")]
+            if command == "bench":
+                argv += ["--modes", "pair-multi,autoreg-struct"]
+            with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+                assert main(argv) == 0
+        assert closed == [None]
