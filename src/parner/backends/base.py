@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 __all__ = [
     "BackendError",
@@ -131,6 +130,13 @@ class CompletionBackend:
     with ``max_in_flight`` above ``parallelism`` one document's requests
     can be in flight together.  In-process backends are bound by the
     interpreter and leave it at 1.
+
+    A backend defines ``generate_batch(requests)`` only when it serves or
+    accounts for a batch as one: ``OracleBackend`` does, charging every
+    member the batch-size penalty.  "pair-batch" then issues each step as
+    one such call; on a backend without one (``HttpBackend``,
+    ``ScriptedBackend``) its requests fan out on the run's pool like
+    "pair-multi"'s.
     """
 
     max_in_flight: int = 1
@@ -140,21 +146,6 @@ class CompletionBackend:
 
     def close(self) -> None:
         """Release what the backend holds open; in-process backends hold nothing."""
-
-    def generate_batch(self, requests: Sequence[CompletionRequest]) -> List[CompletionResult]:
-        """One logical batch; the default fans out up to ``max_in_flight``.
-
-        With one call in flight at most (in-process backends) the batch runs
-        on the calling thread.  Simulated backends override batch accounting
-        to tax every member with the batch-size penalty.  The batch's wall
-        latency is the max of the member latencies (lockstep decode: early
-        finishers wait for the longest sequence).
-        """
-        workers = min(len(requests), self.max_in_flight)
-        if workers <= 1:
-            return [self.generate(request) for request in requests]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.generate, requests))
 
 
 def apply_request_limits(

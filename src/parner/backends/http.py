@@ -326,6 +326,9 @@ class HttpBackend(CompletionBackend):
         backoff_s: float = 0.25,
         session: Optional[requests.Session] = None,
     ):
+        if max_in_flight < 1 or max_retries < 0:
+            raise ValueError(f"max_in_flight must be >= 1 and max_retries >= 0, "
+                             f"got {max_in_flight} and {max_retries}")
         self._url = url
         self._timeout_s = timeout_s
         self._max_retries = max_retries

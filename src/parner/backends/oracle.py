@@ -177,6 +177,7 @@ class OracleBackend(CompletionBackend):
         return self._answer(request, batch_size=1)
 
     def generate_batch(self, requests: Sequence[CompletionRequest]) -> List[CompletionResult]:
+        """One lockstep batch: every member is charged the batch-size penalty."""
         return [self._answer(r, batch_size=len(requests)) for r in requests]
 
     def _answer(self, request: CompletionRequest, batch_size: int) -> CompletionResult:

@@ -26,14 +26,17 @@ class ScriptedBackend(CompletionBackend):
 
     ``logprobs`` defaults to 0.0 per token, ``finish`` to "eos" and
     ``latency_ms`` to 0.0.  Stop strings and ``max_new_tokens`` from the
-    request are applied to the replayed tokens.
+    request are applied to the replayed tokens.  Each entry is checked once,
+    when it is loaded: a bad one raises ``ValueError``.
     """
 
     def __init__(self, entries: Iterable[Dict]):
         self._fixtures: Dict[str, Dict] = {}
         for entry in entries:
-            if "prompt" not in entry or "tokens" not in entry:
+            if not isinstance(entry, dict) or "prompt" not in entry or "tokens" not in entry:
                 raise ValueError(f"fixture entry needs 'prompt' and 'tokens': {entry!r}")
+            if entry.get("logprobs") and len(entry["logprobs"]) != len(entry["tokens"]):
+                raise ValueError(f"fixture logprobs misaligned with its tokens: {entry!r}")
             self._fixtures[entry["prompt"]] = dict(entry)
 
     @classmethod
@@ -48,8 +51,6 @@ class ScriptedBackend(CompletionBackend):
             raise MissingFixtureError(f"no fixture for prompt ending {preview!r}")
         tokens = [str(t) for t in entry["tokens"]]
         logprobs = [float(x) for x in entry.get("logprobs") or [0.0] * len(tokens)]
-        if len(logprobs) != len(tokens):
-            raise ValueError(f"fixture logprobs misaligned for prompt {request.prompt[-80:]!r}")
         tokens, text, stop_reason = apply_request_limits(
             tokens, request, default_reason=entry.get("finish", "eos")
         )

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -111,8 +112,20 @@ _DEFAULTS: Dict[str, Dict] = {
 }
 
 
+# integer options: the least value each may take, and how an error names it
+_INTEGER_OPTIONS = {
+    "parallelism": (1, "a positive integer"), "repeats": (1, "a positive integer"),
+    "max_new_tokens": (1, "a positive integer"), "max_defects": (0, "a non-negative integer"),
+    "max_mentions": (0, "null or a non-negative integer"), "seed": (-math.inf, "an integer"),
+}
+
+
 def _resolve_options(ns: argparse.Namespace, command: str) -> Dict:
-    """Merge flags, config file and builtin defaults into one dict."""
+    """Merge flags, config file and builtin defaults into one dict.
+
+    Every integer option the command takes is checked here, before anything
+    is loaded or written; ``max_mentions`` may also be null (no limit).
+    """
     from_file: Dict = {}
     if ns.config:
         with open(ns.config, encoding="utf-8") as handle:
@@ -132,6 +145,12 @@ def _resolve_options(ns: argparse.Namespace, command: str) -> Dict:
         raise ConfigError("--corpus is required (flag or config file)")
     if not resolved.get("labels"):
         raise ConfigError("--labels is required (flag or config file)")
+    for key, (least, kind) in _INTEGER_OPTIONS.items():
+        value = resolved.get(key)
+        if key not in resolved or (value is None and key == "max_mentions"):
+            continue
+        if type(value) is not int or value < least:  # a bool is no integer here
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return resolved
 
 
@@ -184,8 +203,7 @@ def _load_corpus(
         pairs = parse_spans_json(text, labels)
     else:
         raise ConfigError(f"unknown corpus format: {options['corpus_format']!r}")
-    limit = options.get("max_mentions")
-    return filter_max_mentions(pairs, int(limit) if limit is not None else None)
+    return filter_max_mentions(pairs, options["max_mentions"])
 
 
 def _load_backend_config(options: Dict) -> Dict:
@@ -208,9 +226,12 @@ def _make_backend(
     kind = options["backend"]
     cfg = _load_backend_config(options)
     if kind == "oracle":
+        # settings the config leaves out keep the constructors' defaults
+        def floats(*keys: str) -> Dict[str, float]:
+            return {key: float(cfg[key]) for key in keys if key in cfg}
+
         errors = ErrorInjection(
-            p_count=float(cfg.get("p_count", 0.0)),
-            p_index=float(cfg.get("p_index", 0.0)),
+            **floats("p_count", "p_index"),
             forced_counts={
                 (e["doc_id"], e["label"]): int(e["count"])
                 for e in cfg.get("forced_counts", [])
@@ -220,17 +241,10 @@ def _make_backend(
                 for e in cfg.get("forced_mentions", [])
             },
         )
-        cost = CostModel(
-            ms_per_token=float(cfg.get("ms_per_token", 10.0)),
-            fixed_overhead_ms=float(cfg.get("fixed_overhead_ms", 0.0)),
-            batch_penalty_alpha=float(cfg.get("batch_penalty_alpha", 0.05)),
-        )
+        cost = CostModel(**floats("ms_per_token", "fixed_overhead_ms", "batch_penalty_alpha"))
         return OracleBackend(
-            pairs, labels, template=template, cost=cost, errors=errors,
-            seed=int(options.get("seed", 0)),
-            hi_token_prob=float(cfg.get("hi_token_prob", 0.93)),
-            lo_token_prob=float(cfg.get("lo_token_prob", 0.61)),
-            prob_jitter=float(cfg.get("prob_jitter", 0.02)),
+            pairs, labels, template=template, cost=cost, errors=errors, seed=options["seed"],
+            **floats("hi_token_prob", "lo_token_prob", "prob_jitter"),
         )
     if kind == "scripted":
         fixtures = cfg.get("fixtures")
@@ -301,7 +315,7 @@ def _cmd_reformat(ns: argparse.Namespace) -> int:
     _write(out_dir, "stats.json",
            json.dumps(stats, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
     _write_snapshot(out_dir, options)
-    return _defect_exit(total_skipped, int(options["max_defects"]))
+    return _defect_exit(total_skipped, options["max_defects"])
 
 
 @contextlib.contextmanager
@@ -318,25 +332,21 @@ def _load_run(options: Dict, modes: Sequence[str]):
         raise ConfigError(f"unknown mode: {unknown[0]!r} (expected one of {MODES})")
     if options["dedup"] not in DEDUP_MODES:
         raise ConfigError(f"unknown dedup policy: {options['dedup']!r}")
-    for key in ("parallelism", "repeats", "max_new_tokens"):
-        try:
-            positive = int(options[key]) >= 1
-        except (TypeError, ValueError):
-            positive = False
-        if not positive:
-            raise ConfigError(f"{key} must be a positive integer, got {options[key]!r}")
     labels = _load_labels(options)
     template = _load_template(options)
     pairs, dropped = _load_corpus(options, labels)
-    backend = _make_backend(options, pairs, labels, template)
+    try:
+        backend = _make_backend(options, pairs, labels, template)
+    except ValueError as exc:  # a bad backend setting or fixture entry
+        raise ConfigError(str(exc)) from None
     docs = [doc for doc, _ in pairs]
 
     def decode(mode: str):
         outcomes = run_corpus(
             docs, labels, backend, template, mode,
-            parallelism=int(options["parallelism"]),
-            repeats=int(options["repeats"]),
-            max_new_tokens=int(options["max_new_tokens"]),
+            parallelism=options["parallelism"],
+            repeats=options["repeats"],
+            max_new_tokens=options["max_new_tokens"],
         )
         predictions = [
             (doc, GoldAnnotation(doc_id=doc.id, mentions=deduplicate(
@@ -386,7 +396,7 @@ def _cmd_decode(ns: argparse.Namespace) -> int:
     print(f"decoded {len(outcomes)} documents in mode {options['mode']}: "
           f"mean example latency {stats.mean_example_latency_ms:.2f} ms, "
           f"{total_defects} defects")
-    return _defect_exit(total_defects, int(options["max_defects"]))
+    return _defect_exit(total_defects, options["max_defects"])
 
 
 def _cmd_eval(ns: argparse.Namespace) -> int:
@@ -457,7 +467,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
               f"f1 {per_mode_f1[mode]:.4f}")
     for name, factor in speedups.items():
         print(f"speedup {name}: {factor:.2f}x")
-    return _defect_exit(total_defects, int(options["max_defects"]))
+    return _defect_exit(total_defects, options["max_defects"])
 
 
 # ---------------------------------------------------------------------------

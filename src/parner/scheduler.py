@@ -5,11 +5,13 @@ Every mode decodes a document the same way.  It plans a step of requests
 issues it, then traces and parses each result in request order.  The pair
 modes add a second step: one request per (label, mention index) counted in
 step one, every prompt rebuilt from scratch so backends stay stateless.
-"pair-batch" issues each step as one ``generate_batch`` call; the other
-modes issue one call per request.  A mention's latency includes its
-upstream: its label's count in "pair-multi", the whole first step's wall in
-"pair-batch" (lockstep batches).  A document's latency is therefore the
-max over its traces in every mode.  Only mention and onestep requests ask
+"pair-batch" issues each step as one ``generate_batch`` call on a backend
+that defines one (the oracle, which charges every member the batch-size
+penalty); on any other backend, and in every other mode, each request is
+its own call.  A mention's latency includes its upstream: its label's
+count in "pair-multi", the whole first step's wall in "pair-batch"
+(lockstep batches).  A document's latency is therefore the max over its
+traces in every mode.  Only mention and onestep requests ask
 for token logprobs: theirs score mentions for de-duplication, while counts
 and autoreg answers (aug and struct mentions score 1.0) never read them.
 
@@ -24,9 +26,9 @@ in-process backend they fan out only when the corpus has fewer documents
 than ``parallelism``; otherwise every request runs on the thread that
 decodes its document, and at parallelism 1 the scheduler starts no
 thread.  A thread waiting for its items runs every one no worker has
-started yet, so it never waits on a queued item.  A backend's own
-``generate_batch`` may still fan out on up to ``max_in_flight`` threads
-of its own.
+started yet, so it never waits on a queued item.  This pool is the only
+one: a batch goes to the backend as one call, and every other request is
+an item of the pool.
 
 Parsing or backend failures for one sequence degrade to defect records; a
 document never hard-fails.
@@ -169,6 +171,12 @@ def _run_all(pool: Optional[Executor], fn: Callable[[_T], _R], items: Sequence[_
         raise
 
 
+def _batched(backend: CompletionBackend, mode: str) -> bool:
+    """Whether ``mode`` issues each step as one ``generate_batch`` call: only
+    "pair-batch", and only on a backend that batches."""
+    return mode == "pair-batch" and hasattr(backend, "generate_batch")
+
+
 def _call(backend: CompletionBackend, request: CompletionRequest) -> _CallOutcome:
     """One backend call; an error is kept as this item's result, so one failed
     sequence cannot take down its siblings."""
@@ -194,9 +202,10 @@ def decode_document(
     mention list ("onestep"), or asks once for the whole annotated output
     ("autoreg-*").  In the pair modes an empty completion counts as zero
     and the label gets no step two.  Requests that are not batched run on
-    ``pool`` when one is given.  The aug and struct formats expose no
-    per-mention token spans, so their mentions score probability 1.0 and
-    de-duplication falls back to the label-order tie-break.
+    ``pool`` when one is given, and one at a time without it.  The aug and
+    struct formats expose no per-mention token spans, so their mentions
+    score probability 1.0 and de-duplication falls back to the label-order
+    tie-break.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
@@ -219,7 +228,7 @@ def decode_document(
         requests = [CompletionRequest(prompt=prompt, max_new_tokens=max_new_tokens,
                                       want_logprobs=kind in _SCORED_KINDS)
                     for _, _, prompt in planned]
-        if mode == "pair-batch":
+        if _batched(backend, mode):
             try:
                 results: Sequence[_CallOutcome] = backend.generate_batch(requests)
             except BackendError as exc:
@@ -329,7 +338,8 @@ def run_corpus(
     parallelism 1); otherwise each strand issues its own requests on its
     own thread, as at parallelism 1.  No pool is made when nothing would be
     submitted to it: for no documents, at parallelism 1 with an in-process
-    backend, or for one document in a mode that issues one call per step.
+    backend, or for one document in a mode that issues one call per step
+    (autoreg, or "pair-batch" on a backend that batches).
     Output order always equals input order regardless of completion
     order.  With ``repeats`` > 1 each document is decoded
     that many times and the reported example latency is the mean; mentions
@@ -360,9 +370,9 @@ def run_corpus(
 
     strands = min(parallelism, len(docs))
     workers = max(parallelism, backend.max_in_flight)
-    # requests go only to workers no strand holds; pair-batch and autoreg
-    # issue one call per step, so they submit none
-    fans_out = workers > strands and mode in ("pair-multi", "onestep")
+    # requests go only to workers no strand holds; autoreg and a batching
+    # backend's pair-batch issue one call per step, so they submit none
+    fans_out = workers > strands and not (mode.startswith("autoreg-") or _batched(backend, mode))
     if strands <= 1 and not fans_out:
         return [decode_with_repeats(doc, None) for doc in docs]
     todo = collections.deque(enumerate(docs))

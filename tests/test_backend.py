@@ -23,7 +23,6 @@ import pytest
 import requests
 
 from parner.backends import (
-    CompletionBackend,
     CompletionRequest,
     CompletionResult,
     CostModel,
@@ -108,51 +107,6 @@ class TestCostModel:
             cost.penalty(0)
 
 
-class _EchoBackend(CompletionBackend):
-    """Echoes the prompt back, sleeping per a schedule keyed by prompt, and
-    records the threads it was called on."""
-
-    def __init__(self, delays_ms, max_in_flight: int = 1):
-        self._delays = delays_ms
-        self.max_in_flight = max_in_flight
-        self.threads = set()
-
-    def generate(self, request):
-        self.threads.add(threading.get_ident())
-        time.sleep(self._delays.get(request.prompt, 0) / 1000.0)
-        return CompletionResult(
-            tokens=(request.prompt,), token_logprobs=(0.0,), text=request.prompt,
-            stop_reason="eos", latency_ms=0.0,
-        )
-
-
-class TestBatchFanOut:
-    def test_order_preserved_despite_delays(self):
-        prompts = [f"p{i}" for i in range(6)]
-        backend = _EchoBackend({p: (5 - i) * 3 for i, p in enumerate(prompts)})
-        results = backend.generate_batch([CompletionRequest(prompt=p) for p in prompts])
-        assert [r.text for r in results] == prompts
-
-    def test_empty_batch(self):
-        assert _EchoBackend({}).generate_batch([]) == []
-
-    def test_single_flight_batch_starts_no_thread(self):
-        prompts = [f"p{i}" for i in range(6)]
-        backend = _EchoBackend({p: 2 for p in prompts})
-        results = backend.generate_batch([CompletionRequest(prompt=p) for p in prompts])
-        assert [r.text for r in results] == prompts
-        assert backend.threads == {threading.get_ident()}
-
-    def test_batch_threads_bounded_by_max_in_flight(self):
-        prompts = [f"p{i}" for i in range(10)]
-        backend = _EchoBackend({p: 2 * (10 - i) for i, p in enumerate(prompts)},
-                               max_in_flight=2)
-        results = backend.generate_batch([CompletionRequest(prompt=p) for p in prompts])
-        assert [r.text for r in results] == prompts
-        assert 1 <= len(backend.threads) <= 2
-        assert threading.get_ident() not in backend.threads
-
-
 class TestScriptedBackend:
     def test_replays_fixture(self):
         backend = ScriptedBackend([{
@@ -193,6 +147,12 @@ class TestScriptedBackend:
         capped = backend.generate(CompletionRequest(prompt="p", max_new_tokens=1))
         assert capped.tokens == ("ab",) and capped.token_logprobs == (-0.1,)
 
+    @pytest.mark.parametrize("entry", [{"prompt": "p"}, {"tokens": ["a"]}, ["p", ["a"]]],
+                             ids=["no-tokens", "no-prompt", "not-an-object"])
+    def test_incomplete_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="needs 'prompt' and 'tokens'"):
+            ScriptedBackend([{"prompt": "q", "tokens": ["x"]}, entry])
+
     def test_max_new_tokens_caps(self):
         backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b", "c"]}])
         result = backend.generate(CompletionRequest(prompt="p", max_new_tokens=2))
@@ -200,9 +160,8 @@ class TestScriptedBackend:
         assert result.stop_reason == "length"
 
     def test_misaligned_fixture_rejected(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-0.1]}])
-        with pytest.raises(ValueError):
-            backend.generate(CompletionRequest(prompt="p"))
+        with pytest.raises(ValueError, match="misaligned"):
+            ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-0.1]}])
 
     def test_from_jsonl(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
@@ -577,6 +536,14 @@ def _url(server) -> str:
 
 
 class TestHttpBackend:
+    @pytest.mark.parametrize("limits, got", [
+        ({"max_in_flight": 0}, "got 0 and 2"),
+        ({"max_retries": -1}, "got 8 and -1"),
+    ])
+    def test_bad_limits_rejected(self, limits, got):
+        with pytest.raises(ValueError, match=f"max_retries >= 0, {got}"):
+            HttpBackend("http://127.0.0.1:9/v1/completions", **limits)
+
     def test_round_trip(self, stub_server):
         backend = HttpBackend(_url(stub_server))
         result = backend.generate(CompletionRequest(prompt="p", max_new_tokens=64))

@@ -140,8 +140,20 @@ class TestDecode:
         ("bench", ["--parallelism", "0"], None, "parallelism must be a positive integer, got 0"),
         ("bench", ["--modes", "pair-multi,bogus", "--baseline", "pair-multi"], None,
          "unknown mode: 'bogus'"),
+        ("decode", [], {"max_defects": "abc"},
+         "max_defects must be a non-negative integer, got 'abc'"),
+        ("decode", [], {"max_mentions": "x"},
+         "max_mentions must be null or a non-negative integer, got 'x'"),
+        ("decode", [], {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("reformat", ["--max-defects", "-1"], None,
+         "max_defects must be a non-negative integer, got -1"),
+        ("reformat", ["--max-mentions", "-1"], None,
+         "max_mentions must be null or a non-negative integer, got -1"),
+        ("bench", [], {"seed": "s"}, "seed must be an integer, got 's'"),
     ], ids=["decode-parallelism", "decode-repeats", "decode-max-new-tokens",
-            "bench-config-dedup", "bench-parallelism", "bench-modes"])
+            "bench-config-dedup", "bench-parallelism", "bench-modes",
+            "decode-config-max-defects", "decode-config-max-mentions", "decode-config-seed",
+            "reformat-max-defects", "reformat-max-mentions", "bench-config-seed"])
     def test_bad_run_option_rejected_before_decoding(self, tmp_path, corpus_path, capsys,
                                                      command, flags, config, message):
         out = tmp_path / "out"
@@ -149,6 +161,24 @@ class TestDecode:
             flags = flags + ["--config", write_json(tmp_path, "config.json", config)]
         code = main([command, "--corpus", corpus_path, "--labels", LABELS_ARG,
                      "--out", str(out), *flags])
+        assert code == 1
+        assert f"parner: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"tokens": ["Italy", "<eos>"], "logprobs": [-0.1]},
+         "fixture logprobs misaligned with its tokens"),
+        ({"logprobs": [-0.1]}, "fixture entry needs 'prompt' and 'tokens'"),
+    ], ids=["misaligned-logprobs", "no-tokens"])
+    def test_bad_fixture_rejected_before_decoding(self, tmp_path, corpus_path, capsys,
+                                                  entry, message):
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text(json.dumps({"prompt": "p", **entry}) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--backend", "scripted", "--max-defects", "100", "--out", str(out),
+                     "--backend-config",
+                     write_json(tmp_path, "backend.json", {"fixtures": str(fixtures)})])
         assert code == 1
         assert f"parner: error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -411,19 +441,42 @@ class TestHttpEndToEnd:
         corpus = write_corpus(tmp_path, pairs)
         with _oracle_server(pairs, labels, template) as url:
             backend_config = write_json(tmp_path, "backend.json", {"url": url})
-            out = tmp_path / "out"
-            code = main(["decode", "--corpus", corpus, "--labels", LABELS_ARG,
-                         "--backend", "http", "--backend-config", backend_config,
-                         "--out", str(out)])
-        assert code == 0
-        pred = parse_spans_json((out / "predictions.jsonl").read_text(encoding="utf-8"),
-                                labels)
-        for (_, p), (_, g) in zip(pred, pairs):
-            assert sorted((m.label, m.text) for m in p.mentions) == \
-                sorted((m.label, m.text) for m in g.mentions)
-        metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
-        assert metrics["latency"]["mean_example_latency_ms"] > 0
-        assert metrics["total_defects"] == 0
+            for mode in ("pair-multi", "pair-batch"):
+                out = tmp_path / mode
+                code = main(["decode", "--corpus", corpus, "--labels", LABELS_ARG,
+                             "--backend", "http", "--backend-config", backend_config,
+                             "--mode", mode, "--out", str(out)])
+                assert code == 0
+                pred = parse_spans_json(
+                    (out / "predictions.jsonl").read_text(encoding="utf-8"), labels)
+                for (_, p), (_, g) in zip(pred, pairs):
+                    assert sorted((m.label, m.text) for m in p.mentions) == \
+                        sorted((m.label, m.text) for m in g.mentions)
+                metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+                assert metrics["latency"]["mean_example_latency_ms"] > 0
+                assert metrics["total_defects"] == 0
+
+    @pytest.mark.parametrize("config, message", [
+        ({"max_in_flight": 0}, "max_retries >= 0, got 0 and 2"),
+        ({"max_in_flight": -1}, "max_retries >= 0, got -1 and 2"),
+        ({"max_retries": -1}, "max_retries >= 0, got 8 and -1"),
+    ], ids=["no-flight", "negative-flight", "negative-retries"])
+    def test_bad_http_limits_rejected(self, tmp_path, corpus_path, capsys, config, message):
+        out = tmp_path / "out"
+        backend_config = write_json(tmp_path, "backend.json",
+                                    {"url": "http://127.0.0.1:9/v1/completions", **config})
+        codes = []
+        # a semaphore of 0 would block every request forever: the join timeout is the check
+        worker = threading.Thread(target=lambda: codes.append(main([
+            "decode", "--corpus", corpus_path, "--labels", LABELS_ARG, "--backend", "http",
+            "--backend-config", backend_config, "--out", str(out)])), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "decode hung"
+        assert codes == [1]
+        assert f"parner: error: max_in_flight must be >= 1 and {message}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, fails", [
         ("decode", False), ("bench", False), ("decode", True),

@@ -30,6 +30,7 @@ from parner.scheduler import (
     span_probability,
 )
 from parner.synthetic import make_corpus
+from parner.templates import build_count_prompt
 from conftest import (
     TRACE_COUNTS,
     TRACE_EXPECTED_EXAMPLE_LATENCY,
@@ -362,6 +363,19 @@ class _MentionBatchDownBackend(CompletionBackend):
         return self._inner.generate_batch(requests)
 
 
+class _CountDownBackend(CompletionBackend):
+    """Answers from an oracle, one request at a time, except one label's count."""
+
+    def __init__(self, inner: CompletionBackend, count_prompt: str):
+        self._inner = inner
+        self._down = count_prompt
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        if request.prompt == self._down:
+            raise BackendError("down")
+        return self._inner.generate(request)
+
+
 class TestFailurePaths:
     """Backend failures become exact defect strings; the CLI writes them out."""
 
@@ -384,6 +398,18 @@ class TestFailurePaths:
         assert outcome.example_latency_ms == 0.0
         assert outcome.step1_batch_size == (1 if mode.startswith("autoreg") else 4)
         assert outcome.step2_batch_size == 0
+
+    @pytest.mark.parametrize("mode", ["pair-multi", "pair-batch"])
+    def test_one_count_failing_without_batches_loses_only_its_label(
+            self, mode, labels, template):
+        pairs = make_corpus(10, labels, seed=4)
+        doc, gold = next((d, g) for d, g in pairs if g.for_label("ORG"))
+        oracle = OracleBackend(pairs, labels, template)
+        backend = _CountDownBackend(oracle, build_count_prompt(doc, "ORG", template))
+        outcome = run_corpus([doc], labels, backend, template, mode, parallelism=1)[0]
+        assert outcome.defects == ["count request failed for label ORG: down"]
+        got = mention_multiset(Mention(m.label, m.text) for m in outcome.raw_mentions)
+        assert got == mention_multiset(m for m in gold.mentions if m.label != "ORG")
 
     def test_mention_batch_failing(self, cuttitta, labels, template):
         doc, gold = cuttitta
@@ -434,6 +460,31 @@ class _ThreadCountingBackend(CompletionBackend):
             self.calls += 1
             self.off_thread += doc is None or doc.text not in request.prompt
         time.sleep(0.001)
+        return self._inner.generate(request)
+
+
+class _BatchingThreadCountingBackend(_ThreadCountingBackend):
+    """A thread-counting backend that forwards batches to its inner backend."""
+
+    def generate_batch(self, requests):
+        return self._inner.generate_batch(requests)
+
+
+class _ReversedBackend(CompletionBackend):
+    """Answers from an oracle, one request at a time; sleeps longest on the
+    first label's requests, so in flight together they finish in reverse."""
+
+    def __init__(self, inner: CompletionBackend, labels, template, max_in_flight: int):
+        self._inner = inner
+        self._markers = [template.entity_header + labels.surface(label) + template.count_marker
+                         for label in labels]
+        self.max_in_flight = max_in_flight
+        self.threads = set()
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        self.threads.add(threading.get_ident())
+        rank = next(i for i, m in enumerate(self._markers) if m in request.prompt)
+        time.sleep((len(self._markers) - rank) * 0.003)
         return self._inner.generate(request)
 
 
@@ -549,8 +600,8 @@ class TestSharedPool:
 
         monkeypatch.setattr(scheduler, "ThreadPoolExecutor", no_pool)
         pairs = make_corpus(1, labels, seed=4)
-        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template),
-                                         max_in_flight=8)
+        backend = _BatchingThreadCountingBackend(OracleBackend(pairs, labels, template),
+                                                 max_in_flight=8)
         run_corpus([pairs[0][0]], labels, backend, template, mode, parallelism=4)
 
     def test_bug_stops_the_run_without_decoding_the_rest(self, labels, template):
@@ -566,9 +617,33 @@ class TestSharedPool:
         pairs = make_corpus(5, labels, seed=4)
         backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template))
         before = threading.active_count()
-        run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
-                   parallelism=1)
+        for mode in ("pair-multi", "pair-batch"):
+            run_corpus([doc for doc, _ in pairs], labels, backend, template, mode,
+                       parallelism=1)
         assert backend.peak <= before
+
+    def test_pair_batch_without_batches_fans_out_on_the_run_pool(self, labels, template):
+        pairs = make_corpus(40, labels, seed=4)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template),
+                                         max_in_flight=6)
+        before = threading.active_count()
+        run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-batch",
+                   parallelism=4)
+        assert backend.peak - before <= 6 - 1  # the calling thread is a worker
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_pair_batch_without_batches_keeps_request_order(
+            self, parallelism, labels, template):
+        pairs = make_corpus(4, labels, seed=4)
+        docs = [doc for doc, _ in pairs]
+        oracle = OracleBackend(pairs, labels, template)
+        one_at_a_time = _ReversedBackend(oracle, labels, template, max_in_flight=1)
+        serial = run_corpus(docs, labels, one_at_a_time, template, "pair-batch", parallelism=1)
+        backend = _ReversedBackend(oracle, labels, template, max_in_flight=4)
+        got = run_corpus(docs, labels, backend, template, "pair-batch",
+                         parallelism=parallelism)
+        assert len(backend.threads) > 1
+        assert _decoded(got) == _decoded(serial)
 
     @pytest.mark.parametrize("mode, max_in_flight", [
         ("pair-multi", 1), ("onestep", 1), ("pair-multi", 12), ("onestep", 12),
