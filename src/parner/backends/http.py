@@ -298,7 +298,9 @@ class HttpBackend(CompletionBackend):
     whose ``Retry-After`` is a non-negative number of seconds waits that
     long instead.  A response that breaks the ``CompletionResult``
     contract is a ``TransportError``.  ``latency_ms`` is wall-clock
-    measured around the successful call.
+    measured around the successful call.  A ``max_in_flight`` below 1, a
+    ``max_retries`` or ``backoff_s`` below 0, or a ``timeout_s`` that is
+    not a finite number above 0 raises ``ValueError``.
 
     The environment is read once, when the backend is built: proxies for
     ``url`` (honouring ``NO_PROXY``), the CA bundle
@@ -329,6 +331,10 @@ class HttpBackend(CompletionBackend):
         if max_in_flight < 1 or max_retries < 0:
             raise ValueError(f"max_in_flight must be >= 1 and max_retries >= 0, "
                              f"got {max_in_flight} and {max_retries}")
+        if not (math.isfinite(timeout_s) and timeout_s > 0):
+            raise ValueError(f"timeout_s must be a finite number > 0, got {timeout_s}")
+        if not backoff_s >= 0:  # NaN too
+            raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
         self._url = url
         self._timeout_s = timeout_s
         self._max_retries = max_retries

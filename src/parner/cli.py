@@ -1,9 +1,14 @@
 """Command-line interface: reformat, decode, eval, bench.
 
+Every option is declared once, in ``_OPTIONS``: the commands that take it,
+its default for each, the check its value must pass and its help text.
 Options resolve in three layers: command-line flag, then the JSON file
-given via --config, then the built-in default.  Every run writes its fully
-resolved configuration beside its outputs (resolved_config.json), so any
-result can be reproduced from the artifacts alone.
+given via --config, then the built-in default; every resolved value is
+checked, wherever it came from, before anything is loaded or written.
+Backend settings are declared once too, in ``_BACKEND_SETTINGS``.  Every
+run writes its fully resolved configuration beside its outputs
+(resolved_config.json), so any result can be reproduced from the artifacts
+alone.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 completed with
 more runtime defects than --max-defects allows.
@@ -18,7 +23,7 @@ import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from parner.backends import (
     BackendError,
@@ -67,115 +72,181 @@ class ConfigError(ValueError):
     """Invalid option combination or unreadable configuration input."""
 
 
-# builtin defaults, overridable by --config file, overridden by flags
-_COMMON_DEFAULTS = {
-    "corpus_format": "jsonl",
-    "joiner": " ",
-    "bio_malformed": "treat-as-b",
-    "label_map": None,
-    "max_mentions": None,
-    "template": None,
-    "out": "out",
-    "max_defects": 0,
-}
-_DEFAULTS: Dict[str, Dict] = {
-    "reformat": {**_COMMON_DEFAULTS, "formats": ",".join(FORMATS)},
-    "decode": {
-        **_COMMON_DEFAULTS,
-        "backend": "oracle",
-        "backend_config": None,
-        "mode": "pair-multi",
-        "dedup": "keep-max",
-        "parallelism": 4,
-        "repeats": 1,
-        "seed": 0,
-        "max_new_tokens": 512,
-    },
-    "eval": {
-        **_COMMON_DEFAULTS,
-        "pred": None,
-        "semantics": "multiset",
-        "report_format": "json",
-    },
-    "bench": {
-        **_COMMON_DEFAULTS,
-        "backend": "oracle",
-        "backend_config": None,
-        "modes": ",".join(MODES),
-        "baseline": "autoreg-struct",
-        "dedup": "keep-max",
-        "parallelism": 4,
-        "repeats": 3,
-        "seed": 0,
-        "max_new_tokens": 512,
-    },
-}
+# ---------------------------------------------------------------------------
+# Options
+# ---------------------------------------------------------------------------
+
+class _Check(NamedTuple):
+    """How an option's value is checked, and the argparse keywords of its flag."""
+
+    test: Callable[[str, object], None]  # raises ConfigError naming the option
+    flag: Dict = {}
 
 
-# integer options: the least value each may take, and how an error names it
-_INTEGER_OPTIONS = {
-    "parallelism": (1, "a positive integer"), "repeats": (1, "a positive integer"),
-    "max_new_tokens": (1, "a positive integer"), "max_defects": (0, "a non-negative integer"),
-    "max_mentions": (0, "null or a non-negative integer"), "seed": (-math.inf, "an integer"),
-}
-
-
-def _resolve_options(ns: argparse.Namespace, command: str) -> Dict:
-    """Merge flags, config file and builtin defaults into one dict.
-
-    Every integer option the command takes is checked here, before anything
-    is loaded or written; ``max_mentions`` may also be null (no limit).
-    """
-    from_file: Dict = {}
-    if ns.config:
-        with open(ns.config, encoding="utf-8") as handle:
-            from_file = json.load(handle)
-        if not isinstance(from_file, dict):
-            raise ConfigError(f"--config must hold a JSON object: {ns.config}")
-        unknown = set(from_file) - set(_DEFAULTS[command]) - {"corpus", "labels"}
-        if unknown:
-            raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    resolved: Dict = {"command": command}
-    for key in ("corpus", "labels", *_DEFAULTS[command].keys()):
-        value = getattr(ns, key, None)
-        if value is None:
-            value = from_file.get(key, _DEFAULTS[command].get(key))
-        resolved[key] = value
-    if not resolved.get("corpus"):
-        raise ConfigError("--corpus is required (flag or config file)")
-    if not resolved.get("labels"):
-        raise ConfigError("--labels is required (flag or config file)")
-    for key, (least, kind) in _INTEGER_OPTIONS.items():
-        value = resolved.get(key)
-        if key not in resolved or (value is None and key == "max_mentions"):
-            continue
-        if type(value) is not int or value < least:  # a bool is no integer here
+def _kind(accepts: Callable[[object], bool], kind: str, **flag) -> _Check:
+    def check(key: str, value) -> None:
+        if not accepts(value):
             raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    return resolved
+    return _Check(check, flag)
+
+
+def _integer(least: float, kind: str, nullable: bool = False) -> _Check:
+    # a bool is no integer here
+    return _kind(lambda v: (nullable and v is None) or (type(v) is int and v >= least),
+                 kind, type=int)
 
 
 def _split_csv(value) -> List[str]:
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [part.strip() for part in str(value).split(",") if part.strip()]
+    if isinstance(value, list):
+        return list(value)
+    return [part.strip() for part in value.split(",") if part.strip()]
+
+
+_CSV = _kind(lambda v: isinstance(v, str) or (
+    isinstance(v, list) and all(isinstance(item, str) for item in v)),
+    "a comma-separated string or a list of strings")
+
+
+def _choice(noun: str, choices: Sequence[str], csv: bool = False) -> _Check:
+    """One of ``choices``; with ``csv``, a comma-separated string or list of them, none twice."""
+    def check(key: str, value) -> None:
+        if csv:
+            _CSV.test(key, value)
+        items = _split_csv(value) if csv else [value]
+        for i, item in enumerate(items):
+            if item not in choices:
+                raise ConfigError(f"unknown {noun}: {item!r} ({key} takes {', '.join(choices)})")
+            if item in items[:i]:
+                raise ConfigError(f"{key} names {noun} {item!r} twice")
+    return _Check(check, {} if csv else {"choices": choices})
+
+
+def _required(inner: _Check) -> _Check:
+    def check(key: str, value) -> None:
+        if value in (None, "", []):
+            raise ConfigError(f"--{key.replace('_', '-')} is required (flag or config file)")
+        inner.test(key, value)
+    return _Check(check, inner.flag)
+
+
+_STRING = _kind(lambda v: isinstance(v, str), "a string")
+_PATH_OR_NULL = _kind(lambda v: v is None or isinstance(v, str), "null or a path")
+_POSITIVE = _integer(1, "a positive integer")
+
+# each backend's settings and their JSON types: float takes any JSON number,
+# and [{...}] is a list of objects with exactly those keys.  A setting the
+# config leaves out is not passed, so its default lives in the constructor.
+_BACKEND_SETTINGS: Dict[str, Dict] = {
+    "oracle": {
+        "p_count": float, "p_index": float,
+        "forced_counts": [{"doc_id": str, "label": str, "count": int}],
+        "forced_mentions": [{"doc_id": str, "label": str, "index": int, "surface": str}],
+        "ms_per_token": float, "fixed_overhead_ms": float, "batch_penalty_alpha": float,
+        "hi_token_prob": float, "lo_token_prob": float, "prob_jitter": float,
+    },
+    "scripted": {"fixtures": str},
+    "http": {"url": str, "timeout_s": float, "max_retries": int, "max_in_flight": int},
+}
+
+
+class _Option(NamedTuple):
+    name: str
+    defaults: Dict[str, object]  # default per command; the commands that take the option
+    check: _Check
+    help: str
+
+
+_ALL = ("reformat", "decode", "eval", "bench")
+_WRITERS = ("reformat", "decode", "bench")
+_RUNS = ("decode", "bench")
+
+_OPTIONS: Tuple[_Option, ...] = (
+    _Option("corpus", dict.fromkeys(_ALL), _required(_STRING), "corpus file path"),
+    _Option("labels", dict.fromkeys(_ALL), _required(_CSV),
+            "comma-separated label names, in canonical order"),
+    _Option("corpus_format", dict.fromkeys(_ALL, "jsonl"),
+            _choice("corpus format", ("jsonl", "bio")), "corpus file format"),
+    _Option("joiner", dict.fromkeys(_ALL, " "), _STRING,
+            "token joiner for BIO corpora ('' for unspaced text)"),
+    _Option("bio_malformed", dict.fromkeys(_ALL, "treat-as-b"),
+            _choice("BIO policy", ("treat-as-b", "error")),
+            "policy for I- tags without a matching B-"),
+    _Option("label_map", dict.fromkeys(_ALL), _PATH_OR_NULL,
+            "JSON file mapping labels to prompt surfaces"),
+    _Option("max_mentions", dict.fromkeys(_ALL),
+            _integer(0, "null or a non-negative integer", nullable=True),
+            "drop documents with more total mentions than this"),
+    _Option("template", dict.fromkeys(_WRITERS), _PATH_OR_NULL,
+            "JSON file overriding prompt template fields"),
+    _Option("out", dict.fromkeys(_ALL, "out"), _required(_STRING), "output directory"),
+    _Option("max_defects", dict.fromkeys(_WRITERS, 0), _integer(0, "a non-negative integer"),
+            "exit 2 when runtime defects exceed this count"),
+    _Option("formats", {"reformat": ",".join(FORMATS)}, _choice("format", FORMATS, csv=True),
+            f"comma-separated output formats (default all of {','.join(FORMATS)})"),
+    _Option("backend", dict.fromkeys(_RUNS, "oracle"),
+            _choice("backend", tuple(_BACKEND_SETTINGS)), "completion backend"),
+    _Option("backend_config", dict.fromkeys(_RUNS), _PATH_OR_NULL,
+            "JSON file with backend settings"),
+    _Option("mode", {"decode": "pair-multi"}, _choice("mode", MODES), "decode mode"),
+    _Option("modes", {"bench": ",".join(MODES)}, _choice("mode", MODES, csv=True),
+            "comma-separated decode modes to compare"),
+    _Option("baseline", {"bench": "autoreg-struct"}, _choice("mode", MODES),
+            "mode used as the speedup denominator reference"),
+    _Option("dedup", dict.fromkeys(_RUNS, "keep-max"), _choice("dedup policy", DEDUP_MODES),
+            "policy for the same surface under several labels"),
+    _Option("parallelism", dict.fromkeys(_RUNS, 4), _POSITIVE, "documents decoded at once"),
+    _Option("repeats", {"decode": 1, "bench": 3}, _POSITIVE,
+            "decodes per document, whose latencies are averaged"),
+    _Option("seed", dict.fromkeys(_RUNS, 0), _integer(-math.inf, "an integer"),
+            "seed of the oracle's error injection"),
+    _Option("max_new_tokens", dict.fromkeys(_RUNS, 512), _POSITIVE,
+            "generated tokens per sequence at most"),
+    _Option("pred", {"eval": None}, _required(_STRING),
+            "predictions file (JSON-lines span format)"),
+    _Option("semantics", {"eval": "multiset"}, _choice("semantics", ("multiset", "set")),
+            "score repeated mentions as a multiset or as a set"),
+    _Option("report_format", {"eval": "json"}, _choice("report format", ("json", "markdown")),
+            "markdown also writes report.md"),
+)
+
+
+def _read_json(path: str, what: str = ""):
+    """The JSON value in ``path``; with ``what``, it must be an object."""
+    with open(path, encoding="utf-8") as handle:
+        value = json.load(handle)
+    if what and not isinstance(value, dict):
+        raise ConfigError(f"{what} must hold a JSON object: {path}")
+    return value
+
+
+def _resolve_options(ns: argparse.Namespace) -> Dict:
+    """Merge flags, config file and builtin defaults into one checked dict."""
+    command = ns.command
+    options = [option for option in _OPTIONS if command in option.defaults]
+    from_file: Dict = _read_json(ns.config, "--config") if ns.config else {}
+    unknown = set(from_file) - {option.name for option in options}
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    resolved: Dict = {"command": command}
+    for option in options:
+        value = getattr(ns, option.name)
+        if value is None:
+            value = from_file.get(option.name, option.defaults[command])
+        option.check.test(option.name, value)
+        resolved[option.name] = value
+    return resolved
 
 
 def _load_labels(options: Dict) -> LabelSet:
-    mapping = None
-    if options.get("label_map"):
-        with open(options["label_map"], encoding="utf-8") as handle:
-            mapping = json.load(handle)
+    mapping = _read_json(options["label_map"]) if options["label_map"] else None
     return LabelSet(_split_csv(options["labels"]), surface_map=mapping)
 
 
 def _load_template(options: Dict) -> PromptTemplate:
-    path = options.get("template")
+    path = options["template"]
     if not path:
         return PromptTemplate()
-    with open(path, encoding="utf-8") as handle:
-        fields = json.load(handle)
-    if not isinstance(fields, dict):
-        raise ConfigError(f"template file must hold a JSON object: {path}")
+    fields = _read_json(path, "template file")
     preset = fields.pop("preset", None)
     if preset is None:
         base = PromptTemplate()
@@ -193,88 +264,89 @@ def _load_template(options: Dict) -> PromptTemplate:
 def _load_corpus(
     options: Dict, labels: LabelSet
 ) -> Tuple[List[Tuple[Document, GoldAnnotation]], List[str]]:
-    path = options["corpus"]
-    with open(path, encoding="utf-8") as handle:
+    with open(options["corpus"], encoding="utf-8") as handle:
         text = handle.read()
     if options["corpus_format"] == "bio":
         pairs = parse_bio(text, labels, joiner=options["joiner"],
                           malformed=options["bio_malformed"])
-    elif options["corpus_format"] == "jsonl":
-        pairs = parse_spans_json(text, labels)
     else:
-        raise ConfigError(f"unknown corpus format: {options['corpus_format']!r}")
+        pairs = parse_spans_json(text, labels)
     return filter_max_mentions(pairs, options["max_mentions"])
 
 
-def _load_backend_config(options: Dict) -> Dict:
-    path = options.get("backend_config")
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        cfg = json.load(handle)
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"backend config must hold a JSON object: {path}")
-    return cfg
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _typed(where: str, value, kind):
+    """``value`` as the JSON type ``kind``, or a ConfigError naming ``where``."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_typed(f"{where}[{i}]", item, kind[0]) for i, item in enumerate(value)]
+    if isinstance(kind, dict):
+        if not isinstance(value, dict) or value.keys() != kind.keys():
+            raise ConfigError(f"{where} must be an object with keys {sorted(kind)}, "
+                              f"got {value!r}")
+        return {key: _typed(f"{where}.{key}", value[key], kind[key]) for key in kind}
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ConfigError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _backend_settings(options: Dict) -> Dict:
+    """The --backend-config settings, each checked against its JSON type."""
+    path, backend = options["backend_config"], options["backend"]
+    settings = _read_json(path, "backend config") if path else {}
+    kinds = _BACKEND_SETTINGS[backend]
+    unknown = set(settings) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {backend} backend settings: {sorted(unknown)} "
+                          f"(expected some of {sorted(kinds)})")
+    return {key: _typed(f"{backend} backend setting {key}", value, kinds[key])
+            for key, value in settings.items()}
 
 
 def _make_backend(
     options: Dict,
+    settings: Dict,
     pairs: List[Tuple[Document, GoldAnnotation]],
     labels: LabelSet,
     template: PromptTemplate,
 ) -> CompletionBackend:
-    kind = options["backend"]
-    cfg = _load_backend_config(options)
-    if kind == "oracle":
-        # settings the config leaves out keep the constructors' defaults
-        def floats(*keys: str) -> Dict[str, float]:
-            return {key: float(cfg[key]) for key in keys if key in cfg}
+    backend = options["backend"]
+    if backend == "oracle":
+        def pick(*keys: str) -> Dict:
+            return {key: settings[key] for key in keys if key in settings}
 
         errors = ErrorInjection(
-            **floats("p_count", "p_index"),
-            forced_counts={
-                (e["doc_id"], e["label"]): int(e["count"])
-                for e in cfg.get("forced_counts", [])
-            },
-            forced_mentions={
-                (e["doc_id"], e["label"], int(e["index"])): e["surface"]
-                for e in cfg.get("forced_mentions", [])
-            },
+            **pick("p_count", "p_index"),
+            forced_counts={(e["doc_id"], e["label"]): e["count"]
+                           for e in settings.get("forced_counts", [])},
+            forced_mentions={(e["doc_id"], e["label"], e["index"]): e["surface"]
+                             for e in settings.get("forced_mentions", [])},
         )
-        cost = CostModel(**floats("ms_per_token", "fixed_overhead_ms", "batch_penalty_alpha"))
+        cost = CostModel(**pick("ms_per_token", "fixed_overhead_ms", "batch_penalty_alpha"))
         return OracleBackend(
             pairs, labels, template=template, cost=cost, errors=errors, seed=options["seed"],
-            **floats("hi_token_prob", "lo_token_prob", "prob_jitter"),
+            **pick("hi_token_prob", "lo_token_prob", "prob_jitter"),
         )
-    if kind == "scripted":
-        fixtures = cfg.get("fixtures")
-        if not fixtures:
+    if backend == "scripted":
+        if not settings.get("fixtures"):
             raise ConfigError("scripted backend needs a 'fixtures' path in --backend-config")
-        return ScriptedBackend.from_jsonl(fixtures)
-    if kind == "http":
-        url = cfg.get("url")
-        if not url:
-            raise ConfigError("http backend needs a 'url' in --backend-config")
-        return HttpBackend(
-            url,
-            timeout_s=float(cfg.get("timeout_s", 60.0)),
-            max_retries=int(cfg.get("max_retries", 2)),
-            max_in_flight=int(cfg.get("max_in_flight", 8)),
-        )
-    raise ConfigError(f"unknown backend: {kind!r}")
+        return ScriptedBackend.from_jsonl(settings["fixtures"])
+    if not settings.get("url"):
+        raise ConfigError("http backend needs a 'url' in --backend-config")
+    return HttpBackend(**settings)
 
 
-def _write(out_dir: str, name: str, content: str) -> str:
+def _write(out_dir: str, name: str, content: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
         handle.write(content)
-    return path
 
 
-def _write_snapshot(out_dir: str, resolved: Dict) -> None:
-    _write(out_dir, "resolved_config.json",
-           json.dumps(resolved, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+def _write_json(out_dir: str, name: str, payload: Dict) -> None:
+    _write(out_dir, name, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _defect_exit(total_defects: int, max_defects: int) -> int:
@@ -288,8 +360,7 @@ def _defect_exit(total_defects: int, max_defects: int) -> int:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_reformat(ns: argparse.Namespace) -> int:
-    options = _resolve_options(ns, "reformat")
+def _cmd_reformat(options: Dict) -> int:
     labels = _load_labels(options)
     template = _load_template(options)
     pairs, dropped = _load_corpus(options, labels)
@@ -312,31 +383,26 @@ def _cmd_reformat(ns: argparse.Namespace) -> int:
     stats = corpus_stats(all_examples)
     stats["documents"] = len(pairs)
     stats["documents_dropped_by_mention_filter"] = dropped
-    _write(out_dir, "stats.json",
-           json.dumps(stats, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    _write_snapshot(out_dir, options)
+    _write_json(out_dir, "stats.json", stats)
+    _write_json(out_dir, "resolved_config.json", options)
     return _defect_exit(total_skipped, options["max_defects"])
 
 
 @contextlib.contextmanager
-def _load_run(options: Dict, modes: Sequence[str]):
-    """Check a decode or bench run's options, then load what every mode shares.
+def _load_run(options: Dict):
+    """Load what every mode of a decode or bench run shares.
 
-    Every check runs before anything is loaded, decoded or written.  Labels,
-    template, corpus and backend are loaded once; the yielded
-    ``decode(mode)`` decodes the corpus in one mode and de-duplicates it.
-    The backend is closed when the ``with`` block ends, however it ends.
+    The backend settings are checked first, then labels, template, corpus
+    and backend are loaded once; the yielded ``decode(mode)`` decodes the
+    corpus in one mode and de-duplicates it.  The backend is closed when
+    the ``with`` block ends, however it ends.
     """
-    unknown = [mode for mode in modes if mode not in MODES]
-    if unknown:
-        raise ConfigError(f"unknown mode: {unknown[0]!r} (expected one of {MODES})")
-    if options["dedup"] not in DEDUP_MODES:
-        raise ConfigError(f"unknown dedup policy: {options['dedup']!r}")
+    settings = _backend_settings(options)
     labels = _load_labels(options)
     template = _load_template(options)
     pairs, dropped = _load_corpus(options, labels)
     try:
-        backend = _make_backend(options, pairs, labels, template)
+        backend = _make_backend(options, settings, pairs, labels, template)
     except ValueError as exc:  # a bad backend setting or fixture entry
         raise ConfigError(str(exc)) from None
     docs = [doc for doc, _ in pairs]
@@ -374,9 +440,8 @@ def _outcome_row(outcome) -> Dict:
     }
 
 
-def _cmd_decode(ns: argparse.Namespace) -> int:
-    options = _resolve_options(ns, "decode")
-    with _load_run(options, [options["mode"]]) as (_, _, dropped, decode):
+def _cmd_decode(options: Dict) -> int:
+    with _load_run(options) as (_, _, dropped, decode):
         outcomes, predictions = decode(options["mode"])
     out_dir = options["out"]
 
@@ -390,19 +455,15 @@ def _cmd_decode(ns: argparse.Namespace) -> int:
         "total_defects": total_defects,
         "documents_dropped_by_mention_filter": dropped,
     }
-    _write(out_dir, "metrics.json",
-           json.dumps(metrics, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
-    _write_snapshot(out_dir, options)
+    _write_json(out_dir, "metrics.json", metrics)
+    _write_json(out_dir, "resolved_config.json", options)
     print(f"decoded {len(outcomes)} documents in mode {options['mode']}: "
           f"mean example latency {stats.mean_example_latency_ms:.2f} ms, "
           f"{total_defects} defects")
     return _defect_exit(total_defects, options["max_defects"])
 
 
-def _cmd_eval(ns: argparse.Namespace) -> int:
-    options = _resolve_options(ns, "eval")
-    if not options.get("pred"):
-        raise ConfigError("--pred is required")
+def _cmd_eval(options: Dict) -> int:
     labels = _load_labels(options)
     pairs, _ = _load_corpus(options, labels)
     with open(options["pred"], encoding="utf-8") as handle:
@@ -414,14 +475,13 @@ def _cmd_eval(ns: argparse.Namespace) -> int:
     _write(out_dir, "report.json", emit_report(evaluation=report, fmt="json"))
     if options["report_format"] == "markdown":
         _write(out_dir, "report.md", emit_report(evaluation=report, fmt="markdown"))
-    _write_snapshot(out_dir, options)
+    _write_json(out_dir, "resolved_config.json", options)
     print(f"micro F1 {report.f1:.4f} (precision {report.precision:.4f}, "
           f"recall {report.recall:.4f}) over {len(gold)} documents")
     return 0
 
 
-def _cmd_bench(ns: argparse.Namespace) -> int:
-    options = _resolve_options(ns, "bench")
+def _cmd_bench(options: Dict) -> int:
     modes = _split_csv(options["modes"])
     baseline_mode = options["baseline"]
     if baseline_mode not in modes:
@@ -431,7 +491,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     per_mode_stats = {}
     per_mode_f1 = {}
     total_defects = 0
-    with _load_run(options, modes) as (labels, pairs, _, decode):
+    with _load_run(options) as (labels, pairs, _, decode):
         gold = {doc.id: ann.mentions for doc, ann in pairs}
         for mode in modes:
             outcomes, predictions = decode(mode)
@@ -453,13 +513,12 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         "speedup": speedups,
         "baseline": baseline_mode,
     }
-    _write(out_dir, "bench.json",
-           json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+    _write_json(out_dir, "bench.json", payload)
     markdown = emit_report(latency=per_mode_stats, speedups=speedups, fmt="markdown")
     f1_lines = ["## Micro F1", "", "| run | f1 |", "| --- | --- |"]
     f1_lines += [f"| {mode} | {per_mode_f1[mode]:.4f} |" for mode in modes]
     _write(out_dir, "bench.md", markdown + "\n".join(f1_lines) + "\n")
-    _write_snapshot(out_dir, options)
+    _write_json(out_dir, "resolved_config.json", options)
     for mode in modes:
         stats = per_mode_stats[mode]
         print(f"{mode}: mean example latency {stats.mean_example_latency_ms:.2f} ms, "
@@ -474,34 +533,12 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with defaults for any option")
-    parser.add_argument("--corpus", help="corpus file path")
-    parser.add_argument("--corpus-format", dest="corpus_format", choices=["jsonl", "bio"])
-    parser.add_argument("--labels", help="comma-separated label names, in canonical order")
-    parser.add_argument("--label-map", dest="label_map",
-                        help="JSON file mapping labels to prompt surfaces")
-    parser.add_argument("--joiner", help="token joiner for BIO corpora ('' for unspaced text)")
-    parser.add_argument("--bio-malformed", dest="bio_malformed",
-                        choices=["treat-as-b", "error"],
-                        help="policy for I- tags without a matching B-")
-    parser.add_argument("--max-mentions", dest="max_mentions", type=int,
-                        help="drop documents with more total mentions than this")
-    parser.add_argument("--template", help="JSON file overriding prompt template fields")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--max-defects", dest="max_defects", type=int,
-                        help="exit 2 when runtime defects exceed this count")
-
-
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=["oracle", "scripted", "http"])
-    parser.add_argument("--backend-config", dest="backend_config",
-                        help="JSON file with backend settings")
-    parser.add_argument("--dedup", choices=list(DEDUP_MODES))
-    parser.add_argument("--parallelism", type=int)
-    parser.add_argument("--repeats", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-new-tokens", dest="max_new_tokens", type=int)
+_COMMANDS = {
+    "reformat": (_cmd_reformat, "rewrite a corpus as training examples"),
+    "decode": (_cmd_decode, "decode a corpus against a backend"),
+    "eval": (_cmd_eval, "score a prediction file against gold"),
+    "bench": (_cmd_bench, "compare decode modes on one corpus"),
+}
 
 
 def _build_parser() -> _ArgumentParser:
@@ -510,40 +547,21 @@ def _build_parser() -> _ArgumentParser:
         description="Parallel per-label NER decoding over text-completion backends.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_reformat = sub.add_parser("reformat", parents=[], help="rewrite a corpus as training examples")
-    _add_common(p_reformat)
-    p_reformat.add_argument("--formats", help="comma-separated output formats "
-                            f"(default all of {','.join(FORMATS)})")
-    p_reformat.set_defaults(func=_cmd_reformat)
-
-    p_decode = sub.add_parser("decode", help="decode a corpus against a backend")
-    _add_common(p_decode)
-    _add_run_options(p_decode)
-    p_decode.add_argument("--mode", choices=list(MODES))
-    p_decode.set_defaults(func=_cmd_decode)
-
-    p_eval = sub.add_parser("eval", help="score a prediction file against gold")
-    _add_common(p_eval)
-    p_eval.add_argument("--pred", help="predictions file (JSON-lines span format)")
-    p_eval.add_argument("--semantics", choices=["multiset", "set"])
-    p_eval.add_argument("--report-format", dest="report_format", choices=["json", "markdown"])
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_bench = sub.add_parser("bench", help="compare decode modes on one corpus")
-    _add_common(p_bench)
-    _add_run_options(p_bench)
-    p_bench.add_argument("--modes", help="comma-separated decode modes to compare")
-    p_bench.add_argument("--baseline", help="mode used as the speedup denominator reference")
-    p_bench.set_defaults(func=_cmd_bench)
+    for command, (func, help_text) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        p_command.add_argument("--config", help="JSON file with defaults for any option")
+        for option in _OPTIONS:
+            if command in option.defaults:
+                p_command.add_argument("--" + option.name.replace("_", "-"),
+                                       help=option.help, **option.check.flag)
+        p_command.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        return ns.func(_resolve_options(ns))
     except (ConfigError, CorpusError, TemplateError, EvalError, BackendError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"parner: error: {exc}", file=sys.stderr)

@@ -66,8 +66,8 @@ class LabelSet:
     Label order is semantic: prompts, training examples and report rows are
     all emitted in this order, and ties elsewhere break toward the earliest
     label.  ``surface_map`` rewrites canonical labels to the strings shown
-    to the model (e.g. "LOC" -> "地点"); scoring stays in canonical space
-    via the retained inverse.
+    to the model (e.g. "LOC" -> "地点") and must map every label to a
+    string; scoring stays in canonical space via the retained inverse.
     """
 
     def __init__(self, labels: Sequence[str], surface_map: Optional[Dict[str, str]] = None):
@@ -79,10 +79,14 @@ class LabelSet:
         self.labels: Tuple[str, ...] = tuple(labels)
         self._rank = {label: i for i, label in enumerate(self.labels)}
         if surface_map is not None:
+            if not isinstance(surface_map, dict):
+                raise CorpusError(f"surface mapping must be a dict, got {surface_map!r}")
             missing = [l for l in self.labels if l not in surface_map]
             if missing:
                 raise CorpusError(f"labels without a surface mapping: {missing}")
             surfaces = [surface_map[l] for l in self.labels]
+            if not all(isinstance(s, str) for s in surfaces):
+                raise CorpusError(f"surface mapping must map labels to strings: {surface_map}")
             if len(set(surfaces)) != len(surfaces):
                 raise CorpusError("surface mapping is not invertible (duplicate surfaces)")
             self.surface_map: Optional[Dict[str, str]] = dict(surface_map)

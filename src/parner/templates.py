@@ -14,7 +14,7 @@ import bisect
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 from parner.corpus import CorpusError, Document, GoldAnnotation, LabelSet, Mention
@@ -72,7 +72,8 @@ class PromptTemplate:
         <num>
 
     ``mention_marker`` must contain exactly one ``{n}`` placeholder for the
-    1-based mention index.  The autoregressive/one-step headers below the
+    1-based mention index.  Every other field but ``max_count``, an integer
+    of at least 1, must be a string too.  The autoregressive/one-step headers below the
     divider frame the baseline formats; they are fixture strings of this
     implementation, not part of the two-step protocol itself.
     """
@@ -92,6 +93,11 @@ class PromptTemplate:
     onestep_text_marker: str = "<text>"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            expected, kind = (int, "an integer") if f.name == "max_count" else (str, "a string")
+            if type(value) is not expected:  # a bool is no count here
+                raise TemplateError(f"{f.name} must be {kind}, got {value!r}")
         if self.mention_marker.count("{n}") != 1:
             raise TemplateError(
                 f"mention_marker needs exactly one {{n}} placeholder: {self.mention_marker!r}"

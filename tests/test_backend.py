@@ -544,6 +544,19 @@ class TestHttpBackend:
         with pytest.raises(ValueError, match=f"max_retries >= 0, {got}"):
             HttpBackend("http://127.0.0.1:9/v1/completions", **limits)
 
+    @pytest.mark.parametrize("timing, message", [
+        ({"timeout_s": -1.0}, "timeout_s must be a finite number > 0, got -1.0"),
+        ({"timeout_s": 0}, "timeout_s must be a finite number > 0, got 0"),
+        ({"timeout_s": math.inf}, "timeout_s must be a finite number > 0, got inf"),
+        ({"timeout_s": math.nan}, "timeout_s must be a finite number > 0, got nan"),
+        ({"backoff_s": -0.5}, "backoff_s must be >= 0, got -0.5"),
+        ({"backoff_s": math.nan}, "backoff_s must be >= 0, got nan"),
+    ], ids=["negative-timeout", "zero-timeout", "infinite-timeout", "nan-timeout",
+            "negative-backoff", "nan-backoff"])
+    def test_bad_timing_rejected(self, timing, message):
+        with pytest.raises(ValueError, match=message):
+            HttpBackend("http://127.0.0.1:9/v1/completions", **timing)
+
     def test_round_trip(self, stub_server):
         backend = HttpBackend(_url(stub_server))
         result = backend.generate(CompletionRequest(prompt="p", max_new_tokens=64))

@@ -291,6 +291,124 @@ class TestDecode:
         assert not out.exists()
 
 
+# one bad --config value per entry of cli._OPTIONS: (option, command, value)
+BAD_CONFIG_VALUES = [
+    ("corpus", "decode", ["c"]),
+    ("labels", "reformat", 5),
+    ("corpus_format", "eval", "conll"),
+    ("joiner", "reformat", 5),
+    ("bio_malformed", "decode", "skip"),
+    ("label_map", "eval", ["m"]),
+    ("max_mentions", "bench", True),
+    ("template", "bench", ["t"]),
+    ("out", "decode", ["o"]),
+    ("max_defects", "reformat", 1.5),
+    ("formats", "reformat", ["pair", "bogus"]),
+    ("backend", "decode", "gpt"),
+    ("backend_config", "bench", ["b"]),
+    ("mode", "decode", "warp"),
+    ("modes", "bench", ["autoreg-struct", 3]),
+    ("baseline", "bench", 5),
+    ("dedup", "decode", "keep-all"),
+    ("parallelism", "bench", "4"),
+    ("repeats", "decode", 0),
+    ("seed", "decode", None),
+    ("max_new_tokens", "bench", 0.5),
+    ("pred", "eval", ["p"]),
+    ("semantics", "eval", "bogus"),
+    ("report_format", "eval", "html"),
+]
+
+HTTP_URL = "http://127.0.0.1:9/v1/completions"
+
+
+class TestOptionChecks:
+    def test_every_option_has_a_bad_config_case(self):
+        assert sorted(option for option, _, _ in BAD_CONFIG_VALUES) == \
+            sorted(option.name for option in cli._OPTIONS)
+
+    @pytest.mark.parametrize("option, command, value", BAD_CONFIG_VALUES,
+                             ids=[option for option, _, _ in BAD_CONFIG_VALUES])
+    def test_bad_config_value_rejected_before_writing(self, tmp_path, corpus_path, monkeypatch,
+                                                      capsys, option, command, value):
+        monkeypatch.chdir(tmp_path)
+        flags = {"corpus": corpus_path, "labels": LABELS_ARG, "out": "out"}
+        if command == "eval":
+            flags["pred"] = corpus_path
+        flags.pop(option, None)  # a flag would win over the config file
+        argv = [command, "--config", write_json(tmp_path, "config.json", {option: value})]
+        for key, flag_value in flags.items():
+            argv += [f"--{key}", flag_value]
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parner: error: ") and option in err
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("backend, settings, message", [
+        ("oracle", {"p_cout": 0.5}, "unknown oracle backend settings: ['p_cout']"),
+        ("oracle", {"p_count": "x"}, "oracle backend setting p_count must be a number, got 'x'"),
+        ("oracle", {"forced_counts": [{"doc_id": "d0"}]},
+         "oracle backend setting forced_counts[0] must be an object with keys "
+         "['count', 'doc_id', 'label'], got {'doc_id': 'd0'}"),
+        ("oracle", {"forced_mentions": [
+            {"doc_id": "d0", "label": "LOC", "index": "1", "surface": "Italy"}]},
+         "oracle backend setting forced_mentions[0].index must be an integer, got '1'"),
+        ("scripted", {"fixtures": "f.jsonl", "fixture": "f.jsonl"},
+         "unknown scripted backend settings: ['fixture']"),
+        ("scripted", {"fixtures": ["f.jsonl"]},
+         "scripted backend setting fixtures must be a string, got ['f.jsonl']"),
+        ("http", {"url": HTTP_URL, "max_inflight": 2},
+         "unknown http backend settings: ['max_inflight']"),
+        ("http", {"url": HTTP_URL, "max_retries": 2.7},
+         "http backend setting max_retries must be an integer, got 2.7"),
+        ("http", {"url": HTTP_URL, "timeout_s": -1},
+         "timeout_s must be a finite number > 0, got -1.0"),
+        ("http", {"url": HTTP_URL, "timeout_s": 0},
+         "timeout_s must be a finite number > 0, got 0.0"),
+        ("http", {"url": HTTP_URL, "timeout_s": float("inf")},
+         "timeout_s must be a finite number > 0, got inf"),
+    ], ids=["oracle-unknown", "oracle-mistyped", "oracle-forced-counts",
+            "oracle-forced-mentions", "scripted-unknown", "scripted-mistyped",
+            "http-unknown", "http-mistyped", "http-negative-timeout", "http-zero-timeout",
+            "http-infinite-timeout"])
+    def test_bad_backend_setting_rejected_before_writing(self, tmp_path, corpus_path, capsys,
+                                                         backend, settings, message):
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--backend", backend, "--out", str(out),
+                     "--backend-config", write_json(tmp_path, "backend.json", settings)])
+        assert code == 1
+        assert f"parner: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--template", "t.json"), ("--max-defects", "3")])
+    def test_eval_takes_neither_template_nor_max_defects(self, tmp_path, corpus_path,
+                                                         flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                  "--pred", corpus_path, "--out", str(out), flag, value])
+        assert err.value.code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("reformat", ["--formats", "pair,bogus"],
+         "unknown format: 'bogus' (formats takes pair, aug, struct, onestep)"),
+        ("reformat", ["--formats", "pair,aug,pair"], "formats names format 'pair' twice"),
+        ("bench", ["--modes", "onestep,autoreg-struct,onestep"],
+         "modes names mode 'onestep' twice"),
+    ], ids=["unknown-format", "repeated-format", "repeated-mode"])
+    def test_bad_list_rejected_before_writing(self, tmp_path, corpus_path, capsys,
+                                              command, flags, message):
+        out = tmp_path / "out"
+        code = main([command, "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--out", str(out), *flags])
+        assert code == 1
+        assert f"parner: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEval:
     def test_decode_then_eval(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "out"

@@ -58,6 +58,16 @@ class TestLabelSet:
         with pytest.raises(CorpusError):
             LabelSet(["LOC", "PER"], surface_map={"LOC": "x", "PER": "x"})
 
+    @pytest.mark.parametrize("surface_map, message", [
+        ({"LOC": "地点", "PER": 5}, "must map labels to strings"),
+        ({"LOC": "地点", "PER": None}, "must map labels to strings"),
+        (["LOC", "PER"], "surface mapping must be a dict, got"),
+        ("LOC", "surface mapping must be a dict, got"),
+    ], ids=["int-surface", "null-surface", "list", "string"])
+    def test_surface_map_must_map_labels_to_strings(self, surface_map, message):
+        with pytest.raises(CorpusError, match=message):
+            LabelSet(["LOC", "PER"], surface_map=surface_map)
+
     def test_unknown_label_lookups_raise(self):
         ls = LabelSet(["LOC"])
         with pytest.raises(CorpusError):

@@ -98,6 +98,20 @@ class TestPromptConstruction:
         with pytest.raises(TemplateError):
             PromptTemplate(max_count=0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"max_count": "x"}, "max_count must be an integer, got 'x'"),
+        ({"max_count": 2.0}, "max_count must be an integer, got 2.0"),
+        ({"max_count": True}, "max_count must be an integer, got True"),
+        ({"count_terminator": 5}, "count_terminator must be a string, got 5"),
+        ({"text_header": None}, "text_header must be a string, got None"),
+        ({"mention_marker": ["<mention {n}>"]},
+         r"mention_marker must be a string, got \['<mention {n}>'\]"),
+    ], ids=["max-count-string", "max-count-float", "max-count-bool", "terminator-int",
+            "header-null", "marker-list"])
+    def test_template_field_types(self, fields, message):
+        with pytest.raises(TemplateError, match=message):
+            PromptTemplate(**fields)
+
 
 class TestParseCount:
     def test_basic(self, template):
