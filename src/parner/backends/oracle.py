@@ -139,37 +139,34 @@ class OracleBackend(CompletionBackend):
 
     # -- seeded, order-independent randomness --------------------------------
 
-    def _unit(self, *parts: object) -> float:
-        """Uniform [0, 1) derived from the seed and the decision identity."""
-        material = "\x1f".join(str(p) for p in (self._seed, *parts))
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0**64
+    def _units(self, key: Sequence[object], lasts: Iterable[object]) -> List[float]:
+        """Uniform [0, 1) draws for ``(*key, last)``, one per item of ``lasts``.
 
-    def _logprob(self, erroneous: bool, *key: object) -> float:
-        base = self._lo if erroneous else self._hi
-        if self._jitter:
-            base += (self._unit("jitter", *key) * 2.0 - 1.0) * self._jitter
-        return _clamped_log(base)
-
-    def _logprobs(self, n: int, erroneous: bool, *key: object) -> List[float]:
-        """``[_logprob(erroneous, *key, i) for i in range(n)]``, hashing the key once.
-
-        SHA-256 and UTF-8 both compose over prefixes, so each token's digest
-        extends a copy of the sequence's hashed key by the token index and
-        every value is bit-identical to ``_logprob``'s.
+        Each draw is the SHA-256 of the seed and its parts, as strings
+        joined by the unit separator U+001F.  SHA-256 and UTF-8 both compose
+        over prefixes, so the seed and ``key`` are hashed once and each draw
+        extends a copy of that hash by its last part.
         """
+        material = "\x1f".join(map(str, (self._seed, *key))) + "\x1f"
+        prefix = hashlib.sha256(material.encode("utf-8"))
+        units = []
+        for last in lasts:
+            draw = prefix.copy()
+            draw.update(str(last).encode("utf-8"))
+            units.append(int.from_bytes(draw.digest()[:8], "big") / 2.0**64)
+        return units
+
+    def _unit(self, *parts: object) -> float:
+        """The draw for one decision identity."""
+        return self._units(parts[:-1], parts[-1:])[0]
+
+    def _logprobs(self, erroneous: bool, key: Tuple, lasts: Sequence[object]) -> List[float]:
+        """One token logprob per item of ``lasts``, jittered by the draw ``("jitter", *key, last)``."""
         base = self._lo if erroneous else self._hi
         if not self._jitter:
-            return [_clamped_log(base)] * n
-        material = "\x1f".join(str(p) for p in (self._seed, "jitter", *key)) + "\x1f"
-        sequence = hashlib.sha256(material.encode("utf-8"))
-        logprobs = []
-        for i in range(n):
-            token = sequence.copy()
-            token.update(b"%d" % i)
-            unit = int.from_bytes(token.digest()[:8], "big") / 2.0**64
-            logprobs.append(_clamped_log(base + (unit * 2.0 - 1.0) * self._jitter))
-        return logprobs
+            return [_clamped_log(base)] * len(lasts)
+        return [_clamped_log(base + (unit * 2.0 - 1.0) * self._jitter)
+                for unit in self._units(("jitter", *key), lasts)]
 
     # -- answers --------------------------------------------------------------
 
@@ -248,7 +245,7 @@ class OracleBackend(CompletionBackend):
             tokens = [t.eos_literal]
         else:
             tokens = list(str(m)) + [t.count_terminator]
-        return tokens, lambda n: self._logprobs(n, erroneous, doc.id, label, "count")
+        return tokens, lambda n: self._logprobs(erroneous, (doc.id, label, "count"), range(n))
 
     def _mention_answer(
         self, doc: Document, gold: GoldAnnotation, label: str, index: int
@@ -272,10 +269,10 @@ class OracleBackend(CompletionBackend):
         tokens = simple_tokenize(surface) + [self._t.eos_literal]
 
         def logprobs(n: int) -> List[float]:
-            kept = self._logprobs(min(n, len(tokens) - 1), erroneous,
-                                  doc.id, label, "mention", index)
+            kept = self._logprobs(erroneous, (doc.id, label, "mention", index),
+                                  range(min(n, len(tokens) - 1)))
             if n == len(tokens):
-                kept.append(self._logprob(False, doc.id, label, "mention-eos", index))
+                kept += self._logprobs(False, (doc.id, label, "mention-eos"), (index,))
             return kept
 
         return tokens, logprobs
@@ -293,4 +290,4 @@ class OracleBackend(CompletionBackend):
         self, output: str, doc_id: str, key: str
     ) -> Tuple[List[str], _Logprobs]:
         tokens = simple_tokenize(output) + [self._t.eos_literal]
-        return tokens, lambda n: self._logprobs(n, False, doc_id, key)
+        return tokens, lambda n: self._logprobs(False, (doc_id, key), range(n))

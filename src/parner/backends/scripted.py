@@ -33,16 +33,27 @@ class ScriptedBackend(CompletionBackend):
     def __init__(self, entries: Iterable[Dict]):
         self._fixtures: Dict[str, Dict] = {}
         for entry in entries:
-            if not isinstance(entry, dict) or "prompt" not in entry or "tokens" not in entry:
-                raise ValueError(f"fixture entry needs 'prompt' and 'tokens': {entry!r}")
-            if entry.get("logprobs") and len(entry["logprobs"]) != len(entry["tokens"]):
-                raise ValueError(f"fixture logprobs misaligned with its tokens: {entry!r}")
-            self._fixtures[entry["prompt"]] = dict(entry)
+            self._add(entry)
+
+    def _add(self, entry: Dict) -> None:
+        if not isinstance(entry, dict) or "prompt" not in entry or "tokens" not in entry:
+            raise ValueError(f"fixture entry needs 'prompt' and 'tokens': {entry!r}")
+        if entry.get("logprobs") and len(entry["logprobs"]) != len(entry["tokens"]):
+            raise ValueError(f"fixture logprobs misaligned with its tokens: {entry!r}")
+        self._fixtures[entry["prompt"]] = dict(entry)
 
     @classmethod
     def from_jsonl(cls, path: str) -> "ScriptedBackend":
+        """Load one entry per non-blank line; a bad line's error names the file and line."""
+        backend = cls([])
         with open(path, encoding="utf-8") as handle:
-            return cls(json.loads(line) for line in handle if line.strip())
+            for number, line in enumerate(handle, start=1):
+                if line.strip():
+                    try:
+                        backend._add(json.loads(line))
+                    except ValueError as exc:
+                        raise ValueError(f"{exc} (fixture file {path}, line {number})") from None
+        return backend
 
     def generate(self, request: CompletionRequest) -> CompletionResult:
         entry = self._fixtures.get(request.prompt)

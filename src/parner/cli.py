@@ -349,6 +349,11 @@ def _write_json(out_dir: str, name: str, payload: Dict) -> None:
     _write(out_dir, name, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
+def _write_jsonl(out_dir: str, name: str, rows: List[Dict]) -> None:
+    _write(out_dir, name, "".join(
+        json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows))
+
+
 def _defect_exit(total_defects: int, max_defects: int) -> int:
     if total_defects > max_defects:
         print(f"defects: {total_defects} (threshold {max_defects})", file=sys.stderr)
@@ -371,9 +376,7 @@ def _cmd_reformat(options: Dict) -> int:
     total_skipped = 0
     for fmt in formats:
         result = reformulate_corpus(pairs, fmt, labels, template)
-        lines = [json.dumps(ex.to_json_dict(), ensure_ascii=False, sort_keys=True)
-                 for ex in result.examples]
-        _write(out_dir, f"{fmt}.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+        _write_jsonl(out_dir, f"{fmt}.jsonl", [ex.to_json_dict() for ex in result.examples])
         all_examples.extend(result.examples)
         total_skipped += len(result.skipped)
         for doc_id, reason in result.skipped:
@@ -384,7 +387,6 @@ def _cmd_reformat(options: Dict) -> int:
     stats["documents"] = len(pairs)
     stats["documents_dropped_by_mention_filter"] = dropped
     _write_json(out_dir, "stats.json", stats)
-    _write_json(out_dir, "resolved_config.json", options)
     return _defect_exit(total_skipped, options["max_defects"])
 
 
@@ -446,8 +448,7 @@ def _cmd_decode(options: Dict) -> int:
     out_dir = options["out"]
 
     _write(out_dir, "predictions.jsonl", emit_spans_json(predictions))
-    rows = [json.dumps(_outcome_row(o), ensure_ascii=False, sort_keys=True) for o in outcomes]
-    _write(out_dir, "outcomes.jsonl", "\n".join(rows) + ("\n" if rows else ""))
+    _write_jsonl(out_dir, "outcomes.jsonl", [_outcome_row(o) for o in outcomes])
     stats = latency_stats(outcomes)
     total_defects = sum(len(o.defects) for o in outcomes)
     metrics = {
@@ -456,7 +457,6 @@ def _cmd_decode(options: Dict) -> int:
         "documents_dropped_by_mention_filter": dropped,
     }
     _write_json(out_dir, "metrics.json", metrics)
-    _write_json(out_dir, "resolved_config.json", options)
     print(f"decoded {len(outcomes)} documents in mode {options['mode']}: "
           f"mean example latency {stats.mean_example_latency_ms:.2f} ms, "
           f"{total_defects} defects")
@@ -472,10 +472,9 @@ def _cmd_eval(options: Dict) -> int:
     pred = {doc.id: ann.mentions for doc, ann in pred_pairs}
     report = micro_f1(pred, gold, labels, multiset=options["semantics"] == "multiset")
     out_dir = options["out"]
-    _write(out_dir, "report.json", emit_report(evaluation=report, fmt="json"))
+    _write_json(out_dir, "report.json", {"evaluation": dataclasses.asdict(report)})
     if options["report_format"] == "markdown":
-        _write(out_dir, "report.md", emit_report(evaluation=report, fmt="markdown"))
-    _write_json(out_dir, "resolved_config.json", options)
+        _write(out_dir, "report.md", emit_report(evaluation=report))
     print(f"micro F1 {report.f1:.4f} (precision {report.precision:.4f}, "
           f"recall {report.recall:.4f}) over {len(gold)} documents")
     return 0
@@ -514,11 +513,8 @@ def _cmd_bench(options: Dict) -> int:
         "baseline": baseline_mode,
     }
     _write_json(out_dir, "bench.json", payload)
-    markdown = emit_report(latency=per_mode_stats, speedups=speedups, fmt="markdown")
-    f1_lines = ["## Micro F1", "", "| run | f1 |", "| --- | --- |"]
-    f1_lines += [f"| {mode} | {per_mode_f1[mode]:.4f} |" for mode in modes]
-    _write(out_dir, "bench.md", markdown + "\n".join(f1_lines) + "\n")
-    _write_json(out_dir, "resolved_config.json", options)
+    _write(out_dir, "bench.md", emit_report(latency=per_mode_stats, speedups=speedups,
+                                            f1=per_mode_f1))
     for mode in modes:
         stats = per_mode_stats[mode]
         print(f"{mode}: mean example latency {stats.mean_example_latency_ms:.2f} ms, "
@@ -561,7 +557,10 @@ def _build_parser() -> _ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
-        return ns.func(_resolve_options(ns))
+        options = _resolve_options(ns)
+        code = ns.func(options)
+        _write_json(options["out"], "resolved_config.json", options)
+        return code
     except (ConfigError, CorpusError, TemplateError, EvalError, BackendError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"parner: error: {exc}", file=sys.stderr)

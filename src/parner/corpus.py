@@ -61,13 +61,14 @@ class GoldAnnotation:
 
 
 class LabelSet:
-    """Ordered, unique label inventory with an optional surface mapping.
+    """Ordered, unique label inventory with a surface mapping.
 
     Label order is semantic: prompts, training examples and report rows are
     all emitted in this order, and ties elsewhere break toward the earliest
     label.  ``surface_map`` rewrites canonical labels to the strings shown
-    to the model (e.g. "LOC" -> "地点") and must map every label to a
-    string; scoring stays in canonical space via the retained inverse.
+    to the model (e.g. "LOC" -> "地点"); it must map every label, and
+    nothing else, to a distinct string.  Without it every label is shown
+    as itself.  Scoring stays in canonical space via the retained inverse.
     """
 
     def __init__(self, labels: Sequence[str], surface_map: Optional[Dict[str, str]] = None):
@@ -78,22 +79,23 @@ class LabelSet:
             raise CorpusError(f"duplicate labels in label set: {labels}")
         self.labels: Tuple[str, ...] = tuple(labels)
         self._rank = {label: i for i, label in enumerate(self.labels)}
-        if surface_map is not None:
-            if not isinstance(surface_map, dict):
-                raise CorpusError(f"surface mapping must be a dict, got {surface_map!r}")
-            missing = [l for l in self.labels if l not in surface_map]
-            if missing:
-                raise CorpusError(f"labels without a surface mapping: {missing}")
-            surfaces = [surface_map[l] for l in self.labels]
-            if not all(isinstance(s, str) for s in surfaces):
-                raise CorpusError(f"surface mapping must map labels to strings: {surface_map}")
-            if len(set(surfaces)) != len(surfaces):
-                raise CorpusError("surface mapping is not invertible (duplicate surfaces)")
-            self.surface_map: Optional[Dict[str, str]] = dict(surface_map)
-            self._inverse = {surface_map[l]: l for l in self.labels}
-        else:
-            self.surface_map = None
-            self._inverse = {}
+        if surface_map is None:
+            surface_map = {l: l for l in self.labels}
+        if not isinstance(surface_map, dict):
+            raise CorpusError(f"surface mapping must be a dict, got {surface_map!r}")
+        missing = [l for l in self.labels if l not in surface_map]
+        if missing:
+            raise CorpusError(f"labels without a surface mapping: {missing}")
+        extra = [key for key in surface_map if key not in self._rank]
+        if extra:
+            raise CorpusError(f"surface mapping names unknown labels: {extra}")
+        surfaces = [surface_map[l] for l in self.labels]
+        if not all(isinstance(s, str) for s in surfaces):
+            raise CorpusError(f"surface mapping must map labels to strings: {surface_map}")
+        if len(set(surfaces)) != len(surfaces):
+            raise CorpusError("surface mapping is not invertible (duplicate surfaces)")
+        self._surface = dict(surface_map)
+        self._inverse = {surface_map[l]: l for l in self.labels}
 
     def __contains__(self, label: str) -> bool:
         return label in self._rank
@@ -117,15 +119,10 @@ class LabelSet:
     def surface(self, label: str) -> str:
         """The string shown to the model for ``label``."""
         self.rank(label)
-        if self.surface_map is None:
-            return label
-        return self.surface_map[label]
+        return self._surface[label]
 
     def canonical(self, surface: str) -> str:
-        """Inverse of :meth:`surface`; identity when no map is configured."""
-        if self.surface_map is None:
-            self.rank(surface)
-            return surface
+        """Inverse of :meth:`surface`."""
         try:
             return self._inverse[surface]
         except KeyError:

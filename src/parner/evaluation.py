@@ -8,8 +8,6 @@ negative.  Set semantics (distinct pairs only) are available behind a flag.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -52,15 +50,9 @@ class LabelScore:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(LabelScore):
     """Micro-averaged scores plus a per-label breakdown."""
 
-    tp: int
-    fp: int
-    fn: int
-    precision: float
-    recall: float
-    f1: float
     per_label: Dict[str, LabelScore]
 
 
@@ -147,55 +139,37 @@ def speedup(baseline: LatencyStats, ours: LatencyStats) -> float:
     return baseline.mean_example_latency_ms / ours.mean_example_latency_ms
 
 
+def _table(title: str, head: Sequence[str], rows: Iterable[Sequence[object]]) -> List[str]:
+    """One markdown section: a heading, a table and a blank line."""
+    return [f"## {title}", "", "| " + " | ".join(head) + " |",
+            "| " + " | ".join("---" for _ in head) + " |",
+            *("| " + " | ".join(str(cell) for cell in row) + " |" for row in rows), ""]
+
+
 def emit_report(
     evaluation: Optional[EvalReport] = None,
     latency: Optional[Mapping[str, LatencyStats]] = None,
     speedups: Optional[Mapping[str, float]] = None,
-    fmt: str = "json",
+    f1: Optional[Mapping[str, float]] = None,
 ) -> str:
-    """Serialize report sections deterministically as JSON or markdown tables."""
-    if fmt == "json":
-        payload: Dict = {}
-        if evaluation is not None:
-            payload["evaluation"] = dataclasses.asdict(evaluation)
-        if latency is not None:
-            payload["latency"] = {name: dataclasses.asdict(s) for name, s in latency.items()}
-        if speedups is not None:
-            payload["speedup"] = dict(speedups)
-        return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    if fmt != "markdown":
-        raise EvalError(f"unknown report format: {fmt!r}")
-
+    """Render the given report sections as markdown tables, in a fixed order."""
     lines: List[str] = []
     if evaluation is not None:
-        lines += ["## Evaluation", ""]
-        lines += ["| label | tp | fp | fn | precision | recall | f1 |",
-                  "| --- | --- | --- | --- | --- | --- | --- |"]
-        lines.append(
-            f"| ALL | {evaluation.tp} | {evaluation.fp} | {evaluation.fn} "
-            f"| {evaluation.precision:.4f} | {evaluation.recall:.4f} | {evaluation.f1:.4f} |"
-        )
-        for label, s in evaluation.per_label.items():
-            lines.append(
-                f"| {label} | {s.tp} | {s.fp} | {s.fn} "
-                f"| {s.precision:.4f} | {s.recall:.4f} | {s.f1:.4f} |"
-            )
-        lines.append("")
+        lines += _table("Evaluation", ("label", "tp", "fp", "fn", "precision", "recall", "f1"), [
+            (label, s.tp, s.fp, s.fn, f"{s.precision:.4f}", f"{s.recall:.4f}", f"{s.f1:.4f}")
+            for label, s in [("ALL", evaluation), *evaluation.per_label.items()]
+        ])
     if latency is not None:
-        lines += ["## Latency", ""]
-        lines += ["| run | mean example latency (ms) | mean tokens/sequence | documents | sequences |",
-                  "| --- | --- | --- | --- | --- |"]
-        for name, s in latency.items():
-            lines.append(
-                f"| {name} | {s.mean_example_latency_ms:.2f} "
-                f"| {s.mean_generated_tokens_per_sequence:.2f} "
-                f"| {s.documents} | {s.sequences} |"
-            )
-        lines.append("")
+        lines += _table("Latency", ("run", "mean example latency (ms)", "mean tokens/sequence",
+                                    "documents", "sequences"), [
+            (name, f"{s.mean_example_latency_ms:.2f}",
+             f"{s.mean_generated_tokens_per_sequence:.2f}", s.documents, s.sequences)
+            for name, s in latency.items()
+        ])
     if speedups is not None:
-        lines += ["## Speedup", ""]
-        lines += ["| comparison | factor |", "| --- | --- |"]
-        for name, factor in speedups.items():
-            lines.append(f"| {name} | {factor:.2f} |")
-        lines.append("")
+        lines += _table("Speedup", ("comparison", "factor"),
+                        [(name, f"{factor:.2f}") for name, factor in speedups.items()])
+    if f1 is not None:
+        lines += _table("Micro F1", ("run", "f1"),
+                        [(name, f"{score:.4f}") for name, score in f1.items()])
     return "\n".join(lines)

@@ -134,20 +134,12 @@ def generate_baseline_examples(
             surface does not occur verbatim in the document text; callers
             doing corpus-level generation should skip and report such docs.
     """
-    if fmt == "aug":
-        output = emit_aug(doc, gold, labels)
+    if fmt in ("aug", "struct"):
+        output = emit_aug(doc, gold, labels) if fmt == "aug" else emit_struct(gold, labels)
         return [TrainingExample(
-            input=build_autoreg_prompt(doc, "aug", labels, t),
+            input=build_autoreg_prompt(doc, fmt, labels, t),
             output=output,
-            format="aug",
-            doc_id=doc.id,
-            mention_count=len(gold.mentions),
-        )]
-    if fmt == "struct":
-        return [TrainingExample(
-            input=build_autoreg_prompt(doc, "struct", labels, t),
-            output=emit_struct(gold, labels),
-            format="struct",
+            format=fmt,
             doc_id=doc.id,
             mention_count=len(gold.mentions),
         )]

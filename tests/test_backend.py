@@ -38,6 +38,7 @@ from parner.backends import oracle as oracle_module
 from parner.backends.http import TOKEN_ENV_VAR, HttpBackend
 from parner.corpus import Document, GoldAnnotation, Mention
 from parner.scheduler import run_corpus
+from parner.synthetic import make_corpus
 from parner.templates import (
     build_autoreg_prompt,
     build_count_prompt,
@@ -172,6 +173,19 @@ class TestScriptedBackend:
         )
         backend = ScriptedBackend.from_jsonl(str(path))
         assert backend.generate(CompletionRequest(prompt="b")).text == "2"
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("not json", "Expecting value"),
+        ('["p", ["a"]]', "fixture entry needs 'prompt' and 'tokens'"),
+    ], ids=["invalid-json", "not-an-object"])
+    def test_from_jsonl_names_file_and_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text(json.dumps({"prompt": "a", "tokens": ["1"]}) + "\n\n"
+                        + bad_line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ScriptedBackend.from_jsonl(str(path))
+        assert message in str(err.value)
+        assert str(err.value).endswith(f"(fixture file {path}, line 3)")
 
 
 @pytest.fixture
@@ -405,6 +419,65 @@ class TestOracleLogprobs:
             assert calls == []
             oracle.generate(CompletionRequest(prompt))
             assert len(calls) == hashed  # once per sequence key, not per token
+
+
+def _reference_unit(*parts) -> float:
+    """The oracle's uniform draw for one decision, hashing its whole joined identity."""
+    material = "\x1f".join(str(p) for p in (_SEED, *parts))
+    return int.from_bytes(hashlib.sha256(material.encode("utf-8")).digest()[:8], "big") / 2.0**64
+
+
+class TestOracleDecisionDraws:
+    """Whether a count or mention is perturbed, each count's +-1 direction and
+    each swapped surface follow the reference draw of the decision's identity."""
+
+    @pytest.fixture
+    def corpus(self, labels):
+        return make_corpus(8, labels, seed=5)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_count_perturbation(self, corpus, labels, template, p):
+        oracle = OracleBackend(corpus, labels, template, seed=_SEED,
+                               errors=ErrorInjection(p_count=p))
+        seen = set()
+        for doc, gold in corpus:
+            for label in labels:
+                gold_m = len(gold.for_label(label))
+                delta = 0
+                if _reference_unit("count?", doc.id, label) < p:
+                    up = gold_m == 0 or _reference_unit("count+-", doc.id, label) < 0.5
+                    delta = 1 if up else -1
+                result = oracle.generate(CompletionRequest(
+                    build_count_prompt(doc, label, template)))
+                assert parse_count(result, template) == gold_m + delta
+                seen.add(delta)
+        assert seen == ({-1, 1} if p == 1.0 else {-1, 0, 1})
+
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_cross_label_swap(self, corpus, labels, template, p):
+        oracle = OracleBackend(corpus, labels, template, seed=_SEED,
+                               errors=ErrorInjection(p_index=p))
+        picks, swapped = set(), set()
+        for doc, gold in corpus:
+            for label in labels:
+                mentions = gold.for_label(label)
+                candidates = [m.text for m in gold.mentions if m.label != label]
+                count_prompt = build_count_prompt(doc, label, template)
+                for index, mention in enumerate(mentions, start=1):
+                    expected = mention.text
+                    if candidates:  # no other label's surface: nothing to swap in
+                        swap = _reference_unit("index?", doc.id, label, index) < p
+                        swapped.add(swap)
+                        if swap:
+                            pick = int(_reference_unit("swap", doc.id, label, index)
+                                       * len(candidates))
+                            expected = candidates[min(pick, len(candidates) - 1)]
+                            picks.add(pick)
+                    result = oracle.generate(CompletionRequest(
+                        build_mention_prompt(count_prompt, len(mentions), index, template)))
+                    assert result.text == expected + "<eos>"
+        assert len(picks) > 1
+        assert swapped == ({True} if p == 1.0 else {False, True})
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import threading
@@ -15,6 +16,7 @@ from parner import cli
 from parner.backends import CompletionRequest, HttpBackend, OracleBackend
 from parner.cli import main
 from parner.corpus import emit_spans_json, parse_spans_json
+from parner.evaluation import micro_f1
 from parner.scheduler import MODES
 from parner.synthetic import make_corpus
 
@@ -290,6 +292,17 @@ class TestDecode:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_label_map_key_that_is_not_a_label_rejected(self, tmp_path, corpus_path, capsys):
+        label_map = write_json(tmp_path, "map.json", {"LOC": "x", "PER": "p", "MISC": "m",
+                                                      "ORG": "o", "PERR": "y"})
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--label-map", label_map, "--out", str(out)])
+        assert code == 1
+        assert ("parner: error: surface mapping names unknown labels: ['PERR']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 # one bad --config value per entry of cli._OPTIONS: (option, command, value)
 BAD_CONFIG_VALUES = [
@@ -459,6 +472,23 @@ class TestEval:
         assert main(["eval", "--corpus", corpus_path, "--labels", LABELS_ARG]) == 1
         assert "--pred" in capsys.readouterr().err
 
+    def test_report_json_layout(self, tmp_path, labels):
+        corpus = write_corpus(tmp_path, make_corpus(6, labels, seed=4))
+        backend_config = write_json(tmp_path, "backend.json", {"p_count": 0.3, "p_index": 0.3})
+        out = tmp_path / "out"
+        assert main(["decode", "--corpus", corpus, "--labels", LABELS_ARG,
+                     "--backend-config", backend_config, "--seed", "3", "--out", str(out)]) == 0
+        assert main(["eval", "--corpus", corpus, "--labels", LABELS_ARG,
+                     "--pred", str(out / "predictions.jsonl"), "--out", str(out)]) == 0
+        gold = parse_spans_json(Path(corpus).read_text(encoding="utf-8"), labels)
+        pred = parse_spans_json((out / "predictions.jsonl").read_text(encoding="utf-8"), labels)
+        report = micro_f1({doc.id: ann.mentions for doc, ann in pred},
+                          {doc.id: ann.mentions for doc, ann in gold}, labels)
+        assert report.f1 < 1.0
+        expected = json.dumps({"evaluation": dataclasses.asdict(report)},
+                              indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert (out / "report.json").read_text(encoding="utf-8") == expected
+
 
 class TestBench:
     def test_mode_comparison(self, tmp_path, labels, capsys):
@@ -484,6 +514,17 @@ class TestBench:
         console = capsys.readouterr().out
         assert "speedup autoreg-struct/pair-multi" in console
 
+    def test_markdown_has_a_micro_f1_row_for_every_mode(self, tmp_path, labels):
+        corpus = write_corpus(tmp_path, make_corpus(6, labels, seed=6))
+        backend_config = write_json(tmp_path, "backend.json", {"p_count": 0.3, "p_index": 0.3})
+        out = tmp_path / "out"
+        assert main(["bench", "--corpus", corpus, "--labels", LABELS_ARG, "--repeats", "1",
+                     "--backend-config", backend_config, "--seed", "3", "--out", str(out)]) == 0
+        payload = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        markdown = (out / "bench.md").read_text(encoding="utf-8")
+        rows = "".join(f"| {mode} | {payload['modes'][mode]['f1']:.4f} |\n" for mode in MODES)
+        assert markdown.endswith("\n\n## Micro F1\n\n| run | f1 |\n| --- | --- |\n" + rows)
+
     def test_backend_built_once_for_every_mode(self, tmp_path, corpus_path, monkeypatch):
         built = []
 
@@ -505,6 +546,19 @@ class TestBench:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reformat", "decode", "eval", "bench"])
+def test_every_command_writes_its_resolved_config(tmp_path, corpus_path, command):
+    out = tmp_path / "out"
+    args = [command, "--corpus", corpus_path, "--labels", LABELS_ARG, "--out", str(out)]
+    if command == "eval":
+        args += ["--pred", corpus_path]
+    if command == "bench":
+        args += ["--modes", "onestep", "--baseline", "onestep", "--repeats", "1"]
+    assert main(args) == 0
+    snapshot = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+    assert snapshot["command"] == command and snapshot["out"] == str(out)
 
 
 class _OracleHandler(BaseHTTPRequestHandler):

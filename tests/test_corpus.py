@@ -86,6 +86,11 @@ class TestLabelSet:
         with pytest.raises(CorpusError):
             LabelSet(["LOC", "PER"], surface_map={"LOC": "location"})
 
+    def test_surface_map_rejects_keys_that_are_not_labels(self):
+        surface_map = {"LOC": "x", "PER": "p", "MISC": "m", "ORG": "o", "PERR": "y"}
+        with pytest.raises(CorpusError, match=r"unknown labels: \['PERR'\]"):
+            LabelSet(["PER", "MISC", "LOC", "ORG"], surface_map=surface_map)
+
 
 class TestBioSpans:
     def test_basic(self):
