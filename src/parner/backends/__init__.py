@@ -11,7 +11,6 @@ from parner.backends.base import (
     UnknownPromptError,
     simple_tokenize,
 )
-from parner.backends.http import HttpBackend
 from parner.backends.oracle import ErrorInjection, OracleBackend
 from parner.backends.scripted import ScriptedBackend
 
@@ -30,3 +29,13 @@ __all__ = [
     "UnknownPromptError",
     "simple_tokenize",
 ]
+
+
+def __getattr__(name: str):
+    # HttpBackend's module loads requests, urllib3 and ssl, which only HTTP
+    # runs need, so it is imported on first access
+    if name == "HttpBackend":
+        from parner.backends.http import HttpBackend
+
+        return HttpBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,7 +30,7 @@ from parner.backends.base import (
     apply_request_limits,
     simple_tokenize,
 )
-from parner.corpus import Document, GoldAnnotation, LabelSet
+from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.templates import (
     PromptTemplate,
     TemplateError,
@@ -46,6 +46,16 @@ __all__ = ["ErrorInjection", "OracleBackend"]
 
 # the logprobs of an answer's first n tokens, computed only when asked for
 _Logprobs = Callable[[int], List[float]]
+# a document's position in the corpus, the document, its gold, its gold
+# mentions by label, and its struct and aug answers (None when the aug
+# format cannot be built)
+_Pair = Tuple[int, Document, GoldAnnotation, Dict[str, List[Mention]], str, Optional[str]]
+# a frame's build order within one document, its prompt kind, and its
+# label (count, onestep) or format (autoreg)
+_Frame = Tuple[int, str, str]
+
+# stands for the document text when the prompt builders lay out the frames
+_SENTINEL = "\U0010fffd"
 
 
 def _clamped_log(p: float) -> float:
@@ -86,6 +96,16 @@ class OracleBackend(CompletionBackend):
     only when the request sets ``want_logprobs``, and only for the tokens
     that stop strings and ``max_new_tokens`` keep.
 
+    A prompt is recognised as a *frame* plus a document text: the frame is
+    the template text a prompt builder puts before and after the document
+    text, derived once by running the builders on a sentinel document.
+    The oracle keeps one map from document text to its pair, keyed on the
+    corpus's own strings, and the few frames of the template and label
+    set; it holds no prompt.  Index memory is therefore O(corpus), not
+    O(corpus x (2 labels + 2)) as a map from every buildable prompt would
+    be.  A mention prompt is recognised as a count prompt plus the mention
+    tail.  When two pairs share a document text, the later one answers.
+
     The instance is immutable after construction and safe for concurrent
     use.
     """
@@ -115,21 +135,50 @@ class OracleBackend(CompletionBackend):
                 raise ValueError(f"{name} must be in (0, 1), got {p}")
 
         t = self._t
-        # prompt -> ("count", doc, gold, label) | ("onestep", ...) | ("autoreg", doc, gold, output)
-        self._exact: Dict[str, tuple] = {}
-        for doc, gold in pairs:
-            for label in labels:
-                surface = labels.surface(label)
-                self._exact[build_count_prompt(doc, surface, t)] = ("count", doc, gold, label)
-                self._exact[build_onestep_prompt(doc, surface, t)] = ("onestep", doc, gold, label)
-            self._exact[build_autoreg_prompt(doc, "struct", labels, t)] = (
-                "autoreg", doc, gold, emit_struct(gold, labels))
+        # document text -> _Pair; a later pair with the same text replaces an
+        # earlier one
+        self._texts: Dict[str, _Pair] = {}
+        for position, (doc, gold) in enumerate(pairs):
             try:
-                aug_output = emit_aug(doc, gold, labels)
+                aug_output: Optional[str] = emit_aug(doc, gold, labels)
             except TemplateError:
                 aug_output = None  # mention not verbatim in text; format unbuildable
-            self._exact[build_autoreg_prompt(doc, "aug", labels, t)] = (
-                "autoreg", doc, gold, aug_output)
+            self._texts[doc.text] = (position, doc, gold, gold.by_label(labels),
+                                     emit_struct(gold, labels), aug_output)
+
+        # the builders lay out each frame around a sentinel document text
+        by_prefix: Dict[str, Dict[str, _Frame]] = {}
+        sentinel = Document("", _SENTINEL)
+        builds = []
+        for label in labels:
+            surface = labels.surface(label)
+            builds.append(("count", label, build_count_prompt(sentinel, surface, t)))
+            builds.append(("onestep", label, build_onestep_prompt(sentinel, surface, t)))
+        for fmt in ("struct", "aug"):
+            builds.append(("autoreg", fmt, build_autoreg_prompt(sentinel, fmt, labels, t)))
+        for rank, (kind, arg, prompt) in enumerate(builds):
+            if prompt.count(_SENTINEL) != 1:
+                raise TemplateError(
+                    f"a {kind} prompt must hold the document text exactly once: {prompt!r}")
+            prefix, suffix = prompt.split(_SENTINEL)
+            by_prefix.setdefault(prefix, {})[suffix] = (rank, kind, arg)
+        # prefix -> (its suffixes, their distinct lengths, suffix -> frame);
+        # cuts are tried in build order, so a count prompt is cut right first
+        self._frames = {
+            prefix: (tuple(by_suffix), list(dict.fromkeys(map(len, by_suffix))), by_suffix)
+            for prefix, by_suffix in by_prefix.items()
+        }
+        self._prefix_lens = list(dict.fromkeys(map(len, by_prefix)))
+        # when no prefix begins another, a prompt begins with at most one
+        self._exclusive_prefixes = not any(
+            p1.startswith(p2) for p1 in by_prefix for p2 in by_prefix if p1 != p2)
+        # unless two frames can both match one prompt, the first match is the only one
+        frames = [(prefix, suffix) for prefix, by_suffix in by_prefix.items()
+                  for suffix in by_suffix]
+        self._unambiguous = not any(
+            (p1.startswith(p2) or p2.startswith(p1)) and (s1.endswith(s2) or s2.endswith(s1))
+            for i, (p1, s1) in enumerate(frames) for p2, s2 in frames[:i]
+        )
 
         marker_pre, marker_post = t.mention_marker.split("{n}")
         self._mention_tail = re.compile(
@@ -190,8 +239,8 @@ class OracleBackend(CompletionBackend):
 
     def _full_answer(self, prompt: str) -> Tuple[List[str], _Logprobs]:
         """The unlimited answer's tokens, and the logprobs of its first n tokens."""
-        entry = self._exact.get(prompt)
-        if entry is None:
+        found = self._lookup(prompt, len(prompt))
+        if found is None:
             mention = self._match_mention_prompt(prompt)
             if mention is None:
                 raise UnknownPromptError(
@@ -199,39 +248,71 @@ class OracleBackend(CompletionBackend):
                     f"{prompt[-120:]!r}"
                 )
             return self._mention_answer(*mention)
-        kind = entry[0]
+        (_, kind, arg), (_, doc, gold, by_label, struct_output, aug_output) = found
         if kind == "count":
-            return self._count_answer(entry[1], entry[2], entry[3])
+            return self._count_answer(doc, arg, by_label[arg])
         if kind == "onestep":
-            _, doc, gold, label = entry
-            return self._serialized_answer(emit_onestep(gold, label), doc.id, f"onestep/{label}")
-        _, doc, _, output = entry
+            return self._serialized_answer(emit_onestep(gold, arg), doc.id, f"onestep/{arg}")
+        output = struct_output if arg == "struct" else aug_output
         if output is None:
             raise UnknownPromptError(f"augmented answer unbuildable for document {doc.id}")
         return self._serialized_answer(output, doc.id, "autoreg")
 
+    def _lookup(self, prompt: str, end: int) -> Optional[Tuple[_Frame, _Pair]]:
+        """The frame and pair whose prompt is ``prompt[:end]``, or None.
+
+        When several frames split the prompt into a known document text,
+        the one a document later in the corpus built wins, then the one
+        built later for the same document.
+        """
+        best = None
+        texts, frames_of = self._texts, self._frames.get
+        for prefix_len in self._prefix_lens:
+            frames = frames_of(prompt[:prefix_len]) if prefix_len <= end else None
+            if frames is None:
+                continue
+            suffixes, suffix_lens, by_suffix = frames
+            # one test rejects what no frame ends, such as every mention prompt
+            if prompt.endswith(suffixes, prefix_len, end):
+                for suffix_len in suffix_lens:
+                    text_end = end - suffix_len
+                    if text_end < prefix_len:
+                        continue
+                    frame = by_suffix.get(prompt[text_end:end])
+                    if frame is None:
+                        continue
+                    pair = texts.get(prompt[prefix_len:text_end])
+                    if pair is None:
+                        continue
+                    if self._unambiguous:
+                        return frame, pair
+                    if best is None or (pair[0], frame[0]) > (best[1][0], best[0][0]):
+                        best = frame, pair
+            if self._exclusive_prefixes:
+                break  # no other prefix can begin this prompt
+        return best
+
     def _match_mention_prompt(
         self, prompt: str
-    ) -> Optional[Tuple[Document, GoldAnnotation, str, int]]:
+    ) -> Optional[Tuple[Document, GoldAnnotation, str, int, List[Mention]]]:
         head, sep, _ = prompt.rpartition(self._t.count_marker)
         if not sep:
             return None
-        count_prompt = head + sep
-        entry = self._exact.get(count_prompt)
-        if entry is None or entry[0] != "count":
-            return None
-        tail = prompt[len(count_prompt):]
-        match = self._mention_tail.fullmatch(tail)
+        end = len(head) + len(sep)
+        match = self._mention_tail.fullmatch(prompt, end)
         if match is None:
             return None
-        _, doc, gold, label = entry
-        return doc, gold, label, int(match.group(2))
+        found = self._lookup(prompt, end)
+        if found is None or found[0][1] != "count":
+            return None
+        (_, _, label), (_, doc, gold, by_label, _, _) = found
+        return doc, gold, label, int(match.group(2)), by_label[label]
 
     def _count_answer(
-        self, doc: Document, gold: GoldAnnotation, label: str
+        self, doc: Document, label: str, mentions: List[Mention]
     ) -> Tuple[List[str], _Logprobs]:
         t = self._t
-        gold_m = len(gold.for_label(label))
+        gold_m = len(mentions)
         forced = self._errors.forced_counts.get((doc.id, label))
         if forced is not None:
             m = forced
@@ -248,9 +329,9 @@ class OracleBackend(CompletionBackend):
         return tokens, lambda n: self._logprobs(erroneous, (doc.id, label, "count"), range(n))
 
     def _mention_answer(
-        self, doc: Document, gold: GoldAnnotation, label: str, index: int
+        self, doc: Document, gold: GoldAnnotation, label: str, index: int,
+        mentions: List[Mention],
     ) -> Tuple[List[str], _Logprobs]:
-        mentions = gold.for_label(label)
         forced = self._errors.forced_mentions.get((doc.id, label, index))
         if forced is not None:
             surface, erroneous = forced, True

@@ -30,7 +30,6 @@ from parner.backends import (
     CompletionBackend,
     CostModel,
     ErrorInjection,
-    HttpBackend,
     OracleBackend,
     ScriptedBackend,
 )
@@ -336,6 +335,8 @@ def _make_backend(
         return ScriptedBackend.from_jsonl(settings["fixtures"])
     if not settings.get("url"):
         raise ConfigError("http backend needs a 'url' in --backend-config")
+    from parner.backends.http import HttpBackend  # loads requests: HTTP runs only
+
     return HttpBackend(**settings)
 
 
@@ -562,7 +563,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _write_json(options["out"], "resolved_config.json", options)
         return code
     except (ConfigError, CorpusError, TemplateError, EvalError, BackendError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         print(f"parner: error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,6 +59,14 @@ class GoldAnnotation:
     def for_label(self, label: str) -> List[Mention]:
         return [m for m in self.mentions if m.label == label]
 
+    def by_label(self, labels: Iterable[str]) -> Dict[str, List[Mention]]:
+        """``for_label`` of each of ``labels``, from one pass over the mentions."""
+        groups: Dict[str, List[Mention]] = {label: [] for label in labels}
+        for m in self.mentions:
+            if m.label in groups:
+                groups[m.label].append(m)
+        return groups
+
 
 class LabelSet:
     """Ordered, unique label inventory with a surface mapping.

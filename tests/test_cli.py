@@ -6,12 +6,16 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+import parner
 from parner import cli
 from parner.backends import CompletionRequest, HttpBackend, OracleBackend
 from parner.cli import main
@@ -301,6 +305,19 @@ class TestDecode:
         assert code == 1
         assert ("parner: error: surface mapping names unknown labels: ['PERR']"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--label-map", "--config", "--corpus", "--template",
+                                      "--backend-config"])
+    def test_directory_for_a_file_rejected(self, tmp_path, corpus_path, capsys, flag):
+        out = tmp_path / "out"
+        paths = {"--corpus": corpus_path, flag: str(tmp_path)}
+        code = main(["decode", "--labels", LABELS_ARG, "--out", str(out),
+                     *(part for item in paths.items() for part in item)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"parner: error: [Errno 21] Is a directory: {str(tmp_path)!r}" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 
@@ -674,3 +691,15 @@ class TestHttpEndToEnd:
             with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
                 assert main(argv) == 0
         assert closed == [None]
+
+
+def test_importing_the_cli_loads_no_http_client():
+    """requests, urllib3 and ssl load only when an HTTP backend is made."""
+    src = str(Path(parner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, parner.cli; print(sorted(m for m in "
+            "('requests', 'urllib3', 'ssl', 'charset_normalizer') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert run.stdout.strip() == "[]"

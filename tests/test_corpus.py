@@ -262,6 +262,12 @@ class TestHelpers:
         assert [m.text for m in gold.for_label("LOC")] == ["Italy", "England"]
         assert gold.for_label("ORG") == []
 
+    def test_by_label_groups_as_for_label(self, cuttitta):
+        _, gold = cuttitta
+        groups = gold.by_label(["ORG", "LOC", "PER"])
+        assert list(groups) == ["ORG", "LOC", "PER"]
+        assert all(groups[label] == gold.for_label(label) for label in groups)
+
     def test_filter_max_mentions(self, cuttitta):
         doc, gold = cuttitta
         small = (Document(id="d1", text="x"), GoldAnnotation(doc_id="d1", mentions=[]))

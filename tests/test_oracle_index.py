@@ -1,0 +1,279 @@
+"""The oracle's prompt index: frames plus document text, checked on
+adversarial texts, against a map of every buildable prompt, and for size."""
+
+from __future__ import annotations
+
+import dataclasses
+import tracemalloc
+from typing import Dict, List, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parner.backends import CompletionRequest, OracleBackend, UnknownPromptError
+from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
+from parner.scheduler import run_corpus
+from parner.synthetic import make_corpus
+from parner.templates import (
+    PromptTemplate,
+    TemplateError,
+    build_autoreg_prompt,
+    build_count_prompt,
+    build_mention_prompt,
+    build_onestep_prompt,
+    chinese_template,
+    emit_aug,
+    emit_onestep,
+    emit_struct,
+    mention_marker,
+)
+
+Pairs = List[Tuple[Document, GoldAnnotation]]
+
+LABEL_NAMES = ["PER", "MISC", "LOC", "ORG"]
+SETUPS = {
+    "english": (PromptTemplate(), LabelSet(LABEL_NAMES)),
+    "chinese": (chinese_template(),
+                LabelSet(LABEL_NAMES, {"PER": "人物", "MISC": "其他", "LOC": "地点",
+                                       "ORG": "组织"})),
+}
+# occurs in no template, label surface or generated text
+ALIEN = "☃"
+
+
+def _template_pieces(t: PromptTemplate, labels: LabelSet) -> List[str]:
+    """Every string field of the template, every label surface, and mention markers."""
+    fields = [getattr(t, f.name) for f in dataclasses.fields(t) if f.name != "max_count"]
+    return fields + [labels.surface(l) for l in labels] + [
+        "<mention 3>", mention_marker(3, t), "3" + t.count_terminator]
+
+
+@st.composite
+def corpora(draw, setup: str) -> Pairs:
+    """Documents whose texts are built from template text, label surfaces and
+    mention markers, some the prefix, suffix or duplicate of another's."""
+    t, labels = SETUPS[setup]
+    piece = st.sampled_from(_template_pieces(t, labels)) | st.text("ab 1\n", max_size=4)
+    texts: List[str] = []
+    for _ in range(draw(st.integers(1, 6))):
+        how = draw(st.sampled_from(["new", "prefix", "suffix", "duplicate"])
+                   if texts else st.just("new"))
+        text = "".join(draw(st.lists(piece, max_size=6)))
+        if how != "new":
+            other = draw(st.sampled_from(texts))
+            text = {"prefix": other + text, "suffix": text + other, "duplicate": other}[how]
+        texts.append(text)
+    # what the pair and onestep formats carry back: no end-of-sequence
+    # literal or terminator, no edge whitespace, no empty surface
+    surface = st.text('abXY 19",[]|()\\', min_size=1, max_size=8).map(str.strip).filter(bool)
+    pairs: Pairs = []
+    for i, text in enumerate(texts):
+        mentions = draw(st.lists(st.builds(Mention, st.sampled_from(LABEL_NAMES), surface),
+                                 max_size=5))
+        pairs.append((Document(f"d{i}", text), GoldAnnotation(f"d{i}", mentions)))
+    return pairs
+
+
+def _answering_gold(pairs: Pairs) -> Dict[str, GoldAnnotation]:
+    """Document id -> the gold that answers for its text: the last pair's."""
+    last = {doc.text: gold for doc, gold in pairs}
+    return {doc.id: last[doc.text] for doc, _ in pairs}
+
+
+def _multiset(mentions) -> List[Tuple[str, str]]:
+    return sorted((m.label, m.text) for m in mentions)
+
+
+def _raises_unknown(oracle: OracleBackend, prompt: str) -> None:
+    with pytest.raises(UnknownPromptError):
+        oracle.generate(CompletionRequest(prompt=prompt))
+
+
+class TestRecognition:
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    @pytest.mark.parametrize("mode", ["pair-multi", "pair-batch", "onestep"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_noiseless_decode_returns_the_answering_gold(self, setup, mode, data):
+        pairs = data.draw(corpora(setup))
+        t, labels = SETUPS[setup]
+        oracle = OracleBackend(pairs, labels, t)
+        answering = _answering_gold(pairs)
+        outcomes = run_corpus([doc for doc, _ in pairs], labels, oracle, t, mode,
+                              parallelism=1)
+        for outcome in outcomes:
+            assert outcome.defects == []
+            assert (_multiset(outcome.raw_mentions)
+                    == _multiset(answering[outcome.doc_id].mentions))
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_near_misses_are_unknown(self, setup, data):
+        pairs = data.draw(corpora(setup))
+        t, labels = SETUPS[setup]
+        oracle = OracleBackend(pairs, labels, t)
+        doc, _ = data.draw(st.sampled_from(pairs))
+        surface = labels.surface(data.draw(st.sampled_from(LABEL_NAMES)))
+        count = build_count_prompt(doc, surface, t)
+        valid = [count, build_mention_prompt(count, 2, 1, t),
+                 build_onestep_prompt(doc, surface, t),
+                 build_autoreg_prompt(doc, "struct", labels, t)]
+        for prompt in valid:
+            _raises_unknown(oracle, prompt + ALIEN)
+        if doc.text:
+            i = data.draw(st.integers(0, len(doc.text) - 1))
+            changed = Document(doc.id, doc.text[:i] + ALIEN + doc.text[i + 1:])
+            _raises_unknown(oracle, build_count_prompt(changed, surface, t))
+            _raises_unknown(oracle, build_onestep_prompt(changed, surface, t))
+            _raises_unknown(oracle, build_autoreg_prompt(changed, "aug", labels, t))
+        _raises_unknown(oracle, build_count_prompt(doc, surface + ALIEN, t))
+        _raises_unknown(oracle, build_onestep_prompt(doc, ALIEN + surface, t))
+        _raises_unknown(oracle, count + "2" + t.count_terminator
+                        + t.mention_marker.replace("{n}", "x"))
+
+
+def _count_tokens(gold: GoldAnnotation, label: str, t: PromptTemplate) -> Tuple[str, ...]:
+    m = len(gold.for_label(label))
+    return tuple(str(m)) + (t.count_terminator,) if m else (t.eos_literal,)
+
+
+@st.composite
+def tiny_worlds(draw):
+    """A template, label surfaces and texts over a four-letter alphabet, so
+    that one prompt often splits into frame + text in more than one way."""
+    word = st.text("ab#\n", max_size=3)
+    t = PromptTemplate(
+        text_header=draw(word), entity_header=draw(word), count_marker=draw(word) or "#",
+        count_terminator=draw(st.sampled_from(["\n", "#", "a"])),
+        mention_marker=draw(word) + "{n}" + draw(word),
+        label_list_header=draw(word), aug_answer_header=draw(word),
+        struct_answer_header=draw(word), onestep_entity_marker=draw(word),
+        onestep_text_marker=draw(word))
+    names = LABEL_NAMES[:draw(st.integers(1, 3))]
+    surfaces = draw(st.lists(st.text("ab#\n", min_size=1, max_size=3), min_size=len(names),
+                             max_size=len(names), unique=True))
+    labels = LabelSet(names, dict(zip(names, surfaces)))
+    texts: List[str] = []
+    for _ in range(draw(st.integers(1, 5))):
+        text = draw(word)
+        if texts and draw(st.booleans()):  # extend another text, as a frame might
+            other = draw(st.sampled_from(texts))
+            text = draw(st.sampled_from([other + text, text + other]))
+        texts.append(text)
+    pairs = []
+    for i, text in enumerate(texts):
+        mentions = [Mention(names[k % len(names)], text[:k + 1]) for k in range(len(text))]
+        pairs.append((Document(f"d{i}", text), GoldAnnotation(f"d{i}", mentions)))
+    return t, labels, pairs
+
+
+class TestAgainstAPromptMap:
+    """The oracle answers every buildable prompt as a map from each prompt to
+    its pair, filled in corpus order, would: the last pair to build it wins."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tiny_worlds())
+    def test_every_buildable_prompt(self, world):
+        t, labels, pairs = world
+        oracle = OracleBackend(pairs, labels, t)
+        expected: Dict[str, tuple] = {}
+        for doc, gold in pairs:
+            for label in labels:
+                surface = labels.surface(label)
+                expected[build_count_prompt(doc, surface, t)] = (
+                    "count", _count_tokens(gold, label, t))
+                expected[build_onestep_prompt(doc, surface, t)] = (
+                    "text", emit_onestep(gold, label) + t.eos_literal)
+            expected[build_autoreg_prompt(doc, "struct", labels, t)] = (
+                "text", emit_struct(gold, labels) + t.eos_literal)
+            try:
+                aug = ("text", emit_aug(doc, gold, labels) + t.eos_literal)
+            except TemplateError:
+                aug = ("unknown", None)
+            expected[build_autoreg_prompt(doc, "aug", labels, t)] = aug
+        for prompt, (kind, answer) in expected.items():
+            request = CompletionRequest(prompt=prompt)
+            if kind == "unknown":
+                with pytest.raises(UnknownPromptError):
+                    oracle.generate(request)
+                continue
+            result = oracle.generate(request)
+            assert (result.tokens if kind == "count" else result.text) == answer
+
+
+class TestTieBreaks:
+    """Where one prompt is two documents' prompts, or two prompts of one
+    document, the last pair, then the last prompt built for it, answers."""
+
+    @pytest.fixture
+    def template(self):
+        return PromptTemplate(entity_header="", count_marker="#")
+
+    @pytest.fixture
+    def labels(self):
+        return LabelSet(["PER", "LOC"], {"PER": "ba", "LOC": "a"})
+
+    @pytest.mark.parametrize("later", ["x", "xb"])
+    def test_later_document_answers(self, template, labels, later):
+        earlier = {"x": "xb", "xb": "x"}[later]
+        pairs = [(Document(f"d-{text}", text), GoldAnnotation(f"d-{text}", [
+            Mention("PER", "p")] * 2 + [Mention("LOC", "l")] * 3)) for text in (earlier, later)]
+        oracle = OracleBackend(pairs, labels, template)
+        prompt = build_count_prompt(pairs[0][0], "ba" if earlier == "x" else "a", template)
+        assert prompt == "text:\nxba#"
+        result = oracle.generate(CompletionRequest(prompt=prompt))
+        assert result.text == ("2\n" if later == "x" else "3\n")
+
+    def test_later_prompt_of_one_document_answers(self, labels):
+        t = PromptTemplate(text_header="", entity_header="", count_marker="",
+                           onestep_entity_marker="", onestep_text_marker="")
+        doc, gold = Document("d0", "a"), GoldAnnotation("d0", [Mention("LOC", "l")])
+        oracle = OracleBackend([(doc, gold)], labels, t)
+        prompt = build_count_prompt(doc, "a", t)
+        assert prompt == build_onestep_prompt(doc, "a", t)
+        result = oracle.generate(CompletionRequest(prompt=prompt))
+        assert result.text == '["l"]<eos>'
+
+
+class TestIndexSize:
+    def test_memory_below_twice_the_corpus_text(self, labels):
+        pairs = make_corpus(300, labels, fillers_between=(40, 80))
+        text_bytes = sum(len(doc.text.encode("utf-8")) for doc, _ in pairs)
+        tracemalloc.start()
+        try:
+            oracle = OracleBackend(pairs, labels)
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert oracle.generate(CompletionRequest(
+            prompt=build_count_prompt(pairs[-1][0], "PER", PromptTemplate())))
+        assert grown < 2 * text_bytes
+
+    def test_holds_no_prompt(self, labels, template):
+        pairs = make_corpus(5, labels, seed=3)
+        oracle = OracleBackend(pairs, labels, template)
+        prompts = {build_autoreg_prompt(doc, fmt, labels, template)
+                   for doc, _ in pairs for fmt in ("aug", "struct")}
+        prompts |= {build(doc, label, template) for doc, _ in pairs for label in labels
+                    for build in (build_count_prompt, build_onestep_prompt)}
+        held, todo = set(), list(vars(oracle).values())
+        while todo:
+            value = todo.pop()
+            if isinstance(value, str):
+                held.add(value)
+            elif isinstance(value, dict):
+                todo.extend(value.keys())
+                todo.extend(value.values())
+            elif isinstance(value, (tuple, list)):
+                todo.extend(value)
+            elif isinstance(value, Document):
+                held.add(value.text)
+        assert held and not held & prompts
+
+
+def test_template_holding_the_sentinel_rejected(labels):
+    t = PromptTemplate(text_header="\U0010fffd")
+    with pytest.raises(TemplateError, match="document text exactly once"):
+        OracleBackend(make_corpus(1, labels), labels, t)
