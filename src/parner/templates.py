@@ -267,11 +267,11 @@ def emit_struct(gold: GoldAnnotation, labels: LabelSet) -> str:
 
         ((PER): (Cuttitta), (MISC): (1995 World Cup), (LOC): (Italy, England), (ORG): (NULL))
     """
-    return "(" + ", ".join(
-        f"({labels.surface(label)}): "
-        f"({', '.join([m.text for m in group]) if group else _NULL_BODY})"
-        for label, group in gold.by_label(labels).items()
-    ) + ")"
+    groups = []
+    for label, mentions in gold.by_label(labels).items():
+        body = ", ".join([m.text for m in mentions]) if mentions else _NULL_BODY
+        groups.append(f"({labels.surface(label)}): ({body})")
+    return "(" + ", ".join(groups) + ")"
 
 
 def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[str]]:
