@@ -50,7 +50,6 @@ class CompletionRequest:
 
     prompt: str
     max_new_tokens: int = 512
-    temperature: float = 1.0
     stop: Tuple[str, ...] = ()
     want_logprobs: bool = True
 

@@ -288,16 +288,21 @@ class HttpBackend(CompletionBackend):
 
     Request body::
 
-        {"prompt": ..., "max_tokens": ..., "temperature": ...,
+        {"prompt": ..., "max_tokens": ..., "temperature": 0,
          "stop": [...], "logprobs": ..., "echo": false}
 
-    Expected response fields: ``text``, ``tokens`` (concatenating to
-    ``text``), ``token_logprobs`` (required when logprobs were requested),
-    ``finish_reason``.  Transport failures, 5xx and 429 responses are
-    retried, ``max_retries`` times at most, with exponential backoff; a 429
-    whose ``Retry-After`` is a non-negative number of seconds waits that
-    long instead.  A response that breaks the ``CompletionResult``
-    contract is a ``TransportError``.  ``latency_ms`` is wall-clock
+    ``temperature`` is always 0, because the two-step protocol decodes
+    greedily.  ``max_tokens`` is the request's ``max_new_tokens``; the
+    scheduler caps it for a count request at the length of the largest
+    count's answer (4 tokens under the default template).
+
+    Expected response fields: ``text``, ``tokens`` (a list concatenating
+    to ``text``), ``token_logprobs`` (a list, required when logprobs were
+    requested), ``finish_reason``.  Transport failures, 5xx and 429
+    responses are retried, ``max_retries`` times at most, with exponential
+    backoff; a 429 whose ``Retry-After`` is a non-negative number of
+    seconds waits that long instead.  A response that breaks the
+    ``CompletionResult`` contract is a ``TransportError``.  ``latency_ms`` is wall-clock
     measured around the successful call.  A ``max_in_flight`` below 1, a
     ``max_retries`` or ``backoff_s`` below 0, or a ``timeout_s`` that is
     not a finite number above 0 raises ``ValueError``.
@@ -371,7 +376,7 @@ class HttpBackend(CompletionBackend):
         payload = {
             "prompt": request.prompt,
             "max_tokens": request.max_new_tokens,
-            "temperature": request.temperature,
+            "temperature": 0,
             "stop": list(request.stop),
             "logprobs": request.want_logprobs,
             "echo": False,
@@ -427,6 +432,10 @@ class HttpBackend(CompletionBackend):
         if tokens is None:
             raise TransportError("completion response is missing 'tokens'")
         logprobs = body.get("token_logprobs")
+        for name, value in (("tokens", tokens), ("token_logprobs", logprobs)):
+            if value is not None and not isinstance(value, list):
+                raise TransportError(f"completion response field {name!r} must be a list, "
+                                     f"got {str(value)[:200]!r}")
         # CompletionResult checks their length only when logprobs are present
         if request.want_logprobs and (logprobs is None or (tokens and not logprobs)):
             raise TransportError(

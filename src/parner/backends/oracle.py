@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -37,9 +36,11 @@ from parner.templates import (
     build_autoreg_prompt,
     build_count_prompt,
     build_onestep_prompt,
+    count_answer,
     emit_aug,
     emit_onestep,
     emit_struct,
+    read_mention_prompt,
 )
 
 __all__ = ["ErrorInjection", "OracleBackend"]
@@ -103,8 +104,10 @@ class OracleBackend(CompletionBackend):
     corpus's own strings, and the few frames of the template and label
     set; it holds no prompt.  Index memory is therefore O(corpus), not
     O(corpus x (2 labels + 2)) as a map from every buildable prompt would
-    be.  A mention prompt is recognised as a count prompt plus the mention
-    tail.  When two pairs share a document text, the later one answers.
+    be.  A mention prompt is recognised as a count prompt plus the tail that
+    ``templates.build_mention_prompt`` adds, read back by
+    ``templates.read_mention_prompt``.  When two pairs share a document
+    text, the later one answers.
 
     The instance is immutable after construction and safe for concurrent
     use.
@@ -178,12 +181,6 @@ class OracleBackend(CompletionBackend):
         self._unambiguous = not any(
             (p1.startswith(p2) or p2.startswith(p1)) and (s1.endswith(s2) or s2.endswith(s1))
             for i, (p1, s1) in enumerate(frames) for p2, s2 in frames[:i]
-        )
-
-        marker_pre, marker_post = t.mention_marker.split("{n}")
-        self._mention_tail = re.compile(
-            r"(\d+)" + re.escape(t.count_terminator)
-            + re.escape(marker_pre) + r"(\d+)" + re.escape(marker_post) + r"\Z"
         )
 
     # -- seeded, order-independent randomness --------------------------------
@@ -295,23 +292,16 @@ class OracleBackend(CompletionBackend):
     def _match_mention_prompt(
         self, prompt: str
     ) -> Optional[Tuple[Document, GoldAnnotation, str, int, List[Mention]]]:
-        head, sep, _ = prompt.rpartition(self._t.count_marker)
-        if not sep:
-            return None
-        end = len(head) + len(sep)
-        match = self._mention_tail.fullmatch(prompt, end)
-        if match is None:
-            return None
-        found = self._lookup(prompt, end)
+        read = read_mention_prompt(prompt, self._t)
+        found = self._lookup(prompt, read[0]) if read else None
         if found is None or found[0][1] != "count":
             return None
         (_, _, label), (_, doc, gold, by_label, _, _) = found
-        return doc, gold, label, int(match.group(2)), by_label[label]
+        return doc, gold, label, read[1], by_label[label]
 
     def _count_answer(
         self, doc: Document, label: str, mentions: List[Mention]
     ) -> Tuple[List[str], _Logprobs]:
-        t = self._t
         gold_m = len(mentions)
         forced = self._errors.forced_counts.get((doc.id, label))
         if forced is not None:
@@ -322,10 +312,7 @@ class OracleBackend(CompletionBackend):
                 delta = 1 if gold_m == 0 or self._unit("count+-", doc.id, label) < 0.5 else -1
                 m = gold_m + delta
         erroneous = m != gold_m
-        if m <= 0:
-            tokens = [t.eos_literal]
-        else:
-            tokens = list(str(m)) + [t.count_terminator]
+        tokens = count_answer(m, self._t)
         return tokens, lambda n: self._logprobs(erroneous, (doc.id, label, "count"), range(n))
 
     def _mention_answer(

@@ -24,10 +24,11 @@ class ScriptedBackend(CompletionBackend):
         {"prompt": "...", "tokens": ["..."], "logprobs": [-0.01],
          "finish": "eos", "latency_ms": 10.0}
 
-    ``logprobs`` defaults to 0.0 per token, ``finish`` to "eos" and
-    ``latency_ms`` to 0.0.  Stop strings and ``max_new_tokens`` from the
-    request are applied to the replayed tokens.  Each entry is checked once,
-    when it is loaded: a bad one raises ``ValueError``.
+    ``tokens`` and ``logprobs`` are JSON lists.  ``logprobs`` defaults to
+    0.0 per token, ``finish`` to "eos" and ``latency_ms`` to 0.0.  Stop
+    strings and ``max_new_tokens`` from the request are applied to the
+    replayed tokens.  Each entry is checked once, when it is loaded: a bad
+    one raises ``ValueError``.
     """
 
     def __init__(self, entries: Iterable[Dict]):
@@ -38,6 +39,10 @@ class ScriptedBackend(CompletionBackend):
     def _add(self, entry: Dict) -> None:
         if not isinstance(entry, dict) or "prompt" not in entry or "tokens" not in entry:
             raise ValueError(f"fixture entry needs 'prompt' and 'tokens': {entry!r}")
+        for name in ("tokens", "logprobs"):  # a null ``logprobs`` is an absent one
+            value = entry.get(name)
+            if not isinstance(value, list) and (name == "tokens" or value is not None):
+                raise ValueError(f"fixture field {name!r} must be a JSON list, got {value!r}")
         if entry.get("logprobs") and len(entry["logprobs"]) != len(entry["tokens"]):
             raise ValueError(f"fixture logprobs misaligned with its tokens: {entry!r}")
         self._fixtures[entry["prompt"]] = dict(entry)

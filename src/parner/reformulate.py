@@ -19,7 +19,9 @@ from parner.templates import (
     TemplateError,
     build_autoreg_prompt,
     build_count_prompt,
+    build_mention_prompt,
     build_onestep_prompt,
+    count_answer,
     emit_aug,
     emit_onestep,
     emit_struct,
@@ -88,32 +90,16 @@ def generate_pair_examples(
     """
     examples: List[TrainingExample] = []
     for label in labels:
-        count_prompt = build_count_prompt(doc, labels.surface(label), t)
         mentions = gold.for_label(label)
+        common = dict(input=build_count_prompt(doc, labels.surface(label), t), format="pair",
+                      doc_id=doc.id, label=label, mention_count=len(mentions))
         if not mentions:
-            examples.append(TrainingExample(
-                input=count_prompt,
-                output=t.eos_literal,
-                format="pair",
-                doc_id=doc.id,
-                label=label,
-                mention_count=0,
-            ))
-            continue
-        m = len(mentions)
-        prefix = f"{m}{t.count_terminator}"
+            examples.append(TrainingExample(output="".join(count_answer(0, t)), **common))
         for idx, mention in enumerate(mentions, start=1):
-            marker = mention_marker(idx, t)
+            head = build_mention_prompt("", len(mentions), idx, t)
             examples.append(TrainingExample(
-                input=count_prompt,
-                output=prefix + marker + mention.text,
-                format="pair",
-                doc_id=doc.id,
-                label=label,
-                mention_index=idx,
-                mention_count=m,
-                marker_span=(len(prefix), len(prefix) + len(marker)),
-            ))
+                output=head + mention.text, mention_index=idx,
+                marker_span=(len(head) - len(mention_marker(idx, t)), len(head)), **common))
     return examples
 
 

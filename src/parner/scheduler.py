@@ -58,6 +58,7 @@ from parner.templates import (
     build_count_prompt,
     build_mention_prompt,
     build_onestep_prompt,
+    count_answer,
     parse_augmented,
     parse_count,
     parse_mention,
@@ -201,7 +202,9 @@ def decode_document(
     Step one asks every label for its mention count ("pair-*") or its JSON
     mention list ("onestep"), or asks once for the whole annotated output
     ("autoreg-*").  In the pair modes an empty completion counts as zero
-    and the label gets no step two.  Requests that are not batched run on
+    and the label gets no step two.  A count request may generate no more
+    tokens than the count answer of ``t.max_count``; every other request
+    gets ``max_new_tokens``.  Requests that are not batched run on
     ``pool`` when one is given, and one at a time without it.  The aug and
     struct formats expose no per-mention token spans, so their mentions
     score probability 1.0 and de-duplication falls back to the label-order
@@ -225,7 +228,10 @@ def decode_document(
         """
         if not planned:  # no call at all, not even an empty batch a backend may reject
             return
-        requests = [CompletionRequest(prompt=prompt, max_new_tokens=max_new_tokens,
+        # no count that parses needs more tokens than the largest one
+        budget = (min(max_new_tokens, len(count_answer(t.max_count, t))) if kind == "count"
+                  else max_new_tokens)
+        requests = [CompletionRequest(prompt=prompt, max_new_tokens=budget,
                                       want_logprobs=kind in _SCORED_KINDS)
                     for _, _, prompt in planned]
         if _batched(backend, mode):

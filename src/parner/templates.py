@@ -6,11 +6,16 @@ document (or a whole label) in one autoregressive pass: an inline-bracket
 augmented text, a parenthesized per-label annotation, or a JSON list per
 label.  Emitters and parsers for each format live side by side here so the
 round-trip contract (parse(emit(gold)) == gold) is easy to state and test.
+The pair protocol's own layout lives here alone, in both directions:
+``parse_count`` reads back every ``count_answer`` from 0 to ``max_count``,
+and ``read_mention_prompt`` reads back exactly what ``build_mention_prompt``
+builds.  ``PromptTemplate`` rejects a template under which either could not.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import re
@@ -28,9 +33,11 @@ __all__ = [
     "ParsedMention",
     "build_count_prompt",
     "build_mention_prompt",
+    "read_mention_prompt",
     "build_autoreg_prompt",
     "build_onestep_prompt",
     "mention_marker",
+    "count_answer",
     "parse_count",
     "parse_mention",
     "emit_struct",
@@ -41,6 +48,9 @@ __all__ = [
     "parse_onestep",
     "visible_text",
 ]
+
+
+_DIGITS = frozenset("0123456789")
 
 
 class TemplateError(ValueError):
@@ -76,6 +86,15 @@ class PromptTemplate:
     of at least 1, must be a string too.  The autoregressive/one-step headers below the
     divider frame the baseline formats; they are fixture strings of this
     implementation, not part of the two-step protocol itself.
+
+    Both numbers of a mention prompt are read back from the right, so no
+    digit may touch them: ``count_marker`` and ``count_terminator`` are
+    non-empty, ``count_marker`` and ``count_terminator`` plus the text
+    before ``{n}`` end in no ASCII digit, and ``count_terminator`` starts
+    with none.  A count answer is read up to ``eos_literal``, so that is
+    non-empty, starts with no ASCII digit, and occurs in
+    ``count_terminator`` only at its start.  Otherwise a count would read as
+    another count.
     """
 
     text_header: str = "text:\n"
@@ -102,10 +121,27 @@ class PromptTemplate:
             raise TemplateError(
                 f"mention_marker needs exactly one {{n}} placeholder: {self.mention_marker!r}"
             )
-        if not self.count_terminator:
-            raise TemplateError("count_terminator must be non-empty")
+        for name in ("count_marker", "count_terminator", "eos_literal"):
+            if not getattr(self, name):
+                raise TemplateError(f"{name} must be non-empty")
+        if {self.count_marker[-1], self._index_frame[0][-1], self.count_terminator[0],
+                self.eos_literal[0]} & _DIGITS:
+            raise TemplateError(
+                "count_marker and count_terminator plus the text before {n} must not end "
+                "in a digit, nor count_terminator or eos_literal start with one: "
+                f"{self.count_marker!r}, {self.count_terminator!r}, {self.mention_marker!r}, "
+                f"{self.eos_literal!r}")
+        if self.eos_literal in self.count_terminator[1:]:
+            raise TemplateError(f"eos_literal {self.eos_literal!r} must not cut count_terminator "
+                                f"{self.count_terminator!r} short")
         if self.max_count < 1:
             raise TemplateError("max_count must be at least 1")
+
+    @functools.cached_property
+    def _index_frame(self) -> Tuple[str, str]:
+        """What a mention prompt holds between its count and its index, and after the index."""
+        before, after = self.mention_marker.split("{n}")
+        return self.count_terminator + before, after
 
 
 def chinese_template() -> PromptTemplate:
@@ -130,7 +166,14 @@ def build_count_prompt(doc: Document, label_surface: str, t: PromptTemplate) -> 
 def mention_marker(index: int, t: PromptTemplate) -> str:
     if index < 1:
         raise TemplateError(f"mention index must be >= 1, got {index}")
-    return t.mention_marker.format(n=index)
+    return t.mention_marker.replace("{n}", str(index))
+
+
+def count_answer(count: int, t: PromptTemplate) -> List[str]:
+    """The tokens of a step-one answer, which :func:`parse_count` reads back:
+    one per digit, then the terminator; the end-of-sequence literal alone
+    for a count of 0 or below."""
+    return [*str(count), t.count_terminator] if count > 0 else [t.eos_literal]
 
 
 def build_mention_prompt(count_prompt: str, count: int, index: int, t: PromptTemplate) -> str:
@@ -138,15 +181,43 @@ def build_mention_prompt(count_prompt: str, count: int, index: int, t: PromptTem
 
     The result is a strict extension of ``count_prompt``, so a stateless
     backend re-reads the full context on every step-two request.
+    :func:`read_mention_prompt` reads it back.
 
     Raises:
         TemplateError: unless 1 <= index <= count.
     """
-    if count < 1:
-        raise TemplateError(f"count must be >= 1 to ask for a mention, got {count}")
     if not 1 <= index <= count:
         raise TemplateError(f"mention index {index} out of range 1..{count}")
-    return count_prompt + str(count) + t.count_terminator + mention_marker(index, t)
+    return count_prompt + "".join(count_answer(count, t)) + mention_marker(index, t)
+
+
+def _is_number(digits: str) -> bool:
+    """Whether ``digits`` is a number above 0 as ``str`` writes it."""
+    return digits.isdigit() and digits.isascii() and digits[0] != "0"
+
+
+def read_mention_prompt(prompt: str, t: PromptTemplate) -> Optional[Tuple[int, int]]:
+    """The inverse of :func:`build_mention_prompt`: where its count prompt
+    ends, and the mention index; None for any other prompt.
+
+    Both numbers are read from the right.  The count prompt is only known to
+    end with ``count_marker``; whether it is a count prompt is the caller's
+    question.
+    """
+    between, after = t._index_frame
+    index_end = len(prompt) - len(after)
+    count_end = prompt.rfind(between, 0, index_end)
+    if count_end < 0 or not prompt.endswith(after):
+        return None
+    index = prompt[count_end + len(between):index_end]
+    count_start = count_end
+    while count_start and prompt[count_start - 1] in _DIGITS:
+        count_start -= 1
+    count = prompt[count_start:count_end]
+    if not (_is_number(index) and _is_number(count)
+            and int(index) <= int(count) and prompt.endswith(t.count_marker, 0, count_start)):
+        return None
+    return count_start, int(index)
 
 
 def build_autoreg_prompt(doc: Document, fmt: str, labels: LabelSet, t: PromptTemplate) -> str:

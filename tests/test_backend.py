@@ -46,6 +46,7 @@ from parner.templates import (
     build_onestep_prompt,
     emit_aug,
     emit_onestep,
+    PromptTemplate,
     emit_struct,
     parse_count,
 )
@@ -159,6 +160,28 @@ class TestScriptedBackend:
         result = backend.generate(CompletionRequest(prompt="p", max_new_tokens=2))
         assert result.tokens == ("a", "b")
         assert result.stop_reason == "length"
+
+    @pytest.mark.parametrize("field, value", [
+        ("tokens", "Italy"), ("tokens", {"Italy": 0}), ("tokens", None),
+        ("logprobs", "-0.1"), ("logprobs", {"-0.1": 0}),
+    ], ids=["tokens-string", "tokens-object", "tokens-null", "logprobs-string",
+            "logprobs-object"])
+    def test_token_fields_must_be_lists(self, field, value):
+        entry = dict({"prompt": "p", "tokens": ["Italy"]}, **{field: value})
+        with pytest.raises(ValueError, match=f"fixture field '{field}' must be a JSON list"):
+            ScriptedBackend([entry])
+
+    def test_null_logprobs_default(self):
+        backend = ScriptedBackend([{"prompt": "p", "tokens": ["x"], "logprobs": None}])
+        assert backend.generate(CompletionRequest(prompt="p")).token_logprobs == (0.0,)
+
+    def test_from_jsonl_names_the_field_then_file_and_line(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text(json.dumps({"prompt": "a", "tokens": "Italy"}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ScriptedBackend.from_jsonl(str(path))
+        assert str(err.value) == (f"fixture field 'tokens' must be a JSON list, got 'Italy' "
+                                  f"(fixture file {path}, line 1)")
 
     def test_misaligned_fixture_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
@@ -640,7 +663,7 @@ class TestHttpBackend:
         assert result.latency_ms > 0
         payload = stub_server.calls[0]["payload"]
         assert payload == {
-            "prompt": "p", "max_tokens": 64, "temperature": 1.0,
+            "prompt": "p", "max_tokens": 64, "temperature": 0,
             "stop": [], "logprobs": True, "echo": False,
         }
 
@@ -721,6 +744,43 @@ class TestHttpBackend:
             assert defect.startswith(f"count request failed for label {label}: ")
             assert "concatenate" in defect
         assert outcome.traces == [] and outcome.raw_mentions == []
+
+    @pytest.mark.parametrize("field, value, want_logprobs", [
+        ("tokens", "Italy<eos>", False),
+        ("tokens", {"Italy": 0, "<eos>": 1}, False),
+        ("token_logprobs", {"-0.1": 0, "-0.05": 1}, True),
+        ("token_logprobs", "12", True),
+    ], ids=["tokens-string", "tokens-object", "logprobs-object", "logprobs-string"])
+    def test_token_fields_must_be_lists(self, stub_server, field, value, want_logprobs):
+        body = dict(_OK_BODY, **{field: value})
+        stub_server.behavior = lambda payload, n: (200, body)
+        with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
+            with pytest.raises(TransportError, match=f"field '{field}' must be a list"):
+                backend.generate(CompletionRequest(prompt="p", want_logprobs=want_logprobs))
+
+    @pytest.mark.parametrize("max_new_tokens, max_count, count_budget", [
+        (512, 100, 4), (3, 100, 3), (512, 7, 2), (512, 1000, 5),
+    ])
+    def test_greedy_requests_and_count_budget(self, stub_server, labels, max_new_tokens,
+                                              max_count, count_budget):
+        t = PromptTemplate(max_count=max_count)
+
+        def answer(payload, n):
+            tokens = ["1", "\n"] if payload["prompt"].endswith(t.count_marker) else ["It", "<eos>"]
+            return 200, {"text": "".join(tokens), "tokens": tokens,
+                         "token_logprobs": [-0.1, -0.1], "finish_reason": "eos"}
+
+        stub_server.behavior = answer
+        doc = Document(id="x", text="Italy beat England.")
+        with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
+            outcome = run_corpus([doc], labels, backend, t, "pair-multi",
+                                 max_new_tokens=max_new_tokens)[0]
+        assert outcome.defects == [] and len(outcome.raw_mentions) == len(labels)
+        payloads = [call["payload"] for call in stub_server.calls]
+        assert {payload["temperature"] for payload in payloads} == {0}
+        budgets = sorted((payload["prompt"].endswith(t.count_marker), payload["max_tokens"])
+                         for payload in payloads)
+        assert budgets == [(False, max_new_tokens)] * 4 + [(True, count_budget)] * 4
 
     def test_stop_finish_maps_to_stop_string(self, stub_server):
         body = dict(_OK_BODY, finish_reason="stop")

@@ -296,6 +296,21 @@ class TestDecode:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"count_marker": ""}, "count_marker must be non-empty"),
+        ({"count_terminator": "0"}, "nor count_terminator or eos_literal start with one"),
+    ], ids=["empty-count-marker", "digit-terminator"])
+    def test_template_whose_numbers_cannot_be_read_back_rejected(
+            self, tmp_path, corpus_path, capsys, fields, message):
+        template = write_json(tmp_path, "template.json", fields)
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--template", template, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parner: error: ") and message in err
+        assert not out.exists()
+
     def test_label_map_key_that_is_not_a_label_rejected(self, tmp_path, corpus_path, capsys):
         label_map = write_json(tmp_path, "map.json", {"LOC": "x", "PER": "p", "MISC": "m",
                                                       "ORG": "o", "PERR": "y"})

@@ -4,6 +4,7 @@ adversarial texts, against a map of every buildable prompt, and for size."""
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 from typing import Dict, List, Tuple
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from parner.backends import CompletionRequest, OracleBackend, UnknownPromptError
 from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
+from parner.evaluation import micro_f1
 from parner.scheduler import run_corpus
 from parner.synthetic import make_corpus
 from parner.templates import (
@@ -27,6 +29,7 @@ from parner.templates import (
     emit_onestep,
     emit_struct,
     mention_marker,
+    read_mention_prompt,
 )
 
 Pairs = List[Tuple[Document, GoldAnnotation]]
@@ -130,8 +133,11 @@ class TestRecognition:
             _raises_unknown(oracle, build_autoreg_prompt(changed, "aug", labels, t))
         _raises_unknown(oracle, build_count_prompt(doc, surface + ALIEN, t))
         _raises_unknown(oracle, build_onestep_prompt(doc, ALIEN + surface, t))
-        _raises_unknown(oracle, count + "2" + t.count_terminator
-                        + t.mention_marker.replace("{n}", "x"))
+        # a non-digit index, full-width digits, leading zeros, index 0, index above count
+        for count_text, index_text in (("2", "x"), ("２", "１"), ("02", "01"), ("2", "0"),
+                                       ("2", "3")):
+            _raises_unknown(oracle, count + count_text + t.count_terminator
+                            + t.mention_marker.replace("{n}", index_text))
 
 
 def _count_tokens(gold: GoldAnnotation, label: str, t: PromptTemplate) -> Tuple[str, ...]:
@@ -203,6 +209,59 @@ class TestAgainstAPromptMap:
             assert (result.tokens if kind == "count" else result.text) == answer
 
 
+class TestPairProtocol:
+    """Mention prompts read back over random templates, and noiseless pair
+    decodes under templates whose count marker also ends the text between a
+    mention prompt's count and its index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(world=tiny_worlds(), data=st.data())
+    def test_mention_prompt_reads_back(self, world, data):
+        t, labels, pairs = world
+        doc, _ = data.draw(st.sampled_from(pairs))
+        count_prompt = build_count_prompt(doc, labels.surface(next(iter(labels))), t)
+        count = data.draw(st.integers(1, 150))
+        index = data.draw(st.integers(1, count))
+        prompt = build_mention_prompt(count_prompt, count, index, t)
+        assert read_mention_prompt(prompt, t) == (len(count_prompt), index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(world=tiny_worlds(), data=st.data())
+    def test_what_reads_back_was_built(self, world, data):
+        t, labels, pairs = world
+        before, after = t.mention_marker.split("{n}")
+        piece = st.sampled_from(["", "0", "1", "10", "２", t.count_marker, t.count_terminator,
+                                 before, after, "a", "#"])
+        number = st.sampled_from(["1", "2", "9", "10", "12", "", "0", "01", "２"])
+        # a mention prompt's layout, a part of it now and then swapped for another piece
+        layout = [piece, st.just(t.count_marker), number, st.just(t.count_terminator),
+                  st.just(before), number, st.just(after)]
+        prompt = "".join(data.draw(piece if data.draw(st.sampled_from(range(8))) == 0 else part)
+                         for part in layout)
+        read = read_mention_prompt(prompt, t)
+        if read is not None:
+            end, index = read
+            count = int(re.match("[0-9]+", prompt[end:]).group())
+            assert prompt[:end].endswith(t.count_marker)
+            assert build_mention_prompt(prompt[:end], count, index, t) == prompt
+
+    @pytest.mark.parametrize("fields", [
+        {"count_marker": "\n"},
+        {"count_marker": "\n<num>", "mention_marker": "\n<num>{n}"},
+    ], ids=["newline", "num-in-both"])
+    @pytest.mark.parametrize("mode", ["pair-multi", "pair-batch"])
+    def test_noiseless_decode_scores_one(self, labels, fields, mode):
+        t = PromptTemplate(**fields)
+        pairs = make_corpus(50, labels, seed=1)
+        outcomes = run_corpus([doc for doc, _ in pairs], labels,
+                              OracleBackend(pairs, labels, t), t, mode, parallelism=1)
+        assert [d for outcome in outcomes for d in outcome.defects] == []
+        pred = {outcome.doc_id: [Mention(m.label, m.text) for m in outcome.raw_mentions]
+                for outcome in outcomes}
+        gold = {doc.id: gold.mentions for doc, gold in pairs}
+        assert micro_f1(pred, gold, labels).f1 == 1.0
+
+
 class TestTieBreaks:
     """Where one prompt is two documents' prompts, or two prompts of one
     document, the last pair, then the last prompt built for it, answers."""
@@ -227,12 +286,12 @@ class TestTieBreaks:
         assert result.text == ("2\n" if later == "x" else "3\n")
 
     def test_later_prompt_of_one_document_answers(self, labels):
-        t = PromptTemplate(text_header="", entity_header="", count_marker="",
-                           onestep_entity_marker="", onestep_text_marker="")
-        doc, gold = Document("d0", "a"), GoldAnnotation("d0", [Mention("LOC", "l")])
+        t = PromptTemplate(text_header="", entity_header="", count_marker="#",
+                           onestep_entity_marker="#", onestep_text_marker="")
+        doc, gold = Document("d0", "#"), GoldAnnotation("d0", [Mention("LOC", "l")])
         oracle = OracleBackend([(doc, gold)], labels, t)
         prompt = build_count_prompt(doc, "a", t)
-        assert prompt == build_onestep_prompt(doc, "a", t)
+        assert prompt == build_onestep_prompt(doc, "a", t) == "#a#"
         result = oracle.generate(CompletionRequest(prompt=prompt))
         assert result.text == '["l"]<eos>'
 

@@ -18,6 +18,7 @@ from parner.templates import (
     build_mention_prompt,
     build_onestep_prompt,
     chinese_template,
+    count_answer,
     emit_aug,
     emit_onestep,
     emit_struct,
@@ -26,6 +27,7 @@ from parner.templates import (
     parse_mention,
     parse_onestep,
     parse_structured,
+    read_mention_prompt,
     visible_text,
 )
 
@@ -111,6 +113,93 @@ class TestPromptConstruction:
     def test_template_field_types(self, fields, message):
         with pytest.raises(TemplateError, match=message):
             PromptTemplate(**fields)
+
+
+# templates whose counts and mention indices must read back, edge cases included
+PAIR_TEMPLATES = {
+    "english": PromptTemplate(),
+    "chinese": chinese_template(),
+    "newline-count-marker": PromptTemplate(count_marker="\n"),
+    "num-in-both-markers": PromptTemplate(count_marker="\n<num>", mention_marker="\n<num>{n}"),
+    "digit-after-index": PromptTemplate(mention_marker="<{n}1>"),
+    "digit-inside-markers": PromptTemplate(count_marker="\n<num 1>\n", count_terminator="\n2x"),
+    "full-width-digit-ends-marker": PromptTemplate(count_marker="\n数量２"),
+    "index-right-after-terminator": PromptTemplate(mention_marker="{n}", max_count=12),
+    "eos-starts-terminator": PromptTemplate(count_terminator="<eos>\n"),
+    "braces-in-marker": PromptTemplate(mention_marker="{x}<{n}{{>"),
+}
+
+
+class TestTemplateChecks:
+    """A template is rejected when a count or mention index it lays out
+    could not be read back."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"count_marker": ""}, "count_marker must be non-empty"),
+        ({"count_terminator": ""}, "count_terminator must be non-empty"),
+        ({"count_marker": "\n<num>7"}, "must not end in a digit"),
+        ({"count_terminator": "\n1", "mention_marker": "{n}"}, "must not end in a digit"),
+        ({"mention_marker": "<mention 1{n}>"}, "must not end in a digit"),
+        ({"count_terminator": "0"}, "nor count_terminator or eos_literal start with one"),
+        ({"count_terminator": "9\n"}, "nor count_terminator or eos_literal start with one"),
+        ({"eos_literal": ""}, "eos_literal must be non-empty"),
+        ({"eos_literal": "1"}, "nor count_terminator or eos_literal start with one"),
+        ({"count_terminator": "\n<eos>"}, "eos_literal '<eos>' must not cut count_terminator"),
+    ], ids=["empty-count-marker", "empty-terminator", "count-marker-ends-in-digit",
+            "terminator-ends-in-digit-before-index", "digit-before-index",
+            "terminator-is-a-digit", "terminator-starts-with-digit", "empty-eos",
+            "eos-is-a-digit", "eos-inside-terminator"])
+    def test_rejected(self, fields, message):
+        with pytest.raises(TemplateError, match=message):
+            PromptTemplate(**fields)
+
+    @pytest.mark.parametrize("name", sorted(PAIR_TEMPLATES))
+    def test_accepted(self, name):
+        assert isinstance(PAIR_TEMPLATES[name], PromptTemplate)
+
+
+class TestCountAnswer:
+    def test_tokens(self, template):
+        assert count_answer(12, template) == ["1", "2", "\n"]
+        assert count_answer(1, template) == ["1", "\n"]
+        assert count_answer(0, template) == ["<eos>"]
+
+    @pytest.mark.parametrize("name", sorted(PAIR_TEMPLATES))
+    def test_parse_count_reads_every_count_back(self, name):
+        t = PAIR_TEMPLATES[name]
+        for n in range(t.max_count + 1):
+            tokens = count_answer(n, t)
+            assert parse_count(completion("".join(tokens), tokens=tokens), t) == n
+
+
+class TestReadMentionPrompt:
+    @pytest.mark.parametrize("name", sorted(PAIR_TEMPLATES))
+    def test_reads_back_what_is_built(self, name, cuttitta):
+        t = PAIR_TEMPLATES[name]
+        count_prompt = build_count_prompt(cuttitta[0], "LOC", t)
+        for count in (1, 2, 9, 10, 11, 100, 1234):
+            for index in sorted({1, 2, 10, count - 1, count} & set(range(1, count + 1))):
+                prompt = build_mention_prompt(count_prompt, count, index, t)
+                assert read_mention_prompt(prompt, t) == (len(count_prompt), index)
+
+    @pytest.mark.parametrize("tail", [
+        "２\n<mention １>", "2\n<mention １>", "02\n<mention 01>", "2\n<mention 01>",
+        "02\n<mention 1>", "2\n<mention 0>", "0\n<mention 0>", "2\n<mention 3>",
+        "2\n<mention >", "\n<mention 1>", "2<mention 1>", "2\n<mention 1> ",
+        "2\n\n<mention 1>", "x2\n<mention 1>", "2\n<mention 1x>", "",
+    ])
+    def test_rejects_what_no_builder_makes(self, template, cuttitta, tail):
+        count_prompt = build_count_prompt(cuttitta[0], "LOC", template)
+        assert read_mention_prompt(count_prompt + tail, template) is None
+
+    def test_braces_other_than_the_placeholder_are_text(self):
+        t = PAIR_TEMPLATES["braces-in-marker"]
+        assert build_mention_prompt("\n<num>\n", 12, 3, t) == "\n<num>\n12\n{x}<3{{>"
+
+    def test_count_prompt_must_end_with_the_count_marker(self, template):
+        assert read_mention_prompt("base2\n<mention 1>", template) is None
+        assert read_mention_prompt("<num>\n2\n<mention 1>", template) is None
+        assert read_mention_prompt("\n<num>\n2\n<mention 1>", template) == (7, 1)
 
 
 class TestParseCount:
