@@ -47,6 +47,9 @@ TOKEN_ENV_VAR = "PARNER_HTTP_TOKEN"
 
 _FINISH_TO_STOP_REASON = {"eos": "eos", "stop": "stop_string", "length": "length"}
 
+# first wait before a retry, in seconds; it doubles on every further retry
+_BACKOFF_S = 0.25
+
 
 def _dropped(sock: socket.socket) -> bool:
     """Whether an idle connection is unusable: the peer closed it or sent
@@ -299,13 +302,13 @@ class HttpBackend(CompletionBackend):
     Expected response fields: ``text``, ``tokens`` (a list concatenating
     to ``text``), ``token_logprobs`` (a list, required when logprobs were
     requested), ``finish_reason``.  Transport failures, 5xx and 429
-    responses are retried, ``max_retries`` times at most, with exponential
-    backoff; a 429 whose ``Retry-After`` is a non-negative number of
-    seconds waits that long instead.  A response that breaks the
+    responses are retried, ``max_retries`` times at most, after 0.25 s,
+    doubling each time; a 429 whose ``Retry-After`` is a non-negative
+    number of seconds waits that long instead.  A response that breaks the
     ``CompletionResult`` contract is a ``TransportError``.  ``latency_ms`` is wall-clock
     measured around the successful call.  A ``max_in_flight`` below 1, a
-    ``max_retries`` or ``backoff_s`` below 0, or a ``timeout_s`` that is
-    not a finite number above 0 raises ``ValueError``.
+    ``max_retries`` below 0, or a ``timeout_s`` that is not a finite number
+    above 0 raises ``ValueError``.
 
     The environment is read once, when the backend is built: proxies for
     ``url`` (honouring ``NO_PROXY``), the CA bundle
@@ -330,7 +333,6 @@ class HttpBackend(CompletionBackend):
         timeout_s: float = 60.0,
         max_retries: int = 2,
         max_in_flight: int = 8,
-        backoff_s: float = 0.25,
         session: Optional[requests.Session] = None,
     ):
         if max_in_flight < 1 or max_retries < 0:
@@ -338,12 +340,9 @@ class HttpBackend(CompletionBackend):
                              f"got {max_in_flight} and {max_retries}")
         if not (math.isfinite(timeout_s) and timeout_s > 0):
             raise ValueError(f"timeout_s must be a finite number > 0, got {timeout_s}")
-        if not backoff_s >= 0:  # NaN too
-            raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
         self._url = url
         self._timeout_s = timeout_s
         self._max_retries = max_retries
-        self._backoff_s = backoff_s
         self.max_in_flight = max_in_flight
         self._semaphore = threading.Semaphore(max_in_flight)
         self._owns_session = session is None
@@ -390,7 +389,7 @@ class HttpBackend(CompletionBackend):
         retry_after: Optional[float] = None
         for attempt in range(self._max_retries + 1):
             if attempt:
-                time.sleep(self._backoff_s * 2 ** (attempt - 1) if retry_after is None
+                time.sleep(_BACKOFF_S * 2 ** (attempt - 1) if retry_after is None
                            else retry_after)
                 retry_after = None
             start = time.perf_counter()

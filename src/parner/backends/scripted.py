@@ -6,6 +6,7 @@ import json
 from typing import Dict, Iterable
 
 from parner.backends.base import (
+    STOP_REASONS,
     CompletionBackend,
     CompletionRequest,
     CompletionResult,
@@ -16,6 +17,10 @@ from parner.backends.base import (
 __all__ = ["ScriptedBackend"]
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class ScriptedBackend(CompletionBackend):
     """Replays fixture completions keyed by the exact prompt string.
 
@@ -24,11 +29,13 @@ class ScriptedBackend(CompletionBackend):
         {"prompt": "...", "tokens": ["..."], "logprobs": [-0.01],
          "finish": "eos", "latency_ms": 10.0}
 
-    ``tokens`` and ``logprobs`` are JSON lists.  ``logprobs`` defaults to
-    0.0 per token, ``finish`` to "eos" and ``latency_ms`` to 0.0.  Stop
-    strings and ``max_new_tokens`` from the request are applied to the
-    replayed tokens.  Each entry is checked once, when it is loaded: a bad
-    one raises ``ValueError``.
+    ``tokens`` and ``logprobs`` are JSON lists.  ``logprobs`` holds one
+    number per token and defaults to 0.0 per token; ``finish`` is one of
+    ``CompletionResult``'s stop reasons and defaults to "eos";
+    ``latency_ms`` is a number and defaults to 0.0.  Stop strings and
+    ``max_new_tokens`` from the request are applied to the replayed tokens.
+    Each entry is checked once, when it is loaded: a bad one raises
+    ``ValueError`` naming the field.
     """
 
     def __init__(self, entries: Iterable[Dict]):
@@ -43,8 +50,17 @@ class ScriptedBackend(CompletionBackend):
             value = entry.get(name)
             if not isinstance(value, list) and (name == "tokens" or value is not None):
                 raise ValueError(f"fixture field {name!r} must be a JSON list, got {value!r}")
-        if entry.get("logprobs") and len(entry["logprobs"]) != len(entry["tokens"]):
+        logprobs = entry.get("logprobs") or []
+        if not all(_is_number(x) for x in logprobs):
+            raise ValueError(f"fixture field 'logprobs' must hold numbers, got {logprobs!r}")
+        if logprobs and len(logprobs) != len(entry["tokens"]):
             raise ValueError(f"fixture logprobs misaligned with its tokens: {entry!r}")
+        if entry.get("finish", "eos") not in STOP_REASONS:
+            raise ValueError(f"fixture field 'finish' must be one of {STOP_REASONS}, "
+                             f"got {entry['finish']!r}")
+        if not _is_number(entry.get("latency_ms", 0.0)):
+            raise ValueError(f"fixture field 'latency_ms' must be a number, "
+                             f"got {entry['latency_ms']!r}")
         self._fixtures[entry["prompt"]] = dict(entry)
 
     @classmethod

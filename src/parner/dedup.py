@@ -11,7 +11,7 @@ the filter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from parner.corpus import LabelSet, Mention
 from parner.scheduler import ScoredMention
@@ -31,8 +31,8 @@ def deduplicate(
 ) -> List[Mention]:
     """Resolve surfaces predicted under several labels, in stable order.
 
-    Surfaces are compared exactly (case-sensitive) after whitespace
-    trimming.  keep-max picks, per trimmed surface, the label of its most
+    Surfaces are compared exactly, as decoded (case and whitespace
+    included).  keep-max picks, per surface, the label of its most
     probable occurrence (reverse: of its least probable) and keeps every
     occurrence of the surface under that label, dropping those under the
     other labels.  Probabilities within 1e-12 of the best count as tied,
@@ -46,19 +46,16 @@ def deduplicate(
     if mode not in DEDUP_MODES:
         raise ValueError(f"unknown dedup mode: {mode!r} (expected one of {DEDUP_MODES})")
 
-    indexed = list(enumerate(mentions))
-    if mode == "off":
-        chosen = indexed
-    else:
-        groups: Dict[str, List[Tuple[int, ScoredMention]]] = {}
-        for position, mention in indexed:
-            groups.setdefault(mention.text.strip(), []).append((position, mention))
-        chosen = []
-        for group in groups.values():
-            probabilities = [m.probability for _, m in group]
-            best = max(probabilities) if mode == "keep-max" else min(probabilities)
-            winner = min(labels.rank(m.label) for _, m in group
-                         if abs(m.probability - best) <= _TIE_EPSILON)
-            chosen.extend(item for item in group if labels.rank(item[1].label) == winner)
-    chosen.sort(key=lambda item: (labels.rank(item[1].label), item[0]))
-    return [Mention(mention.label, mention.text.strip()) for _, mention in chosen]
+    # stable, so mentions under one label keep their input order
+    chosen = sorted(mentions, key=lambda m: labels.rank(m.label))
+    if mode != "off":
+        pick = max if mode == "keep-max" else min
+        best: Dict[str, float] = {}
+        for m in chosen:
+            best[m.text] = pick(best.get(m.text, m.probability), m.probability)
+        winner: Dict[str, str] = {}  # surface -> earliest label tied with its best
+        for m in chosen:
+            if abs(m.probability - best[m.text]) <= _TIE_EPSILON:
+                winner.setdefault(m.text, m.label)
+        chosen = [m for m in chosen if m.label == winner[m.text]]
+    return [Mention(m.label, m.text) for m in chosen]

@@ -257,7 +257,6 @@ def decode_document(
             yield label, index, result, seq_id
 
     def keep(label: str, text: str, probability: float, seq_id: str, empty_defect: str) -> None:
-        text = text.strip()
         if text:
             mentions.append(ScoredMention(label, text, probability, seq_id))
         else:

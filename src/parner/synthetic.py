@@ -35,14 +35,13 @@ def make_corpus(
     seed: int = 0,
     max_mentions_per_label: int = 3,
     p_label_present: float = 0.8,
-    mention_words: Tuple[int, int] = (1, 2),
     fillers_between: Tuple[int, int] = (2, 4),
 ) -> List[Tuple[Document, GoldAnnotation]]:
     """Generate a deterministic corpus of annotated documents.
 
     Each label is present in a document with probability
     ``p_label_present``, carrying 1..max_mentions_per_label mentions of
-    ``mention_words`` words each; absent labels exercise the zero-mention
+    one or two words each; absent labels exercise the zero-mention
     path.  Document randomness is derived from (seed, doc index), so a
     document's content does not depend on how many documents are requested.
     """
@@ -66,7 +65,7 @@ def make_corpus(
             if rng.random() >= p_label_present:
                 continue
             for _ in range(rng.randint(1, max_mentions_per_label)):
-                words = [fresh_word() for _ in range(rng.randint(*mention_words))]
+                words = [fresh_word() for _ in range(rng.randint(1, 2))]
                 chosen.append(Mention(label, " ".join(words)))
         rng.shuffle(chosen)
 

@@ -306,20 +306,17 @@ def _token_span(ends: Sequence[int], start: int, end: int) -> Optional[Tuple[int
 def parse_mention(completion: Completion, t: PromptTemplate) -> ParsedMention:
     """Read one mention surface from a step-two completion.
 
-    The surface is everything before the end-of-sequence literal, with a
-    trailing terminator trimmed.  The token span covers the surface and
-    excludes the end-of-sequence token, so it is the right range for
-    probability scoring.
+    The surface is everything before the end-of-sequence literal, exactly
+    as the backend wrote it: edge whitespace and a trailing terminator are
+    part of it.  The token span covers the surface and excludes the
+    end-of-sequence token, so it is the right range for probability
+    scoring.
 
     Example:
         tokens ["Ital", "y", "<eos>"] -> ParsedMention("Italy", (0, 1))
         tokens ["<eos>"]              -> ParsedMention("", None) (empty mention)
     """
     visible = visible_text(completion, t)
-    while visible.endswith(t.count_terminator):
-        visible = visible[: -len(t.count_terminator)]
-    if visible == "":
-        return ParsedMention("", None)
     return ParsedMention(visible, _token_span(_token_ends(completion), 0, len(visible)))
 
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import select
 import socket
 import ssl
@@ -34,6 +35,7 @@ from parner.backends import (
     UnknownPromptError,
     simple_tokenize,
 )
+from parner.backends import http as http_module
 from parner.backends import oracle as oracle_module
 from parner.backends.http import TOKEN_ENV_VAR, HttpBackend
 from parner.corpus import Document, GoldAnnotation, Mention
@@ -182,6 +184,28 @@ class TestScriptedBackend:
             ScriptedBackend.from_jsonl(str(path))
         assert str(err.value) == (f"fixture field 'tokens' must be a JSON list, got 'Italy' "
                                   f"(fixture file {path}, line 1)")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("finish", "halted", "fixture field 'finish' must be one of "
+                             "('eos', 'stop_string', 'length'), got 'halted'"),
+        ("finish", None, "fixture field 'finish' must be one of"),
+        ("latency_ms", "soon", "fixture field 'latency_ms' must be a number, got 'soon'"),
+        ("latency_ms", True, "fixture field 'latency_ms' must be a number, got True"),
+        ("logprobs", ["hi", -0.1],
+         "fixture field 'logprobs' must hold numbers, got ['hi', -0.1]"),
+    ], ids=["finish-unknown", "finish-null", "latency-string", "latency-bool",
+            "logprobs-string-entry"])
+    def test_bad_field_rejected_on_load(self, field, value, message):
+        entry = dict({"prompt": "p", "tokens": ["Ital", "y"]}, **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScriptedBackend([entry])
+
+    def test_well_formed_fields_load(self):
+        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a"], "logprobs": [-1],
+                                    "finish": "length", "latency_ms": 3}])
+        result = backend.generate(CompletionRequest(prompt="p"))
+        assert (result.token_logprobs, result.stop_reason, result.latency_ms) == (
+            (-1.0,), "length", 3.0)
 
     def test_misaligned_fixture_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
@@ -645,10 +669,7 @@ class TestHttpBackend:
         ({"timeout_s": 0}, "timeout_s must be a finite number > 0, got 0"),
         ({"timeout_s": math.inf}, "timeout_s must be a finite number > 0, got inf"),
         ({"timeout_s": math.nan}, "timeout_s must be a finite number > 0, got nan"),
-        ({"backoff_s": -0.5}, "backoff_s must be >= 0, got -0.5"),
-        ({"backoff_s": math.nan}, "backoff_s must be >= 0, got nan"),
-    ], ids=["negative-timeout", "zero-timeout", "infinite-timeout", "nan-timeout",
-            "negative-backoff", "nan-backoff"])
+    ], ids=["negative-timeout", "zero-timeout", "infinite-timeout", "nan-timeout"])
     def test_bad_timing_rejected(self, timing, message):
         with pytest.raises(ValueError, match=message):
             HttpBackend("http://127.0.0.1:9/v1/completions", **timing)
@@ -667,23 +688,27 @@ class TestHttpBackend:
             "stop": [], "logprobs": True, "echo": False,
         }
 
-    def test_retries_5xx_then_succeeds(self, stub_server):
+    def test_retries_5xx_then_succeeds(self, stub_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
         stub_server.behavior = lambda payload, n: (503, {}) if n <= 2 else (200, _OK_BODY)
-        backend = HttpBackend(_url(stub_server), max_retries=2, backoff_s=0.01)
+        backend = HttpBackend(_url(stub_server), max_retries=2)
         result = backend.generate(CompletionRequest(prompt="p"))
         assert result.text == "Italy<eos>"
         assert len(stub_server.calls) == 3
+        assert sleeps == [0.25, 0.5]  # exponential backoff from 0.25 s
 
-    def test_retries_exhausted(self, stub_server):
+    def test_retries_exhausted(self, stub_server, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: None)
         stub_server.behavior = lambda payload, n: (503, {})
-        backend = HttpBackend(_url(stub_server), max_retries=1, backoff_s=0.01)
+        backend = HttpBackend(_url(stub_server), max_retries=1)
         with pytest.raises(TransportError):
             backend.generate(CompletionRequest(prompt="p"))
         assert len(stub_server.calls) == 2
 
     def test_4xx_fails_without_retry(self, stub_server):
         stub_server.behavior = lambda payload, n: (404, {"error": "nope"})
-        backend = HttpBackend(_url(stub_server), max_retries=3, backoff_s=0.01)
+        backend = HttpBackend(_url(stub_server), max_retries=3)
         with pytest.raises(TransportError):
             backend.generate(CompletionRequest(prompt="p"))
         assert len(stub_server.calls) == 1
@@ -808,10 +833,12 @@ class TestHttpBackend:
     def test_429_retried_after_retry_after(self, stub_server, monkeypatch, retry_after, waited):
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
+        # a backoff no Retry-After value here equals, so the test tells them apart
+        monkeypatch.setattr(http_module, "_BACKOFF_S", 7.0)
         stub_server.behavior = lambda payload, n: (429, {}) if n == 1 else (200, _OK_BODY)
         stub_server.response_headers = lambda n: (
             {"Retry-After": retry_after} if n == 1 and retry_after is not None else {})
-        with contextlib.closing(HttpBackend(_url(stub_server), backoff_s=7.0)) as backend:
+        with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
             assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
         assert sleeps == [waited]
         assert len(stub_server.calls) == 2

@@ -175,7 +175,13 @@ class TestDecode:
         ({"tokens": ["Italy", "<eos>"], "logprobs": [-0.1]},
          "fixture logprobs misaligned with its tokens"),
         ({"logprobs": [-0.1]}, "fixture entry needs 'prompt' and 'tokens'"),
-    ], ids=["misaligned-logprobs", "no-tokens"])
+        ({"tokens": ["Italy"], "finish": "halted"}, "fixture field 'finish' must be one of"),
+        ({"tokens": ["Italy"], "latency_ms": "soon"},
+         "fixture field 'latency_ms' must be a number, got 'soon'"),
+        ({"tokens": ["Italy", "<eos>"], "logprobs": ["hi", -0.1]},
+         "fixture field 'logprobs' must hold numbers, got ['hi', -0.1]"),
+    ], ids=["misaligned-logprobs", "no-tokens", "unknown-finish", "string-latency",
+            "string-logprob"])
     def test_bad_fixture_rejected_before_decoding(self, tmp_path, corpus_path, capsys,
                                                   entry, message):
         fixtures = tmp_path / "fixtures.jsonl"
@@ -186,7 +192,9 @@ class TestDecode:
                      "--backend-config",
                      write_json(tmp_path, "backend.json", {"fixtures": str(fixtures)})])
         assert code == 1
-        assert f"parner: error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"parner: error: {message}" in err
+        assert f"(fixture file {fixtures}, line 1)" in err
         assert not out.exists()
 
     def test_missing_corpus_flag(self, capsys):

@@ -60,10 +60,10 @@ class TestPolicies:
 
 
 class TestGrouping:
-    def test_surfaces_compared_after_trimming(self, labels):
+    def test_surfaces_compared_exactly(self, labels):
         result = deduplicate(
             [sm("LOC", " Italy ", 0.7), sm("MISC", "Italy", 0.9)], labels)
-        assert result == [Mention("MISC", "Italy")]
+        assert result == [Mention("MISC", "Italy"), Mention("LOC", " Italy ")]
 
     def test_case_sensitive_surfaces_stay_apart(self, labels):
         mentions = [sm("LOC", "Italy", 0.7), sm("MISC", "ITALY", 0.9)]

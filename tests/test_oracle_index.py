@@ -68,8 +68,8 @@ def corpora(draw, setup: str) -> Pairs:
             text = {"prefix": other + text, "suffix": text + other, "duplicate": other}[how]
         texts.append(text)
     # what the pair and onestep formats carry back: no end-of-sequence
-    # literal or terminator, no edge whitespace, no empty surface
-    surface = st.text('abXY 19",[]|()\\', min_size=1, max_size=8).map(str.strip).filter(bool)
+    # literal, no empty surface
+    surface = st.text('abXY 19",[]|()\\', min_size=1, max_size=8)
     pairs: Pairs = []
     for i, text in enumerate(texts):
         mentions = draw(st.lists(st.builds(Mention, st.sampled_from(LABEL_NAMES), surface),

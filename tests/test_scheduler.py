@@ -23,6 +23,8 @@ from parner.backends import (
     ScriptedBackend,
 )
 from parner.corpus import Document, GoldAnnotation, Mention
+from parner.dedup import deduplicate
+from parner.evaluation import micro_f1
 from parner.scheduler import (
     MODES,
     decode_document,
@@ -30,7 +32,7 @@ from parner.scheduler import (
     span_probability,
 )
 from parner.synthetic import make_corpus
-from parner.templates import build_count_prompt
+from parner.templates import PromptTemplate, build_count_prompt
 from conftest import (
     TRACE_COUNTS,
     TRACE_EXPECTED_EXAMPLE_LATENCY,
@@ -184,6 +186,34 @@ class TestModeEquivalence:
             got = mention_multiset(
                 Mention(m.label, m.text) for m in outcome.raw_mentions)
             assert got == mention_multiset(gold.mentions), f"{mode} on {doc.id}"
+
+
+# surfaces a format carries but a trim of whitespace or terminators would change
+_EDGE_TEXT = "Room 1 met  Bob at Paris , Santa Maria said ."
+VERBATIM_CORPORA = {
+    "edge-whitespace": ([Mention("MISC", "1 "), Mention("PER", " Bob"),
+                         Mention("LOC", "Paris ")], PromptTemplate(), MODES),
+    "whitespace-only": ([Mention("PER", " ")], PromptTemplate(), MODES),
+    "ends-in-terminator": ([Mention("LOC", "Santa Maria")],
+                           PromptTemplate(count_terminator="a"), ("pair-multi", "pair-batch")),
+}
+
+
+class TestVerbatimSurfaces:
+    """A decoded mention is kept exactly as the backend wrote it."""
+
+    @pytest.mark.parametrize("dedup", ["keep-max", "off"])
+    @pytest.mark.parametrize("name, mode", [
+        (name, mode) for name, (_, _, modes) in VERBATIM_CORPORA.items() for mode in modes])
+    def test_noiseless_decode_scores_one(self, name, mode, dedup, labels):
+        mentions, t, _ = VERBATIM_CORPORA[name]
+        doc = Document("d0", _EDGE_TEXT)
+        gold = GoldAnnotation("d0", mentions)
+        outcome = run_corpus([doc], labels, OracleBackend([(doc, gold)], labels, t), t,
+                             mode, parallelism=1)[0]
+        assert outcome.defects == []
+        pred = deduplicate(outcome.raw_mentions, labels, dedup)
+        assert micro_f1({"d0": pred}, {"d0": mentions}, labels).f1 == 1.0
 
 
 class _RecordingBackend(CompletionBackend):

@@ -261,11 +261,11 @@ class TestParseMention:
         assert parsed.text == "1995 World Cup"
         assert parsed.token_span == (0, 2)
 
-    def test_trailing_terminator_trimmed(self, template):
+    def test_trailing_terminator_kept(self, template):
         c = completion("Italy\n<eos>", tokens=["Italy", "\n", "<eos>"])
         parsed = parse_mention(c, template)
-        assert parsed.text == "Italy"
-        assert parsed.token_span == (0, 0)
+        assert parsed.text == "Italy\n"
+        assert parsed.token_span == (0, 1)
 
     def test_no_eos_uses_whole_text(self, template):
         c = completion("Italy", tokens=["Italy"], stop_reason="length")
