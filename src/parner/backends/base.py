@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Tuple
 
 __all__ = [
@@ -63,9 +64,12 @@ class CompletionResult:
     """Generated tokens with aligned natural-log probabilities.
 
     ``text`` is always the exact concatenation of ``tokens``; parsers rely
-    on that alignment to map character ranges back to token spans.  Every
-    backend's results are checked here: a misaligned result, like a bad
-    ``stop_reason`` or logprob count, raises ``ValueError``.
+    on that alignment to map character ranges back to token spans.  A
+    logprob is a number below +inf: -inf is probability 0, and a positive
+    one is read as probability 1.  ``latency_ms`` is finite and not
+    negative.  Every backend's results are checked here: a misaligned
+    result, a bad ``stop_reason`` or logprob count, a NaN or +inf logprob
+    or a bad latency raises ``ValueError``.
     """
 
     tokens: Tuple[str, ...]
@@ -85,6 +89,14 @@ class CompletionResult:
             raise ValueError(
                 f"{len(self.token_logprobs)} logprobs for {len(self.tokens)} tokens"
             )
+        # a sum below +inf holds no NaN and no +inf; one that is not may also
+        # have overflowed, so only then is each logprob looked at
+        if not sum(self.token_logprobs) < math.inf:
+            bad = [lp for lp in self.token_logprobs if not lp < math.inf]
+            if bad:
+                raise ValueError(f"token_logprobs must hold no NaN or +inf, got {bad[0]!r}")
+        if not 0.0 <= self.latency_ms < math.inf:
+            raise ValueError(f"latency_ms must be finite and >= 0, got {self.latency_ms!r}")
         joined = "".join(self.tokens)
         if joined != self.text:
             raise ValueError(
@@ -99,12 +111,20 @@ class CostModel:
     A call generating n tokens in a batch of b costs
     ``fixed_overhead_ms + ms_per_token * n * penalty(b)`` where
     ``penalty(b) = 1 + alpha * (b - 1)``: batching never helps a single
-    sequence, it taxes it mildly.
+    sequence, it taxes it mildly.  Each setting must be finite and not
+    negative, so no attributed latency is negative or infinite; a bad one
+    raises ``ValueError`` naming it.
     """
 
     ms_per_token: float = 10.0
     fixed_overhead_ms: float = 0.0
     batch_penalty_alpha: float = 0.05
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{field.name} must be finite and >= 0, got {value!r}")
 
     def penalty(self, batch_size: int) -> float:
         if batch_size < 1:

@@ -58,9 +58,11 @@ _Frame = Tuple[int, str, str]
 # stands for the document text when the prompt builders lay out the frames
 _SENTINEL = "\U0010fffd"
 
-
-def _clamped_log(p: float) -> float:
-    return math.log(min(max(p, 1e-6), 1.0 - 1e-9))
+# each token's probability: near _HI_TOKEN_PROB for a faithful answer, near
+# _LO_TOKEN_PROB for an injected error, within +-_PROB_JITTER of it
+_HI_TOKEN_PROB = 0.93
+_LO_TOKEN_PROB = 0.61
+_PROB_JITTER = 0.02
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ class OracleBackend(CompletionBackend):
 
     With zero error rates and no forced overrides the oracle inverts
     corpus reformulation exactly: decoding any document in any format
-    reproduces its gold mentions.  Token probabilities are synthesized
-    near ``hi_token_prob`` for faithful answers and near ``lo_token_prob``
-    for injected errors, with a small seeded jitter.  They are computed
+    reproduces its gold mentions.  Token probabilities are fixed at 0.93
+    for faithful answers and 0.61 for injected errors, each with a seeded
+    jitter of +-0.02, so every logprob is finite.  They are computed
     only when the request sets ``want_logprobs``, and only for the tokens
     that stop strings and ``max_new_tokens`` keep.
 
@@ -121,21 +123,12 @@ class OracleBackend(CompletionBackend):
         cost: Optional[CostModel] = None,
         errors: Optional[ErrorInjection] = None,
         seed: int = 0,
-        hi_token_prob: float = 0.93,
-        lo_token_prob: float = 0.61,
-        prob_jitter: float = 0.02,
     ):
         self._labels = labels
         self._t = template or PromptTemplate()
         self._cost = cost or CostModel()
         self._errors = errors or ErrorInjection()
         self._seed = seed
-        self._hi = hi_token_prob
-        self._lo = lo_token_prob
-        self._jitter = prob_jitter
-        for name, p in (("hi_token_prob", self._hi), ("lo_token_prob", self._lo)):
-            if not 0.0 < p < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {p}")
 
         t = self._t
         # document text -> _Pair; a later pair with the same text replaces an
@@ -208,10 +201,8 @@ class OracleBackend(CompletionBackend):
 
     def _logprobs(self, erroneous: bool, key: Tuple, lasts: Sequence[object]) -> List[float]:
         """One token logprob per item of ``lasts``, jittered by the draw ``("jitter", *key, last)``."""
-        base = self._lo if erroneous else self._hi
-        if not self._jitter:
-            return [_clamped_log(base)] * len(lasts)
-        return [_clamped_log(base + (unit * 2.0 - 1.0) * self._jitter)
+        base = _LO_TOKEN_PROB if erroneous else _HI_TOKEN_PROB
+        return [math.log(base + (unit * 2.0 - 1.0) * _PROB_JITTER)
                 for unit in self._units(("jitter", *key), lasts)]
 
     # -- answers --------------------------------------------------------------

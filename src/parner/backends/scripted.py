@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, Iterable
 
 from parner.backends.base import (
@@ -30,10 +31,11 @@ class ScriptedBackend(CompletionBackend):
          "finish": "eos", "latency_ms": 10.0}
 
     ``tokens`` and ``logprobs`` are JSON lists.  ``logprobs`` holds one
-    number per token and defaults to 0.0 per token; ``finish`` is one of
-    ``CompletionResult``'s stop reasons and defaults to "eos";
-    ``latency_ms`` is a number and defaults to 0.0.  Stop strings and
-    ``max_new_tokens`` from the request are applied to the replayed tokens.
+    number per token, neither NaN nor +inf, and defaults to 0.0 per token;
+    ``finish`` is one of ``CompletionResult``'s stop reasons and defaults to
+    "eos"; ``latency_ms`` is a finite number of at least 0 and defaults to
+    0.0.  Stop strings and ``max_new_tokens`` from the request are applied
+    to the replayed tokens.
     Each entry is checked once, when it is loaded: a bad one raises
     ``ValueError`` naming the field.
     """
@@ -53,14 +55,20 @@ class ScriptedBackend(CompletionBackend):
         logprobs = entry.get("logprobs") or []
         if not all(_is_number(x) for x in logprobs):
             raise ValueError(f"fixture field 'logprobs' must hold numbers, got {logprobs!r}")
+        if not all(x < math.inf for x in logprobs):
+            raise ValueError(f"fixture field 'logprobs' must hold no NaN or +inf, "
+                             f"got {logprobs!r}")
         if logprobs and len(logprobs) != len(entry["tokens"]):
             raise ValueError(f"fixture logprobs misaligned with its tokens: {entry!r}")
         if entry.get("finish", "eos") not in STOP_REASONS:
             raise ValueError(f"fixture field 'finish' must be one of {STOP_REASONS}, "
                              f"got {entry['finish']!r}")
-        if not _is_number(entry.get("latency_ms", 0.0)):
-            raise ValueError(f"fixture field 'latency_ms' must be a number, "
-                             f"got {entry['latency_ms']!r}")
+        latency_ms = entry.get("latency_ms", 0.0)
+        if not _is_number(latency_ms):
+            raise ValueError(f"fixture field 'latency_ms' must be a number, got {latency_ms!r}")
+        if not 0.0 <= latency_ms < math.inf:
+            raise ValueError(f"fixture field 'latency_ms' must be finite and >= 0, "
+                             f"got {latency_ms!r}")
         self._fixtures[entry["prompt"]] = dict(entry)
 
     @classmethod

@@ -141,7 +141,6 @@ _BACKEND_SETTINGS: Dict[str, Dict] = {
         "forced_counts": [{"doc_id": str, "label": str, "count": int}],
         "forced_mentions": [{"doc_id": str, "label": str, "index": int, "surface": str}],
         "ms_per_token": float, "fixed_overhead_ms": float, "batch_penalty_alpha": float,
-        "hi_token_prob": float, "lo_token_prob": float, "prob_jitter": float,
     },
     "scripted": {"fixtures": str},
     "http": {"url": str, "timeout_s": float, "max_retries": int, "max_in_flight": int},
@@ -204,8 +203,6 @@ _OPTIONS: Tuple[_Option, ...] = (
             "predictions file (JSON-lines span format)"),
     _Option("semantics", {"eval": "multiset"}, _choice("semantics", ("multiset", "set")),
             "score repeated mentions as a multiset or as a set"),
-    _Option("report_format", {"eval": "json"}, _choice("report format", ("json", "markdown")),
-            "markdown also writes report.md"),
 )
 
 
@@ -325,10 +322,8 @@ def _make_backend(
                              for e in settings.get("forced_mentions", [])},
         )
         cost = CostModel(**pick("ms_per_token", "fixed_overhead_ms", "batch_penalty_alpha"))
-        return OracleBackend(
-            pairs, labels, template=template, cost=cost, errors=errors, seed=options["seed"],
-            **pick("hi_token_prob", "lo_token_prob", "prob_jitter"),
-        )
+        return OracleBackend(pairs, labels, template=template, cost=cost, errors=errors,
+                             seed=options["seed"])
     if backend == "scripted":
         if not settings.get("fixtures"):
             raise ConfigError("scripted backend needs a 'fixtures' path in --backend-config")
@@ -474,8 +469,7 @@ def _cmd_eval(options: Dict) -> int:
     report = micro_f1(pred, gold, labels, multiset=options["semantics"] == "multiset")
     out_dir = options["out"]
     _write_json(out_dir, "report.json", {"evaluation": dataclasses.asdict(report)})
-    if options["report_format"] == "markdown":
-        _write(out_dir, "report.md", emit_report(evaluation=report))
+    _write(out_dir, "report.md", emit_report(evaluation=report))
     print(f"micro F1 {report.f1:.4f} (precision {report.precision:.4f}, "
           f"recall {report.recall:.4f}) over {len(gold)} documents")
     return 0

@@ -85,6 +85,32 @@ class TestRequestAndResult:
         )
         assert r.generated_token_count == 2
 
+    @pytest.mark.parametrize("logprobs, bad", [
+        ((math.nan, -0.1), "nan"), ((-0.1, math.inf), "inf"),
+        ((-math.inf, math.inf), "inf"), ((1e308, 1e308, math.nan), "nan"),
+    ], ids=["nan", "inf", "inf-beside-minus-inf", "nan-after-overflow"])
+    def test_nan_or_inf_logprob_rejected(self, logprobs, bad):
+        tokens = tuple("abc"[:len(logprobs)])
+        with pytest.raises(ValueError, match=f"token_logprobs must hold no NaN or \\+inf, "
+                                             f"got {bad}$"):
+            CompletionResult(tokens=tokens, token_logprobs=logprobs, text="".join(tokens),
+                             stop_reason="eos", latency_ms=0.0)
+
+    def test_minus_inf_and_positive_logprobs_accepted(self):
+        # -inf is probability 0, and a positive logprob is clamped when scored,
+        # even when the logprobs sum past the largest float
+        for logprobs in [(-math.inf, 0.5), (1e308, 1e308), (-math.inf, 1e308, 1e308)]:
+            tokens = tuple("abc"[:len(logprobs)])
+            result = CompletionResult(tokens=tokens, token_logprobs=logprobs,
+                                      text="".join(tokens), stop_reason="eos", latency_ms=0.0)
+            assert result.token_logprobs == logprobs
+
+    @pytest.mark.parametrize("latency_ms", [-5.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_latency_rejected(self, latency_ms):
+        with pytest.raises(ValueError, match="latency_ms must be finite and >= 0"):
+            CompletionResult(tokens=("a",), token_logprobs=(-0.1,), text="a",
+                             stop_reason="eos", latency_ms=latency_ms)
+
 
 class TestSimpleTokenize:
     def test_leading_space_attaches(self):
@@ -109,6 +135,17 @@ class TestCostModel:
         assert cost.latency_ms(5, 4) >= cost.latency_ms(5, 1)
         with pytest.raises(ValueError):
             cost.penalty(0)
+
+    @pytest.mark.parametrize("field", ["ms_per_token", "fixed_overhead_ms",
+                                       "batch_penalty_alpha"])
+    @pytest.mark.parametrize("value", [-5.0, math.nan, math.inf])
+    def test_negative_or_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got {value}$"):
+            CostModel(**{field: value})
+
+    def test_zero_settings_accepted(self):
+        cost = CostModel(ms_per_token=0, fixed_overhead_ms=0, batch_penalty_alpha=0)
+        assert cost.latency_ms(7, 3) == 0.0
 
 
 class TestScriptedBackend:
@@ -200,6 +237,41 @@ class TestScriptedBackend:
         with pytest.raises(ValueError, match=re.escape(message)):
             ScriptedBackend([entry])
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("logprobs", [math.nan, -0.1],
+         "fixture field 'logprobs' must hold no NaN or +inf, got [nan, -0.1]"),
+        ("logprobs", [-0.1, math.inf],
+         "fixture field 'logprobs' must hold no NaN or +inf, got [-0.1, inf]"),
+        ("latency_ms", -5, "fixture field 'latency_ms' must be finite and >= 0, got -5"),
+        ("latency_ms", math.nan, "fixture field 'latency_ms' must be finite and >= 0, got nan"),
+        ("latency_ms", math.inf, "fixture field 'latency_ms' must be finite and >= 0, got inf"),
+    ], ids=["logprobs-nan", "logprobs-inf", "latency-negative", "latency-nan", "latency-inf"])
+    def test_non_finite_field_rejected_on_load(self, field, value, message):
+        entry = dict({"prompt": "p", "tokens": ["Ital", "y"]}, **{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScriptedBackend([entry])
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"prompt": "p", "tokens": ["a", "b"], "logprobs": [NaN, 0.0]}',
+         "fixture field 'logprobs' must hold no NaN or +inf, got [nan, 0.0]"),
+        ('{"prompt": "p", "tokens": ["a", "b"], "logprobs": [Infinity, 0.0]}',
+         "fixture field 'logprobs' must hold no NaN or +inf, got [inf, 0.0]"),
+        ('{"prompt": "p", "tokens": ["a"], "latency_ms": -Infinity}',
+         "fixture field 'latency_ms' must be finite and >= 0, got -inf"),
+    ], ids=["nan-logprob", "inf-logprob", "minus-inf-latency"])
+    def test_from_jsonl_rejects_non_finite_json_literals(self, tmp_path, line, message):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ScriptedBackend.from_jsonl(str(path))
+        assert str(err.value) == f"{message} (fixture file {path}, line 1)"
+
+    def test_minus_inf_and_positive_logprobs_load(self):
+        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"],
+                                    "logprobs": [-math.inf, 0.5]}])
+        result = backend.generate(CompletionRequest(prompt="p"))
+        assert result.token_logprobs == (-math.inf, 0.5)
+
     def test_well_formed_fields_load(self):
         backend = ScriptedBackend([{"prompt": "p", "tokens": ["a"], "logprobs": [-1],
                                     "finish": "length", "latency_ms": 3}])
@@ -272,13 +344,16 @@ class TestOracleBackend:
             assert result.tokens[-1] == "<eos>"
 
     def test_faithful_probabilities_near_hi(self, oracle_corpus, labels, template):
-        oracle = OracleBackend(oracle_corpus, labels, template, prob_jitter=0.0)
+        oracle = OracleBackend(oracle_corpus, labels, template, seed=_SEED)
         doc, _ = oracle_corpus[0]
         prompt = build_mention_prompt(
             build_count_prompt(doc, "PER", template), 1, 1, template)
         result = oracle.generate(CompletionRequest(prompt=prompt))
-        for lp in result.token_logprobs:
-            assert lp == pytest.approx(math.log(0.93))
+        surface = [_reference_logprob(False, "d0", "PER", "mention", 1, i)
+                   for i in range(len(result.tokens) - 1)]
+        eos = _reference_logprob(False, "d0", "PER", "mention-eos", 1)
+        assert result.token_logprobs == (*surface, eos)
+        assert all(math.log(0.91) <= lp < math.log(0.95) for lp in result.token_logprobs)
 
     def test_unknown_prompt_raises(self, oracle_corpus, labels, template):
         oracle = OracleBackend(oracle_corpus, labels, template)
@@ -286,45 +361,45 @@ class TestOracleBackend:
             oracle.generate(CompletionRequest(prompt="something else entirely"))
 
     def test_overestimated_count_repeats_last_mention(self, oracle_corpus, labels, template):
-        oracle = OracleBackend(oracle_corpus, labels, template, prob_jitter=0.0)
+        oracle = OracleBackend(oracle_corpus, labels, template, seed=_SEED)
         doc, _ = oracle_corpus[0]
         count_prompt = build_count_prompt(doc, "LOC", template)
         prompt = build_mention_prompt(count_prompt, 3, 3, template)
         result = oracle.generate(CompletionRequest(prompt=prompt))
         assert result.text == "England<eos>"
-        assert result.token_logprobs[0] == pytest.approx(math.log(0.61))
+        assert result.token_logprobs[0] == _reference_logprob(True, "d0", "LOC", "mention", 3, 0)
 
     def test_forced_count_and_mention(self, oracle_corpus, labels, template):
         errors = ErrorInjection(
             forced_counts={("d0", "MISC"): 2},
             forced_mentions={("d0", "MISC", 2): "Italy"},
         )
-        oracle = OracleBackend(oracle_corpus, labels, template,
-                               errors=errors, prob_jitter=0.0)
+        oracle = OracleBackend(oracle_corpus, labels, template, errors=errors, seed=_SEED)
         doc, _ = oracle_corpus[0]
         count_prompt = build_count_prompt(doc, "MISC", template)
         count = oracle.generate(CompletionRequest(prompt=count_prompt))
         assert count.tokens == ("2", "\n")
         # the forced count is wrong (gold has one MISC mention): low confidence
-        assert count.token_logprobs[0] == pytest.approx(math.log(0.61))
+        assert count.token_logprobs[0] == _reference_logprob(True, "d0", "MISC", "count", 0)
         forced = oracle.generate(CompletionRequest(
             prompt=build_mention_prompt(count_prompt, 2, 2, template)))
         assert forced.text == "Italy<eos>"
-        assert forced.token_logprobs[0] == pytest.approx(math.log(0.61))
+        assert forced.token_logprobs[0] == _reference_logprob(True, "d0", "MISC", "mention", 2, 0)
         faithful = oracle.generate(CompletionRequest(
             prompt=build_mention_prompt(count_prompt, 2, 1, template)))
         assert faithful.text == "1995 World Cup<eos>"
-        assert faithful.token_logprobs[0] == pytest.approx(math.log(0.93))
+        assert faithful.token_logprobs[0] == _reference_logprob(
+            False, "d0", "MISC", "mention", 1, 0)
 
     def test_zero_mention_label_fabricates_cross_label(self, oracle_corpus, labels, template):
-        oracle = OracleBackend(oracle_corpus, labels, template, prob_jitter=0.0)
+        oracle = OracleBackend(oracle_corpus, labels, template, seed=_SEED)
         doc, gold = oracle_corpus[0]
         count_prompt = build_count_prompt(doc, "ORG", template)
         result = oracle.generate(CompletionRequest(
             prompt=build_mention_prompt(count_prompt, 1, 1, template)))
         surface = result.text[: -len("<eos>")]
         assert surface in {m.text for m in gold.mentions}
-        assert result.token_logprobs[0] == pytest.approx(math.log(0.61))
+        assert result.token_logprobs[0] == _reference_logprob(True, "d0", "ORG", "mention", 1, 0)
 
     def _transcript(self, oracle, corpus, labels, template):
         lines = []
@@ -741,6 +816,38 @@ class TestHttpBackend:
         backend = HttpBackend(_url(stub_server))
         with pytest.raises(TransportError):
             backend.generate(CompletionRequest(prompt="p"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nan_or_inf_logprob_rejected(self, stub_server, bad):
+        # the stub's json.dumps writes the NaN and Infinity literals, which
+        # Python's json reads back
+        body = dict(_OK_BODY, token_logprobs=[bad, -0.05])
+        stub_server.behavior = lambda payload, n: (200, body)
+        with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
+            with pytest.raises(TransportError, match="token_logprobs must hold no NaN or \\+inf"):
+                backend.generate(CompletionRequest(prompt="p"))
+            # counts are never scored, so their logprobs are not read
+            result = backend.generate(CompletionRequest(prompt="p", want_logprobs=False))
+            assert result.token_logprobs == ()
+
+    def test_nan_logprob_is_one_defect(self, stub_server, labels, template):
+        doc = Document(id="x", text="Italy beat England.")
+        poisoned = build_mention_prompt(build_count_prompt(doc, "LOC", template), 1, 1, template)
+
+        def behavior(payload, n):
+            if not payload["logprobs"]:  # a count request: one mention per label
+                return 200, {"text": "1\n", "tokens": ["1", "\n"], "finish_reason": "eos"}
+            logprob = math.nan if payload["prompt"] == poisoned else -0.1
+            return 200, dict(_OK_BODY, token_logprobs=[logprob, -0.05])
+
+        stub_server.behavior = behavior
+        with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
+            outcome = run_corpus([doc], labels, backend, template, "pair-multi")[0]
+        assert len(outcome.defects) == 1
+        assert outcome.defects[0].startswith("mention request failed for LOC index 1: ")
+        assert "token_logprobs must hold no NaN or +inf, got nan" in outcome.defects[0]
+        assert [m.label for m in outcome.raw_mentions] == ["PER", "MISC", "ORG"]
+        assert all(m.text == "Italy" for m in outcome.raw_mentions)
 
     def test_empty_logprobs_rejected(self, stub_server, session):
         body = dict(_OK_BODY, token_logprobs=[])

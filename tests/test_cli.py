@@ -19,10 +19,11 @@ import parner
 from parner import cli
 from parner.backends import CompletionRequest, HttpBackend, OracleBackend
 from parner.cli import main
-from parner.corpus import emit_spans_json, parse_spans_json
+from parner.corpus import Document, GoldAnnotation, emit_spans_json, parse_spans_json
 from parner.evaluation import micro_f1
 from parner.scheduler import MODES
 from parner.synthetic import make_corpus
+from parner.templates import build_onestep_prompt
 
 
 def write_corpus(tmp_path, pairs, name="corpus.jsonl"):
@@ -197,6 +198,50 @@ class TestDecode:
         assert f"(fixture file {fixtures}, line 1)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, message", [
+        ('"tokens": ["Zed", "<eos>"], "logprobs": [NaN, 0.0]',
+         "fixture field 'logprobs' must hold no NaN or +inf, got [nan, 0.0]"),
+        ('"tokens": ["Zed", "<eos>"], "logprobs": [Infinity, 0.0]',
+         "fixture field 'logprobs' must hold no NaN or +inf, got [inf, 0.0]"),
+        ('"tokens": ["Zed", "<eos>"], "latency_ms": -5',
+         "fixture field 'latency_ms' must be finite and >= 0, got -5"),
+        ('"tokens": ["Zed", "<eos>"], "latency_ms": NaN',
+         "fixture field 'latency_ms' must be finite and >= 0, got nan"),
+    ], ids=["nan-logprob", "inf-logprob", "negative-latency", "nan-latency"])
+    def test_non_finite_fixture_rejected_before_decoding(self, tmp_path, labels, template,
+                                                         capsys, entry, message):
+        # every label's onestep prompt has an entry, so each would be replayed
+        doc = Document(id="d0", text="Zed met Ann .")
+        corpus = write_corpus(tmp_path, [(doc, GoldAnnotation(doc_id="d0", mentions=[]))])
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text("".join(
+            f'{{"prompt": {json.dumps(build_onestep_prompt(doc, label, template))}, {entry}}}\n'
+            for label in labels), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus, "--labels", LABELS_ARG, "--mode", "onestep",
+                     "--backend", "scripted", "--out", str(out), "--backend-config",
+                     write_json(tmp_path, "backend.json", {"fixtures": str(fixtures)})])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"parner: error: {message} (fixture file {fixtures}, line 1)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["ms_per_token", "fixed_overhead_ms",
+                                         "batch_penalty_alpha"])
+    @pytest.mark.parametrize("literal, shown", [("-5", "-5.0"), ("NaN", "nan"),
+                                                ("Infinity", "inf")])
+    def test_bad_cost_setting_rejected_before_writing(self, tmp_path, corpus_path, capsys,
+                                                      setting, literal, shown):
+        backend_config = tmp_path / "backend.json"
+        backend_config.write_text(f'{{"{setting}": {literal}}}', encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--backend-config", str(backend_config), "--out", str(out)])
+        assert code == 1
+        assert f"parner: error: {setting} must be finite and >= 0, got {shown}\n" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_corpus_flag(self, capsys):
         assert main(["decode", "--labels", LABELS_ARG]) == 1
         assert "corpus" in capsys.readouterr().err
@@ -369,7 +414,6 @@ BAD_CONFIG_VALUES = [
     ("max_new_tokens", "bench", 0.5),
     ("pred", "eval", ["p"]),
     ("semantics", "eval", "bogus"),
-    ("report_format", "eval", "html"),
 ]
 
 HTTP_URL = "http://127.0.0.1:9/v1/completions"
@@ -407,6 +451,9 @@ class TestOptionChecks:
         ("oracle", {"forced_mentions": [
             {"doc_id": "d0", "label": "LOC", "index": "1", "surface": "Italy"}]},
          "oracle backend setting forced_mentions[0].index must be an integer, got '1'"),
+        ("oracle", {"hi_token_prob": 0.9}, "unknown oracle backend settings: ['hi_token_prob']"),
+        ("oracle", {"prob_jitter": 0}, "unknown oracle backend settings: ['prob_jitter']"),
+        ("oracle", {"ms_per_token": -1}, "ms_per_token must be finite and >= 0, got -1.0"),
         ("scripted", {"fixtures": "f.jsonl", "fixture": "f.jsonl"},
          "unknown scripted backend settings: ['fixture']"),
         ("scripted", {"fixtures": ["f.jsonl"]},
@@ -422,7 +469,8 @@ class TestOptionChecks:
         ("http", {"url": HTTP_URL, "timeout_s": float("inf")},
          "timeout_s must be a finite number > 0, got inf"),
     ], ids=["oracle-unknown", "oracle-mistyped", "oracle-forced-counts",
-            "oracle-forced-mentions", "scripted-unknown", "scripted-mistyped",
+            "oracle-forced-mentions", "oracle-token-prob", "oracle-prob-jitter",
+            "oracle-negative-cost", "scripted-unknown", "scripted-mistyped",
             "http-unknown", "http-mistyped", "http-negative-timeout", "http-zero-timeout",
             "http-infinite-timeout"])
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, corpus_path, capsys,
@@ -468,8 +516,7 @@ class TestEval:
         assert main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
                      "--out", str(out)]) == 0
         code = main(["eval", "--corpus", corpus_path, "--labels", LABELS_ARG,
-                     "--pred", str(out / "predictions.jsonl"),
-                     "--report-format", "markdown", "--out", str(out)])
+                     "--pred", str(out / "predictions.jsonl"), "--out", str(out)])
         assert code == 0
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert report["evaluation"]["f1"] == 1.0
