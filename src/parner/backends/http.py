@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import email.message
 import gzip
 import http.client
 import io
+import json
 import math
 import os
+import re
 import select
 import socket
 import ssl
@@ -15,7 +18,8 @@ import time
 import warnings
 import weakref
 import zlib
-from typing import Dict, List, Optional
+from types import SimpleNamespace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 from urllib.parse import urlsplit
 
 import requests
@@ -49,6 +53,24 @@ _FINISH_TO_STOP_REASON = {"eos": "eos", "stop": "stop_string", "length": "length
 
 # first wait before a retry, in seconds; it doubles on every further retry
 _BACKOFF_S = 0.25
+
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+# what http.client refuses to write: control characters in the request
+# line, and a field that would start another line
+_BAD_METHOD = re.compile("[\x00-\x1f]")
+_BAD_TARGET = re.compile("[\x00-\x20\x7f]")
+_FIELD_NAME = re.compile(rb"[^:\s][^:\r\n]*")
+_BAD_FIELD_VALUE = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])")
+
+# what http.client reads an answer with: bytes per line, header lines
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+_END_OF_FIELDS = (b"\r\n", b"\n", b"")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+# the most a body read asks for at once, so a false length allocates no
+# more than actually arrives
+_READ_BLOCK = 1 << 20
 
 
 def _dropped(sock: socket.socket) -> bool:
@@ -86,6 +108,158 @@ def _decode_body(body: bytes, content_encoding: Optional[str]) -> bytes:
     return body
 
 
+def _host_field(url, target: str) -> bytes:
+    """``Host`` as ``http.client``'s ``putrequest`` writes it: the authority
+    of an absolute-form target (a request to a proxy), else the URL's host
+    with its port, unless that is the scheme's default."""
+    if target.startswith("http"):
+        host, port = urlsplit(target).netloc, None
+    else:
+        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        port = url.port if url.port != _DEFAULT_PORTS[url.scheme.lower()] else None
+    host = host.encode("ascii") if host.isascii() else host.encode("idna")
+    host, zone, _ = host.partition(b"%")  # an IPv6 zone is not sent
+    if zone:
+        host += b"]"
+    return host if port is None else b"%s:%d" % (host, port)
+
+
+def _field(name, value) -> bytes:
+    """One request header line, encoded and checked as ``http.client``'s
+    ``putheader`` does it."""
+    try:
+        name = name if isinstance(name, bytes) else name.encode("ascii")
+        value = value if isinstance(value, bytes) else str(value).encode("latin-1")
+    except UnicodeEncodeError:
+        raise requests.exceptions.InvalidHeader(f"cannot encode header {name!r}") from None
+    if not _FIELD_NAME.fullmatch(name) or _BAD_FIELD_VALUE.search(value):
+        raise requests.exceptions.InvalidHeader(f"invalid header {name!r}: {value!r}")
+    return name + b": " + value
+
+
+def _request_bytes(method: str, target: str, host: bytes, headers,
+                   body: Optional[bytes]) -> bytes:
+    """The request line, ``Host`` unless ``headers`` has one, ``headers``
+    and ``body``, for one ``sendall``.  A control character in the method,
+    the target or a header raises before anything is written."""
+    line = f"{method} {target} HTTP/1.1"
+    if _BAD_METHOD.search(method) or _BAD_TARGET.search(target) or not line.isascii():
+        raise requests.exceptions.InvalidURL(
+            f"request line {line!r} must be ASCII without control characters")
+    lines = [line.encode("ascii")]
+    if "Host" not in headers:
+        lines.append(b"Host: " + host)
+    lines.extend(_field(name, value) for name, value in headers.items())
+    return b"\r\n".join(lines) + b"\r\n\r\n" + (body or b"")
+
+
+class _BadAnswer(Exception):
+    """An answer that is malformed, over a limit or cut short."""
+
+
+class _Answer(NamedTuple):
+    status: int
+    reason: str
+    headers: CaseInsensitiveDict
+    fields: List[Tuple[str, str]]  # as received, for the cookie jar
+    body: bytes
+    reusable: bool  # HTTP/1.1, a framed body and no Connection: close
+
+
+def _line(stream) -> bytes:
+    line = stream.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _BadAnswer(f"answer line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _status(stream) -> Tuple[str, int, str]:
+    line = _line(stream)
+    if not line:
+        raise _BadAnswer("connection closed without an answer")
+    parts = line.decode("latin-1").split(None, 2)
+    if (len(parts) < 2 or not parts[0].startswith("HTTP/") or len(parts[1]) != 3
+            or not parts[1].isdecimal() or parts[1] < "100"):
+        raise _BadAnswer(f"malformed status line {line[:100]!r}")
+    return parts[0], int(parts[1]), parts[2].strip() if len(parts) > 2 else ""
+
+
+def _fields(stream) -> List[Tuple[str, str]]:
+    """The ``name: value`` lines up to the blank line that ends them."""
+    fields: List[Tuple[str, str]] = []
+    for _ in range(_MAX_FIELDS + 1):
+        line = _line(stream)
+        if line in _END_OF_FIELDS:
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name[0] in " \t":
+            raise _BadAnswer(f"malformed header line {line[:100]!r}")
+        fields.append((name, value.strip(" \t\r\n")))
+    raise _BadAnswer(f"answer has more than {_MAX_FIELDS} header lines")
+
+
+def _read(stream, size: int) -> bytes:
+    """``size`` bytes, or fewer if the stream ends first."""
+    blocks = []
+    while size > 0:
+        block = stream.read(min(size, _READ_BLOCK))
+        if not block:
+            break
+        blocks.append(block)
+        size -= len(block)
+    return b"".join(blocks)
+
+
+def _chunked(stream) -> bytes:
+    """A chunked body; chunk extensions and the trailer are dropped."""
+    chunks = []
+    while True:
+        size = _line(stream).split(b";", 1)[0].strip(b" \t\r\n")
+        if not _CHUNK_SIZE.fullmatch(size):
+            raise _BadAnswer(f"malformed chunk size {size[:100]!r}")
+        size = int(size, 16)
+        if not size:
+            _fields(stream)
+            return b"".join(chunks)
+        chunk = _read(stream, size)
+        if len(chunk) < size or _line(stream) not in (b"\r\n", b"\n"):
+            raise _BadAnswer("chunked answer cut short")
+        chunks.append(chunk)
+
+
+def _read_answer(sock: socket.socket, method: str) -> _Answer:
+    """One answer from ``sock``, after any 1xx interim ones.  The body is
+    framed by ``chunked``, else by ``Content-Length``, else by the close;
+    HEAD, 204 and 304 answers have none."""
+    with sock.makefile("rb") as stream:
+        status = 100
+        while status < 200:
+            version, status, reason = _status(stream)
+            fields = _fields(stream)
+        headers = CaseInsensitiveDict()
+        for name, value in fields:  # repeated fields join as urllib3 joins them
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        coding = headers.get("Transfer-Encoding")
+        length = headers.get("Content-Length")
+        framed = True
+        if method == "HEAD" or status in (204, 304):
+            body = b""
+        elif coding is not None and coding.rsplit(",", 1)[-1].strip(" \t").lower() == "chunked":
+            body = _chunked(stream)
+        elif coding is None and length is not None:
+            if not length.isdecimal():
+                raise _BadAnswer(f"malformed Content-Length {length[:100]!r}")
+            body = _read(stream, int(length))
+            if len(body) < int(length):
+                raise _BadAnswer(f"answer body ended after {len(body)} of {length} bytes")
+        else:
+            body, framed = stream.read(), False
+    closing = "close" in {token.strip(" \t").lower()
+                          for token in headers.get("Connection", "").split(",")}
+    return _Answer(status, reason, headers, fields, body,
+                   framed and version == "HTTP/1.1" and not closing)
+
+
 def _tls_context(verify, cert) -> ssl.SSLContext:
     """An SSL context for ``verify`` and ``cert`` as ``requests`` reads
     them: ``True`` is its CA bundle, a string a CA file or directory,
@@ -115,22 +289,34 @@ def _tls_context(verify, cert) -> ssl.SSLContext:
 
 
 class _KeepAliveAdapter(BaseAdapter):
-    """Sends requests over pooled keep-alive ``http.client`` connections.
+    """Sends requests over pooled keep-alive connections, writing and
+    reading HTTP/1.1 itself.
 
-    What ``requests``' stock adapter does through urllib3, for far less
-    processor time per call: the same request on the wire; HTTP proxies
-    with absolute-form targets, HTTPS through a ``CONNECT`` tunnel, and
-    ``Proxy-Authorization`` from credentials in the proxy URL; TLS per
-    ``verify`` and ``cert`` (one cached context each); gzip/deflate and
-    chunked bodies.  Bodies are read whole, also with ``stream=True``.
+    ``http.client`` only connects: TCP, TLS per ``verify`` and ``cert``
+    (one cached context each), and the ``CONNECT`` tunnel for HTTPS
+    through a proxy.  What goes on the wire is the request that
+    ``requests``' stock adapter sends through urllib3: the request line,
+    ``Host`` as ``http.client`` writes it, the prepared headers and the
+    body, in one ``sendall``.  HTTP proxies get absolute-form targets and
+    ``Proxy-Authorization`` from credentials in the proxy URL.  A control
+    character in the method, the target or a header is refused before
+    anything is written, as ``http.client`` refuses it.  Bodies must be
+    bytes or str, as ``json=`` and ``data=`` with a dict or a string make
+    them.
+
+    Answers are read with ``http.client``'s limits, 65536 bytes per line
+    and 100 header lines.  1xx interim answers are skipped.  The body is
+    read whole, also with ``stream=True``, framed by ``chunked``, else by
+    ``Content-Length``, else by the close; gzip/deflate are undone.
 
     Idle connections wait in a LIFO list per origin, so concurrent callers
-    never hold more connections than they have requests in flight.  One is
-    not pooled after ``Connection: close`` or an HTTP/1.0 answer, and is
-    discarded instead of reused once its peer dropped it.  A request that
-    was written is never re-sent here: socket timeouts raise
-    ``requests.Timeout`` and other failures ``requests.ConnectionError``,
-    and the caller decides whether to retry.
+    never hold more connections than they have requests in flight.  One
+    goes back to the pool only after an HTTP/1.1 answer with a framed body
+    and no ``Connection: close``, and is discarded instead of reused once
+    its peer dropped it.  A request that was written is never re-sent
+    here: socket timeouts raise ``requests.Timeout`` and other failures,
+    including a malformed, oversized or cut-short answer,
+    ``requests.ConnectionError``; the caller decides whether to retry.
     """
 
     def __init__(self) -> None:
@@ -155,10 +341,12 @@ class _KeepAliveAdapter(BaseAdapter):
         target = request.path_url
         if proxy and scheme == "http":
             target = urldefragauth(request.url)
-            headers = dict(headers, **self._proxy_headers(proxy))
+            headers = headers.copy()
+            headers.update(self._proxy_headers(proxy))
         data = request.body
         if isinstance(data, str):  # as urllib3 sends it, not latin-1 as http.client would
             data = data.encode("utf-8")
+        message = _request_bytes(request.method, target, _host_field(url, target), headers, data)
 
         key = (scheme, url.hostname, url.port, proxy, context)
         conn = self._checkout(key)
@@ -166,26 +354,23 @@ class _KeepAliveAdapter(BaseAdapter):
             conn = self._connect(url, proxy, context, connect_s, request)
         try:
             conn.sock.settimeout(read_s)
-            conn.request(request.method, target, data, headers,
-                         encode_chunked="Transfer-Encoding" in headers)
-            with conn.getresponse() as answer:
-                body = answer.read()
+            conn.sock.sendall(message)
+            answer = _read_answer(conn.sock, request.method)
         except socket.timeout as exc:
             conn.close()
             raise requests.exceptions.ReadTimeout(exc, request=request) from None
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, _BadAnswer) as exc:
             conn.close()
             raise requests.exceptions.ConnectionError(exc, request=request) from None
         except BaseException:
             conn.close()
             raise
-        # http.client lets go of the socket itself after Connection: close
-        if conn.sock is None or answer.version != 11:
-            conn.close()
-        else:
+        if answer.reusable:
             with self._lock:
                 self._idle.setdefault(key, []).append(conn)
-        return self._response(request, answer, body)
+        else:
+            conn.close()
+        return self._response(request, answer)
 
     def close(self) -> None:
         """Close the idle connections; the adapter stays usable."""
@@ -251,14 +436,10 @@ class _KeepAliveAdapter(BaseAdapter):
             raise error(exc, request=request) from None
         return conn
 
-    def _response(self, request, answer: http.client.HTTPResponse,
-                  body: bytes) -> requests.Response:
-        headers = CaseInsensitiveDict()
-        for name, value in answer.msg.items():
-            # repeated fields join as urllib3 joins them
-            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+    def _response(self, request, answer: _Answer) -> requests.Response:
+        headers = answer.headers
         try:
-            body = _decode_body(body, headers.get("Content-Encoding"))
+            body = _decode_body(answer.body, headers.get("Content-Encoding"))
         except (OSError, EOFError, zlib.error) as exc:
             raise requests.exceptions.ContentDecodingError(exc, request=request) from None
         response = requests.Response()
@@ -271,8 +452,12 @@ class _KeepAliveAdapter(BaseAdapter):
         response.connection = self
         response.raw = io.BytesIO(body)
         if "Set-Cookie" in headers or "Set-Cookie2" in headers:
-            # requests (here and in Session.send) reads cookies from this
-            response.raw._original_response = answer
+            # requests (here and in Session.send) reads cookies from the
+            # fields of what would be urllib3's http.client answer
+            fields = email.message.Message()
+            for name, value in answer.fields:
+                fields[name] = value
+            response.raw._original_response = SimpleNamespace(msg=fields)
             extract_cookies_to_jar(response.cookies, request, response.raw)
         return response
 
@@ -305,7 +490,8 @@ class HttpBackend(CompletionBackend):
     responses are retried, ``max_retries`` times at most, after 0.25 s,
     doubling each time; a 429 whose ``Retry-After`` is a non-negative
     number of seconds waits that long instead.  A response that breaks the
-    ``CompletionResult`` contract is a ``TransportError``.  ``latency_ms`` is wall-clock
+    ``CompletionResult`` contract is a ``TransportError``, and so is a body
+    that is not valid UTF-8 JSON.  ``latency_ms`` is wall-clock
     measured around the successful call.  A ``max_in_flight`` below 1, a
     ``max_retries`` below 0, or a ``timeout_s`` that is not a finite number
     above 0 raises ``ValueError``.
@@ -323,8 +509,14 @@ class HttpBackend(CompletionBackend):
     Requests still go through ``session.post``, so a session's subclass
     and hooks see every response; below the session, ``url`` is mounted on
     a transport that keeps up to ``max_in_flight`` keep-alive connections
-    (see ``_KeepAliveAdapter``).  ``close()`` closes those connections,
-    and the session too when the backend built it.
+    (see ``_KeepAliveAdapter``).  ``http.client`` only opens them; the
+    transport writes each request in one ``sendall`` and reads the answer
+    itself, with ``http.client``'s limits of 65536 bytes per line and 100
+    header lines.  A connection is pooled again only after an HTTP/1.1
+    answer with a framed body and no ``Connection: close``; an answer over
+    a limit, malformed or cut short is a transport failure, retried as
+    above.  ``close()`` closes those connections, and the session too when
+    the backend built it.
     """
 
     def __init__(
@@ -413,8 +605,8 @@ class HttpBackend(CompletionBackend):
                 raise TransportError(
                     f"completion endpoint returned {response.status_code}: {response.text[:200]}"
                 )
-            try:
-                return response.json(), latency_ms
+            try:  # bytes, so that invalid UTF-8 is an error, not U+FFFD
+                return json.loads(response.content), latency_ms
             except ValueError as exc:
                 raise TransportError(f"completion endpoint returned invalid JSON: {exc}") from None
         raise TransportError(

@@ -22,6 +22,14 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _floats(name: str, numbers: list) -> list:
+    try:
+        return [float(x) for x in numbers]
+    except OverflowError:
+        raise ValueError(f"fixture field {name!r} has an integer too large "
+                         f"for a float") from None
+
+
 class ScriptedBackend(CompletionBackend):
     """Replays fixture completions keyed by the exact prompt string.
 
@@ -36,7 +44,8 @@ class ScriptedBackend(CompletionBackend):
     "eos"; ``latency_ms`` is a finite number of at least 0 and defaults to
     0.0.  Stop strings and ``max_new_tokens`` from the request are applied
     to the replayed tokens.
-    Each entry is checked once, when it is loaded: a bad one raises
+    Each entry is checked, and its numbers are made floats, once, when it
+    is loaded: a bad one, such as an integer too large for a float, raises
     ``ValueError`` naming the field.
     """
 
@@ -69,7 +78,10 @@ class ScriptedBackend(CompletionBackend):
         if not 0.0 <= latency_ms < math.inf:
             raise ValueError(f"fixture field 'latency_ms' must be finite and >= 0, "
                              f"got {latency_ms!r}")
-        self._fixtures[entry["prompt"]] = dict(entry)
+        self._fixtures[entry["prompt"]] = dict(
+            entry, tokens=[str(t) for t in entry["tokens"]],
+            logprobs=_floats("logprobs", logprobs or [0.0] * len(entry["tokens"])),
+            latency_ms=_floats("latency_ms", [latency_ms])[0])
 
     @classmethod
     def from_jsonl(cls, path: str) -> "ScriptedBackend":
@@ -89,15 +101,14 @@ class ScriptedBackend(CompletionBackend):
         if entry is None:
             preview = request.prompt[-120:]
             raise MissingFixtureError(f"no fixture for prompt ending {preview!r}")
-        tokens = [str(t) for t in entry["tokens"]]
-        logprobs = [float(x) for x in entry.get("logprobs") or [0.0] * len(tokens)]
         tokens, text, stop_reason = apply_request_limits(
-            tokens, request, default_reason=entry.get("finish", "eos")
+            entry["tokens"], request, default_reason=entry.get("finish", "eos")
         )
         return CompletionResult(
             tokens=tuple(tokens),
-            token_logprobs=tuple(logprobs[: len(tokens)]) if request.want_logprobs else (),
+            token_logprobs=tuple(entry["logprobs"][: len(tokens)]) if request.want_logprobs
+            else (),
             text=text,
             stop_reason=stop_reason,
-            latency_ms=float(entry.get("latency_ms", 0.0)),
+            latency_ms=entry["latency_ms"],
         )

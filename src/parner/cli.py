@@ -286,7 +286,11 @@ def _typed(where: str, value, kind):
         return {key: _typed(f"{where}.{key}", value[key], kind[key]) for key in kind}
     if type(value) is not kind and not (kind is float and type(value) is int):
         raise ConfigError(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{where} must be {_JSON_TYPES[kind]} that fits a float, "
+                          f"got an integer of {len(str(value))} digits") from None
 
 
 def _backend_settings(options: Dict) -> Dict:

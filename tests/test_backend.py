@@ -279,6 +279,26 @@ class TestScriptedBackend:
         assert (result.token_logprobs, result.stop_reason, result.latency_ms) == (
             (-1.0,), "length", 3.0)
 
+    def test_integer_numbers_replay_as_floats(self):
+        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-1, 0],
+                                    "latency_ms": 3}])
+        result = backend.generate(CompletionRequest(prompt="p"))
+        assert [type(x) for x in result.token_logprobs] == [float, float]
+        assert type(result.latency_ms) is float
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-1%s, 0.0]}' % ("0" * 400),
+         "logprobs"),
+        ('{"prompt": "p", "tokens": ["a"], "latency_ms": 1%s}' % ("0" * 400), "latency_ms"),
+    ], ids=["huge-logprob", "huge-latency"])
+    def test_integer_too_large_for_a_float_rejected_on_load(self, tmp_path, line, field):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ScriptedBackend.from_jsonl(str(path))
+        assert str(err.value) == (f"fixture field {field!r} has an integer too large for a "
+                                  f"float (fixture file {path}, line 1)")
+
     def test_misaligned_fixture_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
             ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-0.1]}])
@@ -605,7 +625,8 @@ class TestOracleDecisionDraws:
 class _StubHandler(BaseHTTPRequestHandler):
     """Answers per ``server.behavior``; ``server.response_headers(n)`` adds
     headers to the n-th answer, and the body is encoded as they say
-    (``Content-Encoding: gzip``/``deflate``, ``Transfer-Encoding: chunked``)."""
+    (``Content-Encoding: gzip``/``deflate``, ``Transfer-Encoding: chunked``).
+    ``server.raw_answer(n)``, when not None, is written instead, as it is."""
 
     protocol_version = "HTTP/1.1"
 
@@ -619,6 +640,15 @@ class _StubHandler(BaseHTTPRequestHandler):
             "connection": self.client_address,
         })
         n = len(self.server.calls)
+        raw = self.server.raw_answer(n)
+        if raw is not None:
+            self.wfile.write(raw)
+        else:
+            self._answer(payload, n)
+        if self.server.drop_idle:
+            self.close_connection = True  # without saying so in a header
+
+    def _answer(self, payload, n):
         status, answer = self.server.behavior(payload, n)
         headers = self.server.response_headers(n)
         data = json.dumps(answer).encode("utf-8")
@@ -642,8 +672,6 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.wfile.write(b"0\r\n\r\n")
         else:
             self.wfile.write(data)
-        if self.server.drop_idle:
-            self.close_connection = True  # without saying so in a header
 
     def log_message(self, *args):
         pass
@@ -665,6 +693,7 @@ class _StubServer(ThreadingHTTPServer):
         self.calls = []
         self.behavior = lambda payload, n: (200, _OK_BODY)
         self.response_headers = lambda n: {}
+        self.raw_answer = lambda n: None
         self.drop_idle = False
         self.accepted = 0
         self.closed = 0
@@ -687,6 +716,13 @@ _OK_BODY = {
     "token_logprobs": [-0.1, -0.05],
     "finish_reason": "eos",
 }
+_OK_JSON = json.dumps(_OK_BODY).encode("utf-8")
+_OK_LENGTH = b"Content-Length: %d" % len(_OK_JSON)
+
+
+def _raw_answer(*fields: bytes, body: bytes = _OK_JSON) -> bytes:
+    """A 200 answer written by hand: the status line, ``fields`` and ``body``."""
+    return b"HTTP/1.1 200 OK\r\n" + b"".join(f + b"\r\n" for f in fields) + b"\r\n" + body
 
 
 @contextlib.contextmanager
@@ -848,6 +884,15 @@ class TestHttpBackend:
         assert "token_logprobs must hold no NaN or +inf, got nan" in outcome.defects[0]
         assert [m.label for m in outcome.raw_mentions] == ["PER", "MISC", "ORG"]
         assert all(m.text == "Italy" for m in outcome.raw_mentions)
+
+    def test_invalid_utf8_answer_is_invalid_json(self, stub_server):
+        body = b'{"text": "K\xf6ln", "tokens": ["K\xf6ln"], "finish_reason": "eos"}'
+        stub_server.raw_answer = lambda n: _raw_answer(
+            b"Content-Type: application/json", b"Content-Length: %d" % len(body), body=body)
+        with _client(stub_server) as backend:
+            with pytest.raises(TransportError, match="invalid JSON"):
+                backend.generate(CompletionRequest(prompt="p", want_logprobs=False))
+        assert len(stub_server.calls) == 1
 
     def test_empty_logprobs_rejected(self, stub_server, session):
         body = dict(_OK_BODY, token_logprobs=[])
@@ -1138,6 +1183,106 @@ class TestKeepAliveTransport:
                     backend.generate(CompletionRequest(prompt=f"p{i}"))
                 assert type(session.get_adapter(_url(stub_server))).__name__ == "_KeepAliveAdapter"
         assert session.seen == ["1", "2", "3"]
+
+    def test_interim_answer_is_skipped(self, stub_server):
+        stub_server.raw_answer = lambda n: (b"HTTP/1.1 100 Continue\r\n\r\n"
+                                            + _raw_answer(_OK_LENGTH))
+        with _client(stub_server, max_retries=0) as backend:
+            for i in range(2):
+                assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+        assert stub_server.accepted == 1
+
+    @pytest.mark.parametrize("fields, error", [
+        ([b"X-Long: " + b"a" * (65536 - 10)], None),  # 65536 bytes with the line end
+        ([b"X-Long: " + b"a" * (65536 - 9)], "answer line longer than 65536 bytes"),
+        ([b"X-%d: 1" % i for i in range(99)], None),  # 100 with Content-Length
+        ([b"X-%d: 1" % i for i in range(100)], "answer has more than 100 header lines"),
+    ], ids=["longest-line", "line-too-long", "most-fields", "too-many-fields"])
+    def test_header_limits(self, stub_server, fields, error):
+        stub_server.raw_answer = lambda n: _raw_answer(_OK_LENGTH, *fields)
+        with _client(stub_server, max_retries=0) as backend:
+            if error is None:
+                assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+                assert sum(len(conns) for conns in backend._adapter._idle.values()) == 1
+            else:
+                with pytest.raises(TransportError, match=error):
+                    backend.generate(CompletionRequest(prompt="p"))
+                assert not any(backend._adapter._idle.values())
+                _wait_for(lambda: stub_server.closed == 1)
+
+    def test_body_cut_short_is_retried_then_fails(self, stub_server, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        stub_server.drop_idle = True
+        claimed = len(_OK_JSON) + 1
+        stub_server.raw_answer = lambda n: _raw_answer(b"Content-Length: %d" % claimed)
+        with _client(stub_server, max_retries=1) as backend:
+            with pytest.raises(TransportError, match=f"after 2 attempts: .*answer body ended "
+                                                     f"after {len(_OK_JSON)} of {claimed} bytes"):
+                backend.generate(CompletionRequest(prompt="p"))
+            assert not any(backend._adapter._idle.values())
+        assert len(stub_server.calls) == stub_server.accepted == 2
+
+    def test_body_delimited_by_close_is_read_whole(self, stub_server):
+        stub_server.drop_idle = True
+        stub_server.raw_answer = lambda n: _raw_answer(b"Content-Type: application/json")
+        with _client(stub_server, max_retries=0) as backend:
+            for i in range(2):
+                result = backend.generate(CompletionRequest(prompt=f"p{i}"))
+                assert result.tokens == ("Italy", "<eos>")
+                assert not any(backend._adapter._idle.values())
+        assert stub_server.accepted == 2
+
+    def test_chunk_extensions_and_trailer_are_dropped(self, stub_server):
+        pieces = (_OK_JSON[:10], _OK_JSON[10:])
+        body = b"".join(b"%X;name=value\r\n%s\r\n" % (len(p), p) for p in pieces)
+        body += b"0;last\r\nX-Trailer: 1\r\nX-Other: 2\r\n\r\n"
+        stub_server.raw_answer = lambda n: _raw_answer(b"Transfer-Encoding: chunked", body=body)
+        with _client(stub_server, max_retries=0) as backend:
+            for i in range(2):
+                result = backend.generate(CompletionRequest(prompt=f"p{i}"))
+                assert result.tokens == ("Italy", "<eos>")
+                assert result.token_logprobs == (-0.1, -0.05)
+        assert stub_server.accepted == 1
+
+    @pytest.mark.parametrize("value", ["a\r\nX-Injected: 1", "a\nb", "a\rb"],
+                             ids=["crlf", "lf", "cr"])
+    def test_line_break_in_a_header_is_refused_unwritten(self, stub_server, value):
+        def auth(request):  # runs after requests has checked the headers
+            request.headers["X-Note"] = value
+            return request
+
+        with requests.Session() as session:
+            session.auth = auth
+            with contextlib.closing(HttpBackend(_url(stub_server), session=session,
+                                                max_retries=0)) as backend:
+                with pytest.raises(TransportError, match="invalid header b'X-Note'"):
+                    backend.generate(CompletionRequest(prompt="p"))
+        assert stub_server.accepted == 0 and stub_server.calls == []
+
+    def test_each_request_is_one_sendall(self, stub_server, monkeypatch):
+        sent = []
+
+        class CountingSocket(socket.socket):
+            def sendall(self, data, *args):
+                sent.append(bytes(data))
+                return super().sendall(data, *args)
+
+        def create_connection(address, timeout, *args):
+            sock = real(address, timeout, *args)
+            counting = CountingSocket(sock.family, sock.type, sock.proto, fileno=sock.detach())
+            counting.settimeout(timeout)
+            return counting
+
+        real = socket.create_connection
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        with _client(stub_server) as backend:
+            for i in range(3):
+                assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+        assert stub_server.accepted == 1
+        assert len(sent) == 3
+        for data, call in zip(sent, stub_server.calls):
+            assert data.startswith(b"POST /v1/completions HTTP/1.1\r\n")
+            assert data.endswith(b"\r\n\r\n" + call["body"])
 
 
 _INVALID_URL = "http://completion.invalid/v1/completions"

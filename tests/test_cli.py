@@ -207,7 +207,12 @@ class TestDecode:
          "fixture field 'latency_ms' must be finite and >= 0, got -5"),
         ('"tokens": ["Zed", "<eos>"], "latency_ms": NaN',
          "fixture field 'latency_ms' must be finite and >= 0, got nan"),
-    ], ids=["nan-logprob", "inf-logprob", "negative-latency", "nan-latency"])
+        ('"tokens": ["Zed", "<eos>"], "logprobs": [-1' + "0" * 400 + ', 0.0]',
+         "fixture field 'logprobs' has an integer too large for a float"),
+        ('"tokens": ["Zed", "<eos>"], "latency_ms": 1' + "0" * 400,
+         "fixture field 'latency_ms' has an integer too large for a float"),
+    ], ids=["nan-logprob", "inf-logprob", "negative-latency", "nan-latency",
+            "huge-logprob", "huge-latency"])
     def test_non_finite_fixture_rejected_before_decoding(self, tmp_path, labels, template,
                                                          capsys, entry, message):
         # every label's onestep prompt has an entry, so each would be replayed
@@ -240,6 +245,23 @@ class TestDecode:
         assert code == 1
         assert f"parner: error: {setting} must be finite and >= 0, got {shown}\n" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend, setting", [("oracle", "ms_per_token"),
+                                                  ("http", "timeout_s")])
+    def test_integer_too_large_for_a_float_rejected_before_writing(
+            self, tmp_path, corpus_path, capsys, backend, setting):
+        backend_config = tmp_path / "backend.json"
+        backend_config.write_text(f'{{"url": "{HTTP_URL}", "{setting}": 1{"0" * 400}}}'
+                                  if backend == "http" else f'{{"{setting}": 1{"0" * 400}}}',
+                                  encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--backend", backend, "--backend-config", str(backend_config),
+                     "--out", str(out)])
+        assert code == 1
+        assert (f"parner: error: {backend} backend setting {setting} must be a number that "
+                f"fits a float, got an integer of 401 digits\n") in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_corpus_flag(self, capsys):
