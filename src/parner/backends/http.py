@@ -83,9 +83,9 @@ def _dropped(sock: socket.socket) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
-def _close_idle(idle: Dict[tuple, List[http.client.HTTPConnection]], lock: threading.Lock) -> None:
+def _close_idle(idle: List[http.client.HTTPConnection], lock: threading.Lock) -> None:
     with lock:
-        connections = [conn for conns in idle.values() for conn in conns]
+        connections = idle[:]
         idle.clear()
     for conn in connections:
         conn.close()
@@ -108,12 +108,12 @@ def _decode_body(body: bytes, content_encoding: Optional[str]) -> bytes:
     return body
 
 
-def _host_field(url, target: str) -> bytes:
+def _host_field(url, absolute: bool) -> bytes:
     """``Host`` as ``http.client``'s ``putrequest`` writes it: the authority
-    of an absolute-form target (a request to a proxy), else the URL's host
-    with its port, unless that is the scheme's default."""
-    if target.startswith("http"):
-        host, port = urlsplit(target).netloc, None
+    of ``url`` for an absolute-form target (a request to a proxy), else its
+    host with its port, unless that is the scheme's default."""
+    if absolute:
+        host, port = url.netloc.rpartition("@")[2], None
     else:
         host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
         port = url.port if url.port != _DEFAULT_PORTS[url.scheme.lower()] else None
@@ -289,69 +289,90 @@ def _tls_context(verify, cert) -> ssl.SSLContext:
 
 
 class _KeepAliveAdapter(BaseAdapter):
-    """Sends requests over pooled keep-alive connections, writing and
-    reading HTTP/1.1 itself.
+    """Sends requests for one origin over pooled keep-alive connections,
+    writing and reading HTTP/1.1 itself.
 
-    ``http.client`` only connects: TCP, TLS per ``verify`` and ``cert``
-    (one cached context each), and the ``CONNECT`` tunnel for HTTPS
-    through a proxy.  What goes on the wire is the request that
+    The route is fixed when the adapter is built, from the URL, the proxy
+    for it (or None), and ``verify`` and ``cert`` as ``requests`` reads
+    them: the address to connect to, with the scheme's default port when
+    the URL or the proxy URL has none; an ``http://`` proxy and its
+    ``Proxy-Authorization`` from credentials in the proxy URL; one TLS
+    context; and the ``Host`` field.  An unsupported scheme, an
+    ``https://`` or SOCKS proxy raise ``ValueError`` there, and a missing
+    CA bundle or client-certificate file ``OSError``.  ``send`` does not
+    read its ``verify``, ``cert`` or ``proxies`` arguments; the adapter
+    must be mounted where it gets requests for its URL's origin only.
+
+    ``http.client`` only connects: TCP, TLS, and the ``CONNECT`` tunnel
+    for HTTPS through a proxy.  What goes on the wire is the request that
     ``requests``' stock adapter sends through urllib3: the request line,
     ``Host`` as ``http.client`` writes it, the prepared headers and the
-    body, in one ``sendall``.  HTTP proxies get absolute-form targets and
-    ``Proxy-Authorization`` from credentials in the proxy URL.  A control
-    character in the method, the target or a header is refused before
-    anything is written, as ``http.client`` refuses it.  Bodies must be
-    bytes or str, as ``json=`` and ``data=`` with a dict or a string make
-    them.
+    body, in one ``sendall``.  HTTP proxies get absolute-form targets.  A
+    control character in the method, the target or a header is refused
+    before anything is written, as ``http.client`` refuses it.  Bodies
+    must be bytes or str, as ``json=`` and ``data=`` with a dict or a
+    string make them.
 
     Answers are read with ``http.client``'s limits, 65536 bytes per line
     and 100 header lines.  1xx interim answers are skipped.  The body is
     read whole, also with ``stream=True``, framed by ``chunked``, else by
     ``Content-Length``, else by the close; gzip/deflate are undone.
 
-    Idle connections wait in a LIFO list per origin, so concurrent callers
-    never hold more connections than they have requests in flight.  One
-    goes back to the pool only after an HTTP/1.1 answer with a framed body
-    and no ``Connection: close``, and is discarded instead of reused once
-    its peer dropped it.  A request that was written is never re-sent
-    here: socket timeouts raise ``requests.Timeout`` and other failures,
+    Idle connections wait in one LIFO list, so concurrent callers never
+    hold more connections than they have requests in flight.  One goes
+    back to the list only after an HTTP/1.1 answer with a framed body and
+    no ``Connection: close``, and is discarded instead of reused once its
+    peer dropped it.  A request that was written is never re-sent here:
+    socket timeouts raise ``requests.Timeout`` and other failures,
     including a malformed, oversized or cut-short answer,
     ``requests.ConnectionError``; the caller decides whether to retry.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, url: str, proxy: Optional[str], verify, cert) -> None:
         super().__init__()
+        parts = urlsplit(url)
+        scheme = parts.scheme.lower()
+        if scheme not in _DEFAULT_PORTS or not parts.hostname:
+            raise ValueError(f"unsupported URL: {url!r}")
+        # http.client would split an IPv6 literal without a port at its last colon
+        self._origin = (parts.hostname, parts.port or _DEFAULT_PORTS[scheme])
+        self._address = self._origin
+        self._proxy_auth: Dict[str, str] = {}
+        if proxy:
+            proxy = prepend_scheme_if_needed(proxy, "http")
+            proxy_url = urlsplit(proxy)
+            if proxy_url.scheme.lower() != "http" or not proxy_url.hostname:
+                # without the credentials, which an error message must not show
+                raise ValueError(f"unsupported proxy URL: {urldefragauth(proxy)!r}")
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            username, password = get_auth_from_url(proxy)
+            if username:
+                self._proxy_auth["Proxy-Authorization"] = _basic_auth_str(username, password)
+        self._proxied = bool(proxy)
+        self._absolute = self._proxied and scheme == "http"  # else HTTPS through CONNECT
+        self._context = _tls_context(verify, cert) if scheme == "https" else None
+        self._host = _host_field(parts, self._absolute)
         self._lock = threading.Lock()
-        self._idle: Dict[tuple, List[http.client.HTTPConnection]] = {}
-        self._contexts: Dict[tuple, ssl.SSLContext] = {}
+        self._idle: List[http.client.HTTPConnection] = []
         # like urllib3's pools, close idle sockets when dropped unclosed
         weakref.finalize(self, _close_idle, self._idle, self._lock)
 
     def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
-        url = urlsplit(request.url)
-        scheme = url.scheme.lower()
-        if scheme not in ("http", "https"):
-            raise requests.exceptions.InvalidSchema(f"unsupported URL scheme: {request.url!r}")
-        proxy = select_proxy(request.url, proxies)
-        if proxy:
-            proxy = prepend_scheme_if_needed(proxy, "http")
-        context = self._context(verify, cert, request) if scheme == "https" else None
         connect_s, read_s = timeout if isinstance(timeout, tuple) else (timeout, timeout)
         headers = request.headers
         target = request.path_url
-        if proxy and scheme == "http":
+        if self._absolute:
             target = urldefragauth(request.url)
             headers = headers.copy()
-            headers.update(self._proxy_headers(proxy))
+            headers.update(self._proxy_auth)
         data = request.body
         if isinstance(data, str):  # as urllib3 sends it, not latin-1 as http.client would
             data = data.encode("utf-8")
-        message = _request_bytes(request.method, target, _host_field(url, target), headers, data)
+        message = _request_bytes(request.method, target, self._host, headers, data)
 
-        key = (scheme, url.hostname, url.port, proxy, context)
-        conn = self._checkout(key)
+        conn = self._checkout()
         if conn is None:
-            conn = self._connect(url, proxy, context, connect_s, request)
+            conn = self._connect(connect_s, request)
         try:
             conn.sock.settimeout(read_s)
             conn.sock.sendall(message)
@@ -367,7 +388,7 @@ class _KeepAliveAdapter(BaseAdapter):
             raise
         if answer.reusable:
             with self._lock:
-                self._idle.setdefault(key, []).append(conn)
+                self._idle.append(conn)
         else:
             conn.close()
         return self._response(request, answer)
@@ -376,52 +397,28 @@ class _KeepAliveAdapter(BaseAdapter):
         """Close the idle connections; the adapter stays usable."""
         _close_idle(self._idle, self._lock)
 
-    def _context(self, verify, cert, request) -> ssl.SSLContext:
-        key = (verify, cert)
-        context = self._contexts.get(key)
-        if context is None:
-            try:
-                context = _tls_context(verify, cert)
-            except ssl.SSLError as exc:
-                raise requests.exceptions.SSLError(exc, request=request) from None
-            context = self._contexts.setdefault(key, context)
-        return context
-
-    @staticmethod
-    def _proxy_headers(proxy: str) -> Dict[str, str]:
-        username, password = get_auth_from_url(proxy)
-        return {"Proxy-Authorization": _basic_auth_str(username, password)} if username else {}
-
-    def _checkout(self, key: tuple) -> Optional[http.client.HTTPConnection]:
+    def _checkout(self) -> Optional[http.client.HTTPConnection]:
         while True:
             with self._lock:
-                idle = self._idle.get(key)
-                if not idle:
+                if not self._idle:
                     return None
-                conn = idle.pop()
+                conn = self._idle.pop()
             if not _dropped(conn.sock):
                 return conn
             conn.close()
 
-    def _connect(self, url, proxy, context, timeout_s, request) -> http.client.HTTPConnection:
-        host, port = url.hostname, url.port
-        if proxy:
-            proxy_url = urlsplit(proxy)
-            if proxy_url.scheme.lower() != "http" or not proxy_url.hostname:
-                raise requests.exceptions.InvalidProxyURL(f"unsupported proxy URL: {proxy!r}")
-            address = (proxy_url.hostname, proxy_url.port or 80)
+    def _connect(self, timeout_s, request) -> http.client.HTTPConnection:
+        if self._context is None:
+            conn = http.client.HTTPConnection(*self._address, timeout=timeout_s)
         else:
-            address = (host, port)
-        if context is None:
-            conn = http.client.HTTPConnection(*address, timeout=timeout_s)
-        else:
-            conn = http.client.HTTPSConnection(*address, timeout=timeout_s, context=context)
-            if proxy:
-                conn.set_tunnel(host, port, headers=self._proxy_headers(proxy))
-            if context.verify_mode == ssl.CERT_NONE:
+            conn = http.client.HTTPSConnection(*self._address, timeout=timeout_s,
+                                               context=self._context)
+            if self._proxied:
+                conn.set_tunnel(*self._origin, headers=self._proxy_auth)
+            if self._context.verify_mode == ssl.CERT_NONE:
                 # the warning category that users' filters already name
-                warnings.warn(f"Unverified HTTPS request is being made to host {host!r}",
-                              InsecureRequestWarning)
+                warnings.warn(f"Unverified HTTPS request is being made to host "
+                              f"{self._origin[0]!r}", InsecureRequestWarning)
         try:
             conn.connect()
         except socket.timeout as exc:
@@ -432,7 +429,8 @@ class _KeepAliveAdapter(BaseAdapter):
             raise requests.exceptions.SSLError(exc, request=request) from None
         except OSError as exc:
             conn.close()
-            error = requests.exceptions.ProxyError if proxy else requests.exceptions.ConnectionError
+            error = (requests.exceptions.ProxyError if self._proxied
+                     else requests.exceptions.ConnectionError)
             raise error(exc, request=request) from None
         return conn
 
@@ -496,27 +494,28 @@ class HttpBackend(CompletionBackend):
     ``max_retries`` below 0, or a ``timeout_s`` that is not a finite number
     above 0 raises ``ValueError``.
 
-    The environment is read once, when the backend is built: proxies for
-    ``url`` (honouring ``NO_PROXY``), the CA bundle
-    (``REQUESTS_CA_BUNDLE``/``CURL_CA_BUNDLE``), ``PARNER_HTTP_TOKEN`` and,
-    only when that token is unset, ``.netrc`` credentials.  Every request
-    then carries those settings, so it is the one ``requests`` would have
-    built from the environment, with no lookup per call.  ``session``
-    (default: a new ``requests.Session``) gets ``trust_env`` turned off for
-    the same reason, so a session shared with a later backend gives that
-    one no environment settings.
+    The environment and the session's settings are read once, when the
+    backend is built: proxies for ``url`` (honouring ``NO_PROXY``) and the
+    session's ``proxies``, the CA bundle (``REQUESTS_CA_BUNDLE``/
+    ``CURL_CA_BUNDLE``) or the session's ``verify``, its ``cert``,
+    ``PARNER_HTTP_TOKEN`` and, only when that token is unset, ``.netrc``
+    credentials.  They fix the route of every request, with no lookup per
+    call, and a route that cannot work fails here: a ``url`` that is not
+    ``http://`` or ``https://``, or an ``https://`` or SOCKS proxy, raises
+    ``ValueError``, and a missing CA bundle or client-certificate file
+    ``OSError``.  ``session`` (default: a new ``requests.Session``) gets
+    ``trust_env`` turned off, so a session shared with a later backend
+    gives that one no environment settings.
 
     Requests still go through ``session.post``, so a session's subclass
     and hooks see every response; below the session, ``url`` is mounted on
-    a transport that keeps up to ``max_in_flight`` keep-alive connections
-    (see ``_KeepAliveAdapter``).  ``http.client`` only opens them; the
-    transport writes each request in one ``sendall`` and reads the answer
-    itself, with ``http.client``'s limits of 65536 bytes per line and 100
-    header lines.  A connection is pooled again only after an HTTP/1.1
-    answer with a framed body and no ``Connection: close``; an answer over
-    a limit, malformed or cut short is a transport failure, retried as
-    above.  ``close()`` closes those connections, and the session too when
-    the backend built it.
+    a transport for its origin alone that keeps up to ``max_in_flight``
+    keep-alive connections (see ``_KeepAliveAdapter``).  An answer it
+    cannot read, malformed, over a limit or cut short, is a transport
+    failure, retried as above; a request it refuses to write, for a
+    control character in a header or the target, fails at once.
+    ``close()`` closes those connections, and the session too when the
+    backend built it.
     """
 
     def __init__(
@@ -539,23 +538,26 @@ class HttpBackend(CompletionBackend):
         self._semaphore = threading.Semaphore(max_in_flight)
         self._owns_session = session is None
         self._session = session or requests.Session()
+        # the URL as the session prepares it, so its lowercased, IDNA-encoded
+        # host is the one the mount, the proxy lookup and Host see
+        route = requests.Request("POST", url).prepare().url
+        settings = self._session.merge_environment_settings(route, {}, None, None, None)
+        self._adapter = _KeepAliveAdapter(route, select_proxy(route, settings["proxies"]),
+                                          settings["verify"], settings["cert"])
         self._headers: Dict[str, str] = {}
         token = os.environ.get(TOKEN_ENV_VAR)
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
-        # What requests would look up in the environment on every call.
         # .netrc applies only when neither the token nor the session's own
         # auth is set: requests applies auth after the headers, so .netrc
         # credentials would replace the bearer token.
-        settings = self._session.merge_environment_settings(url, {}, None, None, None)
-        self._proxies = settings["proxies"]
-        self._verify = settings["verify"]
         self._auth = None
         if not token and self._session.trust_env and not self._session.auth:
             self._auth = requests.utils.get_netrc_auth(url)
         self._session.trust_env = False
-        self._adapter = _KeepAliveAdapter()
-        self._session.mount(url, self._adapter)
+        # a prepared URL always has a path, so the prefix ends the authority
+        # and no other origin's request reaches the fixed route
+        self._session.mount(route, self._adapter)
 
     def close(self) -> None:
         """Close the idle connections, and the session if this backend built it."""
@@ -586,10 +588,11 @@ class HttpBackend(CompletionBackend):
                 retry_after = None
             start = time.perf_counter()
             try:
-                response = self._session.post(
-                    self._url, json=payload, headers=self._headers, timeout=self._timeout_s,
-                    proxies=self._proxies, verify=self._verify, auth=self._auth,
-                )
+                response = self._session.post(self._url, json=payload, headers=self._headers,
+                                              timeout=self._timeout_s, auth=self._auth)
+            except (requests.exceptions.InvalidHeader, requests.exceptions.InvalidURL) as exc:
+                # refused before anything was written: a retry would fail alike
+                raise TransportError(f"completion request not sent: {exc}") from None
             except requests.RequestException as exc:
                 last_error = f"transport failure: {exc}"
                 continue

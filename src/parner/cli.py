@@ -405,7 +405,7 @@ def _load_run(options: Dict):
     pairs, dropped = _load_corpus(options, labels)
     try:
         backend = _make_backend(options, settings, pairs, labels, template)
-    except ValueError as exc:  # a bad backend setting or fixture entry
+    except ValueError as exc:  # a bad backend setting, fixture entry or HTTP route
         raise ConfigError(str(exc)) from None
     docs = [doc for doc, _ in pairs]
 

@@ -143,8 +143,9 @@ def span_probability(
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 _CallOutcome = Union[CompletionResult, BackendError]
-# (label, mention index, prompt) of one planned sequence
-_Planned = Tuple[Optional[str], Optional[int], str]
+# (label, mention index, prompt, positions in the document's traces of the
+# sequences it waits for) of one planned sequence
+_Planned = Tuple[Optional[str], Optional[int], str, Tuple[int, ...]]
 # the only kinds whose token logprobs are read: they score mentions for dedup
 _SCORED_KINDS = ("mention", "onestep")
 
@@ -217,14 +218,13 @@ def decode_document(
     mentions: List[ScoredMention] = []
 
     def issue(
-        kind: str,
-        planned: Sequence[_Planned],
-        upstream: Callable[[Optional[str]], float] = lambda label: 0.0,
+        kind: str, planned: Sequence[_Planned]
     ) -> Iterator[Tuple[Optional[str], Optional[int], CompletionResult, str]]:
         """Issue one step and yield each traced result in request order.
 
         Failures become defects here; the caller parses each result before
-        the next is traced, so defects keep request order across kinds.
+        the next is traced, so defects keep request order across kinds.  A
+        trace's latency is its own plus the longest of those it waits for.
         """
         if not planned:  # no call at all, not even an empty batch a backend may reject
             return
@@ -233,7 +233,7 @@ def decode_document(
                   else max_new_tokens)
         requests = [CompletionRequest(prompt=prompt, max_new_tokens=budget,
                                       want_logprobs=kind in _SCORED_KINDS)
-                    for _, _, prompt in planned]
+                    for _, _, prompt, _ in planned]
         if _batched(backend, mode):
             try:
                 results: Sequence[_CallOutcome] = backend.generate_batch(requests)
@@ -242,7 +242,7 @@ def decode_document(
                 return
         else:
             results = _run_all(pool, functools.partial(_call, backend), requests)
-        for (label, index, _), req, result in zip(planned, requests, results):
+        for (label, index, _, waits), req, result in zip(planned, requests, results):
             if isinstance(result, BackendError):
                 subject = (f" for {label} index {index}" if index is not None
                            else f" for label {label}" if label is not None else "")
@@ -250,9 +250,10 @@ def decode_document(
                 continue
             seq_id = (f"{doc.id}/{label}/{kind}{index or ''}" if label is not None
                       else f"{doc.id}/{kind}")
+            upstream = max((traces[position].latency_ms for position in waits), default=0.0)
             traces.append(SequenceTrace(
                 seq_id=seq_id, label=label, kind=kind, mention_index=index, request=req,
-                result=result, latency_ms=upstream(label) + result.latency_ms,
+                result=result, latency_ms=upstream + result.latency_ms,
             ))
             yield label, index, result, seq_id
 
@@ -264,7 +265,7 @@ def decode_document(
 
     step2: List[_Planned] = []
     if mode == "onestep":
-        step1 = [(label, None, build_onestep_prompt(doc, labels.surface(label), t))
+        step1 = [(label, None, build_onestep_prompt(doc, labels.surface(label), t), ())
                  for label in labels]
         for label, _, result, seq_id in issue("onestep", step1):
             parsed, parse_defects = parse_onestep(result, t)
@@ -274,7 +275,7 @@ def decode_document(
                      seq_id, f"empty mention in onestep list for label {label}")
     elif mode.startswith("autoreg-"):
         fmt = mode[len("autoreg-"):]
-        step1 = [(None, None, build_autoreg_prompt(doc, fmt, labels, t))]
+        step1 = [(None, None, build_autoreg_prompt(doc, fmt, labels, t), ())]
         for _, _, result, seq_id in issue("autoreg", step1):
             text = visible_text(result, t)
             parser = parse_structured if fmt == "struct" else parse_augmented
@@ -285,28 +286,26 @@ def decode_document(
     else:
         count_prompts = {label: build_count_prompt(doc, labels.surface(label), t)
                          for label in labels}
-        step1 = [(label, None, count_prompts[label]) for label in labels]
+        step1 = [(label, None, count_prompts[label], ()) for label in labels]
         counts: Dict[str, int] = {}
-        step1_latency: Dict[str, float] = {}
+        count_traces: Dict[str, Tuple[int]] = {}
         for label, _, result, _ in issue("count", step1):
-            step1_latency[label] = result.latency_ms
+            count_traces[label] = (len(traces) - 1,)
             try:
                 counts[label] = parse_count(result, t)
             except CountParseError as exc:
                 defects.append(f"count unparseable for label {label}: {exc}")
+        # A mention waits for its label's count; in pair-batch, for every
+        # count, so the max over traces is exactly step-one wall plus
+        # step-two wall, because rounding ``a + x`` is monotone in ``x``.
+        every_count = tuple(range(len(traces)))
         step2 = [
-            (label, index, build_mention_prompt(count_prompts[label], count, index, t))
+            (label, index, build_mention_prompt(count_prompts[label], count, index, t),
+             every_count if mode == "pair-batch" else count_traces[label])
             for label, count in counts.items()
             for index in range(1, count + 1)
         ]
-        step1_wall = max(step1_latency.values(), default=0.0)
-
-        # In pair-batch the max over traces is then exactly step-one wall plus
-        # step-two wall, because rounding ``a + x`` is monotone in ``x``.
-        def upstream(label: str) -> float:
-            return step1_wall if mode == "pair-batch" else step1_latency[label]
-
-        for label, index, result, seq_id in issue("mention", step2, upstream):
+        for label, index, result, seq_id in issue("mention", step2):
             parsed = parse_mention(result, t)
             keep(label, parsed.text, span_probability(result.token_logprobs, parsed.token_span),
                  seq_id, f"empty mention for label {label} index {index}")

@@ -1065,7 +1065,7 @@ class TestKeepAliveTransport:
             with _client(server, max_retries=0) as backend:
                 for i in range(3):
                     assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
-                assert not any(backend._adapter._idle.values())
+                assert not backend._adapter._idle
             assert server.accepted == 3
 
     @pytest.mark.parametrize("headers", [
@@ -1105,8 +1105,7 @@ class TestKeepAliveTransport:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
                 # every connection opened went back to the pool exactly once
-                idle = backend._adapter._idle.values()
-                assert sum(len(conns) for conns in idle) == stub_server.accepted
+                assert len(backend._adapter._idle) == stub_server.accepted
         finally:
             sys.setswitchinterval(switch_interval)
         assert len(results) == len(stub_server.calls) == 80
@@ -1146,7 +1145,7 @@ class TestKeepAliveTransport:
             with contextlib.closing(HttpBackend(_url(stub_server), session=session)) as backend:
                 with pytest.raises(requests.ReadTimeout):
                     session.post(_url(stub_server), json={}, timeout=0.05)
-                assert not any(backend._adapter._idle.values())
+                assert not backend._adapter._idle
         with socket.socket() as unused:
             unused.bind(("127.0.0.1", 0))
             refused = "http://127.0.0.1:{}/v1/completions".format(unused.getsockname()[1])
@@ -1203,11 +1202,11 @@ class TestKeepAliveTransport:
         with _client(stub_server, max_retries=0) as backend:
             if error is None:
                 assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
-                assert sum(len(conns) for conns in backend._adapter._idle.values()) == 1
+                assert len(backend._adapter._idle) == 1
             else:
                 with pytest.raises(TransportError, match=error):
                     backend.generate(CompletionRequest(prompt="p"))
-                assert not any(backend._adapter._idle.values())
+                assert not backend._adapter._idle
                 _wait_for(lambda: stub_server.closed == 1)
 
     def test_body_cut_short_is_retried_then_fails(self, stub_server, monkeypatch):
@@ -1219,7 +1218,7 @@ class TestKeepAliveTransport:
             with pytest.raises(TransportError, match=f"after 2 attempts: .*answer body ended "
                                                      f"after {len(_OK_JSON)} of {claimed} bytes"):
                 backend.generate(CompletionRequest(prompt="p"))
-            assert not any(backend._adapter._idle.values())
+            assert not backend._adapter._idle
         assert len(stub_server.calls) == stub_server.accepted == 2
 
     def test_body_delimited_by_close_is_read_whole(self, stub_server):
@@ -1229,7 +1228,7 @@ class TestKeepAliveTransport:
             for i in range(2):
                 result = backend.generate(CompletionRequest(prompt=f"p{i}"))
                 assert result.tokens == ("Italy", "<eos>")
-                assert not any(backend._adapter._idle.values())
+                assert not backend._adapter._idle
         assert stub_server.accepted == 2
 
     def test_chunk_extensions_and_trailer_are_dropped(self, stub_server):
@@ -1258,6 +1257,39 @@ class TestKeepAliveTransport:
                 with pytest.raises(TransportError, match="invalid header b'X-Note'"):
                     backend.generate(CompletionRequest(prompt="p"))
         assert stub_server.accepted == 0 and stub_server.calls == []
+
+    def test_request_refused_unwritten_is_not_retried(self, stub_server, monkeypatch):
+        attempts, slept = [], []
+
+        def auth(request):  # runs after requests has checked the headers
+            attempts.append(request.url)
+            request.headers["X-Note"] = "a\r\nX-Injected: 1"
+            return request
+
+        monkeypatch.setattr(time, "sleep", slept.append)
+        with requests.Session() as session:
+            session.auth = auth
+            with contextlib.closing(HttpBackend(_url(stub_server), session=session)) as backend:
+                with pytest.raises(TransportError, match="not sent: invalid header b'X-Note'"):
+                    backend.generate(CompletionRequest(prompt="p"))
+        assert len(attempts) == 1 and slept == []
+        assert stub_server.accepted == 0
+
+    @pytest.mark.usefixtures("clean_env")
+    @pytest.mark.parametrize("scheme, port", [("http", 80), ("https", 443)])
+    def test_ipv6_literal_without_a_port_gets_the_default_port(self, monkeypatch, scheme, port):
+        addresses = []
+
+        def create_connection(address, *args, **kwargs):
+            addresses.append(address)
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        with contextlib.closing(HttpBackend(f"{scheme}://[::1]/v1/completions",
+                                            max_retries=0)) as backend:
+            with pytest.raises(TransportError, match="refused"):
+                backend.generate(CompletionRequest(prompt="p"))
+        assert addresses == [("::1", port)]
 
     def test_each_request_is_one_sendall(self, stub_server, monkeypatch):
         sent = []
@@ -1344,12 +1376,11 @@ class TestHttpEnvironment:
         assert proxy_server.calls == []
 
     @pytest.mark.parametrize("scheme", ["https", "socks5"])
-    def test_unsupported_proxy_is_a_transport_error(self, stub_server, proxy_server, session,
-                                                    monkeypatch, scheme):
+    def test_unsupported_proxy_is_rejected_when_built(self, stub_server, proxy_server, session,
+                                                      monkeypatch, scheme):
         monkeypatch.setenv("HTTP_PROXY", _origin(proxy_server).replace("http", scheme, 1))
-        backend = HttpBackend(_url(stub_server), session=session, max_retries=0)
-        with pytest.raises(TransportError, match="unsupported proxy URL"):
-            backend.generate(CompletionRequest(prompt="p"))
+        with pytest.raises(ValueError, match="unsupported proxy URL"):
+            HttpBackend(_url(stub_server), session=session, max_retries=0)
         assert stub_server.calls == [] and proxy_server.calls == []
 
     def test_no_environment_lookup_per_call(self, stub_server, session, monkeypatch):
@@ -1382,16 +1413,31 @@ class TestHttpEnvironment:
         backend.generate(CompletionRequest(prompt="p"))
         assert stub_server.calls[0]["headers"].get("Authorization") == "Bearer sekrit"
 
-    def test_ca_bundle_and_session_settings(self, stub_server, monkeypatch, tmp_path):
-        ca_bundle = str(tmp_path / "ca.pem")
-        monkeypatch.setenv("REQUESTS_CA_BUNDLE", ca_bundle)
+    def test_session_settings(self, stub_server):
         with _RecordingSession() as session:
             backend = HttpBackend(_url(stub_server), session=session)
             assert session.trust_env is False
             backend.generate(CompletionRequest(prompt="p"))
-        assert session.kwargs["verify"] == ca_bundle
-        assert session.kwargs["proxies"] == {}
         assert session.kwargs["auth"] is None
+        assert "verify" not in session.kwargs and "proxies" not in session.kwargs
+
+    @pytest.mark.parametrize("missing", ["ca-bundle", "certificate", "key"])
+    def test_missing_tls_file_fails_when_built(self, stub_server, monkeypatch, tmp_path,
+                                               missing):
+        path = str(tmp_path / "missing.pem")
+        present = tmp_path / "present.pem"
+        present.write_text("", encoding="utf-8")
+        with requests.Session() as session:
+            if missing == "ca-bundle":
+                monkeypatch.setenv("REQUESTS_CA_BUNDLE", path)
+            else:
+                session.cert = path if missing == "certificate" else (str(present), path)
+            host, port = stub_server.server_address
+            with pytest.raises(OSError, match=re.escape(f"invalid path: {path}")):
+                HttpBackend(f"https://{host}:{port}/v1/completions", session=session)
+            # a plain-HTTP route builds no TLS context, so reads no TLS file
+            HttpBackend(_url(stub_server), session=session).close()
+        assert stub_server.accepted == 0
 
 
 @pytest.fixture(scope="module")
@@ -1501,7 +1547,6 @@ class TestHttps:
             with contextlib.closing(HttpBackend(_https_url(server), max_retries=0)) as backend:
                 for i in range(3):
                     assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
-                assert len(backend._adapter._contexts) == 1
             assert server.accepted == 1
 
     @pytest.mark.parametrize("bundle", ["other_ca", None], ids=["unknown-ca", "default-bundle"])
@@ -1551,3 +1596,21 @@ class TestHttps:
             assert proxy.calls[0]["headers"]["Proxy-Authorization"] == expected
         assert [call["path"] for call in server.calls] == ["/v1/completions"] * 2
         assert all("Proxy-Authorization" not in call["headers"] for call in server.calls)
+
+    def test_tunnel_to_ipv6_literal_without_a_port_names_the_default_port(self, monkeypatch):
+        real = socket.create_connection
+
+        def create_connection(address, *args, **kwargs):  # the proxy's upstream is refused
+            if address[0] == "::1":
+                raise ConnectionRefusedError("refused")
+            return real(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        with _running_stub(_TunnelHandler) as proxy:
+            monkeypatch.setenv("HTTPS_PROXY", _origin(proxy))
+            with contextlib.closing(HttpBackend("https://[::1]/v1/completions",
+                                                max_retries=0)) as backend:
+                with pytest.raises(TransportError):
+                    backend.generate(CompletionRequest(prompt="p"))
+            assert len(proxy.calls) == 1
+            assert proxy.calls[0]["path"].endswith(":443")

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -384,6 +385,7 @@ class TestDecode:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("parner: error: ") and message in err
+        assert "s3cret" not in err
         assert not out.exists()
 
     def test_label_map_key_that_is_not_a_label_rejected(self, tmp_path, corpus_path, capsys):
@@ -758,6 +760,51 @@ class TestHttpEndToEnd:
         assert f"parner: error: max_in_flight must be >= 1 and {message}" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("route, message", [
+        ("socks-proxy", "unsupported proxy URL: 'socks5://"),
+        ("ftp-url", "unsupported URL: 'ftp://"),
+        ("missing-ca-bundle", "invalid path: "),
+    ])
+    def test_bad_route_exits_before_decoding(self, tmp_path, corpus_path, capsys, monkeypatch,
+                                             route, message):
+        for key in list(os.environ):
+            if key.lower().endswith("_proxy"):
+                monkeypatch.delenv(key)
+        out = tmp_path / "out"
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            authority = "127.0.0.1:{}".format(listener.getsockname()[1])
+            url = f"http://{authority}/v1/completions"
+            if route == "socks-proxy":
+                monkeypatch.setenv("HTTP_PROXY", f"socks5://alice:s3cret@{authority}")
+            elif route == "ftp-url":
+                url = url.replace("http", "ftp", 1)
+            else:
+                url = url.replace("http", "https", 1)
+                monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
+            backend_config = write_json(tmp_path, "backend.json", {"url": url})
+            code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                         "--backend", "http", "--backend-config", backend_config,
+                         "--out", str(out)])
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):  # no connection was made
+                listener.accept()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parner: error: ") and message in err
+        assert "s3cret" not in err
+        assert not out.exists()
+
+    def test_route_is_mounted_for_its_origin_alone(self, monkeypatch):
+        for key in list(os.environ):
+            if key.lower().endswith("_proxy"):
+                monkeypatch.delenv(key)
+        with contextlib.closing(HttpBackend("http://127.0.0.1:1234")) as backend:
+            session = backend._session
+            assert session.get_adapter("http://127.0.0.1:1234/x") is backend._adapter
+            assert session.get_adapter("http://127.0.0.1:12345/x") is not backend._adapter
 
     @pytest.mark.parametrize("command, fails", [
         ("decode", False), ("bench", False), ("decode", True),
