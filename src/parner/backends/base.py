@@ -179,26 +179,27 @@ def apply_request_limits(
     text/token alignment), then ``max_new_tokens`` caps the length.
     Returns (tokens, text, stop_reason).  The kept tokens are always a
     prefix of ``tokens``, the last one possibly truncated, so their
-    logprobs are the first ``len(tokens)`` of the full list.
+    logprobs are the first ``len(tokens)`` of the full list.  Without a
+    non-empty stop string the text is joined once, from the kept tokens.
     """
-    text = "".join(tokens)
     reason = default_reason
-    cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)
-    if cut >= 0:
-        kept: List[str] = []
-        pos = 0
-        for tok in tokens:
-            if pos >= cut:
-                break
-            kept.append(tok if pos + len(tok) <= cut else tok[: cut - pos])
-            pos += len(tok)
-        tokens, text = kept, text[:cut]
-        reason = "stop_string"
+    if any(request.stop):
+        text = "".join(tokens)
+        cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)
+        if cut >= 0:
+            kept: List[str] = []
+            pos = 0
+            for tok in tokens:
+                if pos >= cut:
+                    break
+                kept.append(tok if pos + len(tok) <= cut else tok[: cut - pos])
+                pos += len(tok)
+            tokens = kept
+            reason = "stop_string"
     if len(tokens) > request.max_new_tokens:
         tokens = tokens[: request.max_new_tokens]
-        text = "".join(tokens)
         reason = "length"
-    return tokens, text, reason
+    return tokens, "".join(tokens), reason
 
 
 _TOKEN_RE = re.compile(r"\s*\S+|\s+")

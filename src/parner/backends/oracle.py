@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -64,6 +65,14 @@ _HI_TOKEN_PROB = 0.93
 _LO_TOKEN_PROB = 0.61
 _PROB_JITTER = 0.02
 
+# a digest's first 8 bytes as a big-endian integer
+_HEAD = struct.Struct(">Q").unpack_from
+
+
+def _logprob(base: float, unit: float) -> float:
+    """The logprob of a token of probability ``base``, jittered by the draw ``unit``."""
+    return math.log(base + (unit * 2.0 - 1.0) * _PROB_JITTER)
+
 
 @dataclass(frozen=True)
 class ErrorInjection:
@@ -98,6 +107,15 @@ class OracleBackend(CompletionBackend):
     jitter of +-0.02, so every logprob is finite.  They are computed
     only when the request sets ``want_logprobs``, and only for the tokens
     that stop strings and ``max_new_tokens`` keep.
+
+    Every draw is the SHA-256 of the seed and the draw's identity, their
+    parts joined by the unit separator U+001F, with the digest's first 8
+    bytes read as a big-endian fraction of 2**64.  A decision (``count?``,
+    ``count+-``, ``index?``, ``swap``) and a mention's end-of-sequence
+    token are hashed in one call each.  The jitter of a sequence's tokens
+    takes one hash per sequence: the seed and the sequence key are hashed
+    once, and each token's draw extends a copy of that hash by the token's
+    position in decimal.
 
     A prompt is recognised as a *frame* plus a document text: the frame is
     the template text a prompt builder puts before and after the document
@@ -178,32 +196,27 @@ class OracleBackend(CompletionBackend):
 
     # -- seeded, order-independent randomness --------------------------------
 
-    def _units(self, key: Sequence[object], lasts: Iterable[object]) -> List[float]:
-        """Uniform [0, 1) draws for ``(*key, last)``, one per item of ``lasts``.
+    def _unit(self, identity: str) -> float:
+        """The uniform [0, 1) draw of one decision: the first 8 bytes of the
+        SHA-256 of the seed and ``identity``, as a fraction of 2**64."""
+        digest = hashlib.sha256(f"{self._seed}\x1f{identity}".encode("utf-8")).digest()
+        return _HEAD(digest)[0] * 2.0**-64
 
-        Each draw is the SHA-256 of the seed and its parts, as strings
-        joined by the unit separator U+001F.  SHA-256 and UTF-8 both compose
-        over prefixes, so the seed and ``key`` are hashed once and each draw
-        extends a copy of that hash by its last part.
+    def _logprobs(self, erroneous: bool, key: str, n: int) -> List[float]:
+        """The logprobs of the first ``n`` tokens of the sequence ``key``.
+
+        Token i is jittered by the draw of ``jitter``, ``key`` and i.  The
+        seed and ``key`` are hashed once; SHA-256 and UTF-8 compose over
+        prefixes, so each token's draw extends a copy of that hash by i.
         """
-        material = "\x1f".join(map(str, (self._seed, *key))) + "\x1f"
-        prefix = hashlib.sha256(material.encode("utf-8"))
-        units = []
-        for last in lasts:
-            draw = prefix.copy()
-            draw.update(str(last).encode("utf-8"))
-            units.append(int.from_bytes(draw.digest()[:8], "big") / 2.0**64)
-        return units
-
-    def _unit(self, *parts: object) -> float:
-        """The draw for one decision identity."""
-        return self._units(parts[:-1], parts[-1:])[0]
-
-    def _logprobs(self, erroneous: bool, key: Tuple, lasts: Sequence[object]) -> List[float]:
-        """One token logprob per item of ``lasts``, jittered by the draw ``("jitter", *key, last)``."""
         base = _LO_TOKEN_PROB if erroneous else _HI_TOKEN_PROB
-        return [math.log(base + (unit * 2.0 - 1.0) * _PROB_JITTER)
-                for unit in self._units(("jitter", *key), lasts)]
+        key_hash = hashlib.sha256(f"{self._seed}\x1fjitter\x1f{key}\x1f".encode("utf-8"))
+        logprobs = []
+        for i in range(n):
+            draw = key_hash.copy()
+            draw.update(b"%d" % i)
+            logprobs.append(_logprob(base, _HEAD(draw.digest())[0] * 2.0**-64))
+        return logprobs
 
     # -- answers --------------------------------------------------------------
 
@@ -294,28 +307,32 @@ class OracleBackend(CompletionBackend):
         self, doc: Document, label: str, mentions: List[Mention]
     ) -> Tuple[List[str], _Logprobs]:
         gold_m = len(mentions)
+        key = f"{doc.id}\x1f{label}"
         forced = self._errors.forced_counts.get((doc.id, label))
         if forced is not None:
             m = forced
         else:
             m = gold_m
-            if self._errors.p_count > 0 and self._unit("count?", doc.id, label) < self._errors.p_count:
-                delta = 1 if gold_m == 0 or self._unit("count+-", doc.id, label) < 0.5 else -1
+            p = self._errors.p_count
+            if p > 0 and self._unit(f"count?\x1f{key}") < p:
+                delta = 1 if gold_m == 0 or self._unit(f"count+-\x1f{key}") < 0.5 else -1
                 m = gold_m + delta
         erroneous = m != gold_m
         tokens = count_answer(m, self._t)
-        return tokens, lambda n: self._logprobs(erroneous, (doc.id, label, "count"), range(n))
+        return tokens, lambda n: self._logprobs(erroneous, f"{key}\x1fcount", n)
 
     def _mention_answer(
         self, doc: Document, gold: GoldAnnotation, label: str, index: int,
         mentions: List[Mention],
     ) -> Tuple[List[str], _Logprobs]:
+        key = f"{doc.id}\x1f{label}"
         forced = self._errors.forced_mentions.get((doc.id, label, index))
         if forced is not None:
             surface, erroneous = forced, True
         elif 1 <= index <= len(mentions):
             surface, erroneous = mentions[index - 1].text, False
-            if self._errors.p_index > 0 and self._unit("index?", doc.id, label, index) < self._errors.p_index:
+            p = self._errors.p_index
+            if p > 0 and self._unit(f"index?\x1f{key}\x1f{index}") < p:
                 swapped = self._cross_label_surface(doc, gold, label, index)
                 if swapped is not None:
                     surface, erroneous = swapped, True
@@ -325,13 +342,15 @@ class OracleBackend(CompletionBackend):
         else:
             surface = self._cross_label_surface(doc, gold, label, index) or "unknown"
             erroneous = True
-        tokens = simple_tokenize(surface) + [self._t.eos_literal]
+        tokens = simple_tokenize(surface)
+        tokens.append(self._t.eos_literal)
 
         def logprobs(n: int) -> List[float]:
-            kept = self._logprobs(erroneous, (doc.id, label, "mention", index),
-                                  range(min(n, len(tokens) - 1)))
+            kept = self._logprobs(erroneous, f"{key}\x1fmention\x1f{index}",
+                                  min(n, len(tokens) - 1))
             if n == len(tokens):
-                kept += self._logprobs(False, (doc.id, label, "mention-eos"), (index,))
+                eos = self._unit(f"jitter\x1f{key}\x1fmention-eos\x1f{index}")
+                kept.append(_logprob(_HI_TOKEN_PROB, eos))
             return kept
 
         return tokens, logprobs
@@ -342,11 +361,12 @@ class OracleBackend(CompletionBackend):
         candidates = [m.text for m in gold.mentions if m.label != label]
         if not candidates:
             return None
-        pick = int(self._unit("swap", doc.id, label, index) * len(candidates))
+        pick = int(self._unit(f"swap\x1f{doc.id}\x1f{label}\x1f{index}") * len(candidates))
         return candidates[min(pick, len(candidates) - 1)]
 
     def _serialized_answer(
         self, output: str, doc_id: str, key: str
     ) -> Tuple[List[str], _Logprobs]:
-        tokens = simple_tokenize(output) + [self._t.eos_literal]
-        return tokens, lambda n: self._logprobs(False, (doc_id, key), range(n))
+        tokens = simple_tokenize(output)
+        tokens.append(self._t.eos_literal)
+        return tokens, lambda n: self._logprobs(False, f"{doc_id}\x1f{key}", n)

@@ -215,9 +215,10 @@ def read_mention_prompt(prompt: str, t: PromptTemplate) -> Optional[Tuple[int, i
         count_start -= 1
     count = prompt[count_start:count_end]
     if not (_is_number(index) and _is_number(count)
-            and int(index) <= int(count) and prompt.endswith(t.count_marker, 0, count_start)):
+            and prompt.endswith(t.count_marker, 0, count_start)):
         return None
-    return count_start, int(index)
+    n = int(index)
+    return (count_start, n) if n <= int(count) else None
 
 
 def build_autoreg_prompt(doc: Document, fmt: str, labels: LabelSet, t: PromptTemplate) -> str:

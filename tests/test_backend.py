@@ -22,6 +22,8 @@ from typing import Optional
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parner.backends import (
     CompletionRequest,
@@ -37,6 +39,7 @@ from parner.backends import (
 )
 from parner.backends import http as http_module
 from parner.backends import oracle as oracle_module
+from parner.backends.base import apply_request_limits
 from parner.backends.http import TOKEN_ENV_VAR, HttpBackend
 from parner.corpus import Document, GoldAnnotation, Mention
 from parner.scheduler import run_corpus
@@ -110,6 +113,62 @@ class TestRequestAndResult:
         with pytest.raises(ValueError, match="latency_ms must be finite and >= 0"):
             CompletionResult(tokens=("a",), token_logprobs=(-0.1,), text="a",
                              stop_reason="eos", latency_ms=latency_ms)
+
+
+def _reference_request_limits(tokens, request, default_reason="eos"):
+    """``apply_request_limits`` as it was before its no-stop-string fast path."""
+    text = "".join(tokens)
+    reason = default_reason
+    cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)
+    if cut >= 0:
+        kept = []
+        pos = 0
+        for tok in tokens:
+            if pos >= cut:
+                break
+            kept.append(tok if pos + len(tok) <= cut else tok[: cut - pos])
+            pos += len(tok)
+        tokens, text = kept, text[:cut]
+        reason = "stop_string"
+    if len(tokens) > request.max_new_tokens:
+        tokens = tokens[: request.max_new_tokens]
+        text = "".join(tokens)
+        reason = "length"
+    return tokens, text, reason
+
+
+@st.composite
+def _limited_requests(draw):
+    """Tokens (some empty, some of several characters), a budget from 1 to
+    n + 2, and stop strings: none, the empty one, or ones cut from the text,
+    which may start or end inside a token."""
+    tokens = draw(st.lists(st.text("ab<>\n ", max_size=4), max_size=8))
+    text = "".join(tokens)
+    budget = draw(st.integers(1, len(tokens) + 2))
+    start = draw(st.integers(0, len(text)))
+    inside = text[start:draw(st.integers(start, len(text)))]
+    stop = draw(st.lists(st.sampled_from(["", inside, "b<", "\n"]) | st.text("ab<", max_size=2),
+                         max_size=3))
+    return tokens, CompletionRequest("p", max_new_tokens=budget, stop=tuple(stop))
+
+
+class TestRequestLimits:
+    @given(_limited_requests(), st.sampled_from(["eos", "length"]))
+    @settings(max_examples=400)
+    def test_matches_reference(self, case, default_reason):
+        tokens, request = case
+        before = list(tokens)
+        assert apply_request_limits(tokens, request, default_reason) == \
+            _reference_request_limits(before, request, default_reason)
+        assert tokens == before
+
+    @pytest.mark.parametrize("stop", [(), ("",), ("", "")])
+    def test_no_stop_string_cuts_only_over_budget(self, stop):
+        tokens = ["Ital", "y", "<eos>"]
+        for budget, kept, reason in [(3, tokens, "eos"), (4, tokens, "eos"),
+                                     (2, tokens[:2], "length")]:
+            request = CompletionRequest("p", max_new_tokens=budget, stop=stop)
+            assert apply_request_limits(tokens, request) == (kept, "".join(kept), reason)
 
 
 class TestSimpleTokenize:
@@ -495,8 +554,7 @@ def _reference_logprob(erroneous: bool, *key) -> float:
     whole joined key of every token."""
     material = "\x1f".join(str(p) for p in (_SEED, "jitter", *key))
     unit = int.from_bytes(hashlib.sha256(material.encode("utf-8")).digest()[:8], "big") / 2.0**64
-    base = (0.61 if erroneous else 0.93) + (unit * 2.0 - 1.0) * 0.02
-    return math.log(min(max(base, 1e-6), 1.0 - 1e-9))
+    return math.log((0.61 if erroneous else 0.93) + (unit * 2.0 - 1.0) * 0.02)
 
 
 class TestOracleLogprobs:

@@ -22,7 +22,7 @@ from parner.backends import (
     OracleBackend,
     ScriptedBackend,
 )
-from parner.corpus import Document, GoldAnnotation, Mention
+from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.dedup import deduplicate
 from parner.evaluation import micro_f1
 from parner.scheduler import (
@@ -214,6 +214,62 @@ class TestVerbatimSurfaces:
         assert outcome.defects == []
         pred = deduplicate(outcome.raw_mentions, labels, dedup)
         assert micro_f1({"d0": pred}, {"d0": mentions}, labels).f1 == 1.0
+
+
+def _outcomes_digest(outcomes) -> str:
+    """sha256 over each outcome's raw mentions with the repr of their
+    probabilities, its latencies and its defects; first 16 hex digits."""
+    digest = hashlib.sha256()
+    for o in outcomes:
+        digest.update(repr((
+            o.doc_id,
+            [(m.label, m.text, repr(m.probability), m.seq_id) for m in o.raw_mentions],
+            repr(o.example_latency_ms), [repr(trace.latency_ms) for trace in o.traces],
+            o.defects,
+        )).encode("utf-8"))
+    return digest.hexdigest()[:16]
+
+
+class TestLongDocumentDigests:
+    """Noisy decodes of long documents stay the same to the last bit.
+
+    The documents are as long as the benchmark's (40-80 fillers between
+    mentions), so at a budget of 512 some aug answers are cut for length,
+    and at 3 every answer but the shortest is.
+    """
+
+    DIGESTS = {
+        ("pair-multi", 512): "96ac4454abb591ab",
+        ("pair-multi", 3): "96ac4454abb591ab",
+        ("pair-batch", 512): "49bba800b43c1707",
+        ("pair-batch", 3): "49bba800b43c1707",
+        ("onestep", 512): "2cd564fe4839136f",
+        ("onestep", 3): "3b15fd3e66d77538",
+        ("autoreg-aug", 512): "180b6167e5b5c6e2",
+        ("autoreg-aug", 3): "fb26a51c3a7129f2",
+        ("autoreg-struct", 512): "ec6476eddeedcb07",
+        ("autoreg-struct", 3): "1fbcfe11b104fda9",
+    }
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        labels = LabelSet(["PER", "MISC", "LOC", "ORG"])
+        pairs = make_corpus(40, labels, seed=9, fillers_between=(40, 80))
+        oracle = OracleBackend(pairs, labels, PromptTemplate(), seed=3,
+                               errors=ErrorInjection(p_count=0.3, p_index=0.3))
+        return labels, [doc for doc, _ in pairs], oracle
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("max_new_tokens", [512, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_outputs_match_recorded_digest(self, corpus, mode, max_new_tokens, parallelism):
+        labels, docs, oracle = corpus
+        outcomes = run_corpus(docs, labels, oracle, PromptTemplate(), mode,
+                              parallelism=parallelism, max_new_tokens=max_new_tokens)
+        if mode == "autoreg-aug" and max_new_tokens == 512:
+            reasons = {o.traces[0].result.stop_reason for o in outcomes}
+            assert reasons == {"eos", "length"}
+        assert _outcomes_digest(outcomes) == self.DIGESTS[mode, max_new_tokens]
 
 
 class _RecordingBackend(CompletionBackend):
