@@ -197,8 +197,9 @@ class OracleBackend(CompletionBackend):
     # -- seeded, order-independent randomness --------------------------------
 
     def _unit(self, identity: str) -> float:
-        """The uniform [0, 1) draw of one decision: the first 8 bytes of the
-        SHA-256 of the seed and ``identity``, as a fraction of 2**64."""
+        """The uniform [0, 1) draw named by ``identity``, such as a decision's:
+        the first 8 bytes of the SHA-256 of the seed and ``identity``, as a
+        fraction of 2**64."""
         digest = hashlib.sha256(f"{self._seed}\x1f{identity}".encode("utf-8")).digest()
         return _HEAD(digest)[0] * 2.0**-64
 
