@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
-from typing import List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 __all__ = [
     "BackendError",
@@ -39,69 +39,89 @@ class UnknownPromptError(BackendError):
     """A replay oracle received a prompt it cannot map to its gold corpus."""
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
+class _RequestFields(NamedTuple):
+    prompt: str
+    max_new_tokens: int
+    stop: Tuple[str, ...]
+    want_logprobs: bool
+
+
+class CompletionRequest(_RequestFields):
     """One text-completion call.
 
     ``want_logprobs`` asks for one logprob per generated token.  The
     scheduler sets it only on mention and onestep requests, whose token
     probabilities score mentions for de-duplication; counts and autoreg
     answers are never scored, so their results carry no logprobs.
+
+    An immutable named tuple whose every construction path (the
+    constructor, ``_make``, ``_replace``, pickle and copy) runs the check:
+    a ``max_new_tokens`` below 1 raises ``ValueError``.
     """
 
-    prompt: str
-    max_new_tokens: int = 512
-    stop: Tuple[str, ...] = ()
-    want_logprobs: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise ValueError(f"max_new_tokens must be >= 1, got {self.max_new_tokens}")
+    def __new__(cls, prompt: str, max_new_tokens: int = 512, stop: Tuple[str, ...] = (),
+                want_logprobs: bool = True) -> "CompletionRequest":
+        if max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+        return tuple.__new__(cls, (prompt, max_new_tokens, stop, want_logprobs))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CompletionRequest":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    """Generated tokens with aligned natural-log probabilities.
-
-    ``text`` is always the exact concatenation of ``tokens``; parsers rely
-    on that alignment to map character ranges back to token spans.  A
-    logprob is a number below +inf: -inf is probability 0, and a positive
-    one is read as probability 1.  ``latency_ms`` is finite and not
-    negative.  Every backend's results are checked here: a misaligned
-    result, a bad ``stop_reason`` or logprob count, a NaN or +inf logprob
-    or a bad latency raises ``ValueError``.
-    """
-
+class _ResultFields(NamedTuple):
     tokens: Tuple[str, ...]
     token_logprobs: Tuple[float, ...]
     text: str
     stop_reason: str
     latency_ms: float
 
+
+class CompletionResult(_ResultFields):
+    """Generated tokens with aligned natural-log probabilities.
+
+    ``text`` is always the exact concatenation of ``tokens``; parsers rely
+    on that alignment to map character ranges back to token spans.  A
+    logprob is a number below +inf: -inf is probability 0, and a positive
+    one is read as probability 1.  ``latency_ms`` is finite and not
+    negative.  Every backend's results are checked here, on every
+    construction path of this immutable named tuple (the constructor,
+    ``_make``, ``_replace``, pickle and copy): a misaligned result, a bad
+    ``stop_reason`` or logprob count, a NaN or +inf logprob or a bad
+    latency raises ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tokens: Tuple[str, ...], token_logprobs: Tuple[float, ...], text: str,
+                stop_reason: str, latency_ms: float) -> "CompletionResult":
+        if stop_reason not in STOP_REASONS:
+            raise ValueError(f"unknown stop_reason: {stop_reason!r}")
+        if token_logprobs and len(token_logprobs) != len(tokens):
+            raise ValueError(f"{len(token_logprobs)} logprobs for {len(tokens)} tokens")
+        # a sum below +inf holds no NaN and no +inf; one that is not may also
+        # have overflowed, so only then is each logprob looked at
+        if not sum(token_logprobs) < math.inf:
+            bad = [lp for lp in token_logprobs if not lp < math.inf]
+            if bad:
+                raise ValueError(f"token_logprobs must hold no NaN or +inf, got {bad[0]!r}")
+        if not 0.0 <= latency_ms < math.inf:
+            raise ValueError(f"latency_ms must be finite and >= 0, got {latency_ms!r}")
+        joined = "".join(tokens)
+        if joined != text:
+            raise ValueError(f"tokens concatenate to {joined[:80]!r}, not to text {text[:80]!r}")
+        return tuple.__new__(cls, (tokens, token_logprobs, text, stop_reason, latency_ms))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CompletionResult":
+        return cls(*iterable)
+
     @property
     def generated_token_count(self) -> int:
         return len(self.tokens)
-
-    def __post_init__(self) -> None:
-        if self.stop_reason not in STOP_REASONS:
-            raise ValueError(f"unknown stop_reason: {self.stop_reason!r}")
-        if self.token_logprobs and len(self.token_logprobs) != len(self.tokens):
-            raise ValueError(
-                f"{len(self.token_logprobs)} logprobs for {len(self.tokens)} tokens"
-            )
-        # a sum below +inf holds no NaN and no +inf; one that is not may also
-        # have overflowed, so only then is each logprob looked at
-        if not sum(self.token_logprobs) < math.inf:
-            bad = [lp for lp in self.token_logprobs if not lp < math.inf]
-            if bad:
-                raise ValueError(f"token_logprobs must hold no NaN or +inf, got {bad[0]!r}")
-        if not 0.0 <= self.latency_ms < math.inf:
-            raise ValueError(f"latency_ms must be finite and >= 0, got {self.latency_ms!r}")
-        joined = "".join(self.tokens)
-        if joined != self.text:
-            raise ValueError(
-                f"tokens concatenate to {joined[:80]!r}, not to text {self.text[:80]!r}"
-            )
 
 
 @dataclass(frozen=True)

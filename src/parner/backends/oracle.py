@@ -231,13 +231,10 @@ class OracleBackend(CompletionBackend):
     def _answer(self, request: CompletionRequest, batch_size: int) -> CompletionResult:
         tokens, logprobs = self._full_answer(request.prompt)
         tokens, text, reason = apply_request_limits(tokens, request)
-        return CompletionResult(
-            tokens=tuple(tokens),
-            token_logprobs=tuple(logprobs(len(tokens))) if request.want_logprobs else (),
-            text=text,
-            stop_reason=reason,
-            latency_ms=self._cost.latency_ms(len(tokens), batch_size),
-        )
+        token_logprobs = tuple(logprobs(len(tokens))) if request.want_logprobs else ()
+        # positional: binding keywords costs about as much again as the tuple
+        return CompletionResult(tuple(tokens), token_logprobs, text, reason,
+                                self._cost.latency_ms(len(tokens), batch_size))
 
     def _full_answer(self, prompt: str) -> Tuple[List[str], _Logprobs]:
         """The unlimited answer's tokens, and the logprobs of its first n tokens."""

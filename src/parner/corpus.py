@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "CorpusError",
@@ -29,8 +29,7 @@ class CorpusError(ValueError):
     """Raised for malformed corpus files or inconsistent label configuration."""
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """A single extracted entity: label plus surface text (no offsets)."""
 
     label: str

@@ -42,7 +42,10 @@ import math
 import statistics
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from fractions import Fraction
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 from parner.backends.base import (
     BackendError,
@@ -80,8 +83,7 @@ __all__ = [
 MODES = ("pair-multi", "pair-batch", "onestep", "autoreg-aug", "autoreg-struct")
 
 
-@dataclass(frozen=True)
-class SequenceTrace:
+class SequenceTrace(NamedTuple):
     """One decoded sequence with its request, result and attributed latency.
 
     For step-two sequences ``latency_ms`` includes the label's step-one
@@ -98,8 +100,7 @@ class SequenceTrace:
     latency_ms: float
 
 
-@dataclass(frozen=True)
-class ScoredMention:
+class ScoredMention(NamedTuple):
     """A raw predicted mention scored by its decoding probability.
 
     The probability is exp of the summed token logprobs over the mention's
@@ -131,13 +132,21 @@ def span_probability(
 ) -> float:
     """Probability of a token span: exp of its summed natural-log probs.
 
-    Returns 1.0 when no logprobs or no span are available, keeping the
-    result in (0, 1] either way.
+    Returns 1.0 when no logprobs or no span are available.  Every list the
+    ``CompletionResult`` contract accepts gives a number in [0, 1]: a sum
+    at or above 0 gives 1.0 and a -inf gives 0.0, also where the sum
+    leaves the float range.
     """
     if span is None or not token_logprobs:
         return 1.0
     start, end = span
-    return min(1.0, math.exp(math.fsum(token_logprobs[start : end + 1])))
+    logprobs = token_logprobs[start : end + 1]
+    try:
+        total = math.fsum(logprobs)
+    except OverflowError:  # a partial sum left the float range, so sum exactly
+        # exp is already 0.0 at -1000, and the exact sum may lie below every float
+        total = -math.inf if -math.inf in logprobs else max(sum(map(Fraction, logprobs)), -1000)
+    return 1.0 if total >= 0 else math.exp(total)
 
 
 _T = TypeVar("_T")
@@ -231,8 +240,10 @@ def decode_document(
         # no count that parses needs more tokens than the largest one
         budget = (min(max_new_tokens, len(count_answer(t.max_count, t))) if kind == "count"
                   else max_new_tokens)
-        requests = [CompletionRequest(prompt=prompt, max_new_tokens=budget,
-                                      want_logprobs=kind in _SCORED_KINDS)
+        # records are built positionally: binding keywords costs about as
+        # much again as the tuple (prompt, max_new_tokens, stop, want_logprobs)
+        want_logprobs = kind in _SCORED_KINDS
+        requests = [CompletionRequest(prompt, budget, (), want_logprobs)
                     for _, _, prompt, _ in planned]
         if _batched(backend, mode):
             try:
@@ -251,10 +262,8 @@ def decode_document(
             seq_id = (f"{doc.id}/{label}/{kind}{index or ''}" if label is not None
                       else f"{doc.id}/{kind}")
             upstream = max((traces[position].latency_ms for position in waits), default=0.0)
-            traces.append(SequenceTrace(
-                seq_id=seq_id, label=label, kind=kind, mention_index=index, request=req,
-                result=result, latency_ms=upstream + result.latency_ms,
-            ))
+            traces.append(SequenceTrace(seq_id, label, kind, index, req, result,
+                                        upstream + result.latency_ms))
             yield label, index, result, seq_id
 
     def keep(label: str, text: str, probability: float, seq_id: str, empty_defect: str) -> None:

@@ -20,7 +20,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, fields
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from parner.corpus import CorpusError, Document, GoldAnnotation, LabelSet, Mention
 
@@ -242,8 +242,7 @@ def build_onestep_prompt(doc: Document, label_surface: str, t: PromptTemplate) -
 # Two-step completion parsing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParsedMention:
+class ParsedMention(NamedTuple):
     """Decoded mention surface plus the inclusive token span that produced it.
 
     ``token_span`` indexes into the completion's token list and excludes the

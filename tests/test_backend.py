@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import copy
 import gzip
 import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import select
 import socket
@@ -42,7 +44,7 @@ from parner.backends import oracle as oracle_module
 from parner.backends.base import apply_request_limits
 from parner.backends.http import TOKEN_ENV_VAR, HttpBackend
 from parner.corpus import Document, GoldAnnotation, Mention
-from parner.scheduler import run_corpus
+from parner.scheduler import ScoredMention, SequenceTrace, run_corpus
 from parner.synthetic import make_corpus
 from parner.templates import (
     build_autoreg_prompt,
@@ -54,6 +56,7 @@ from parner.templates import (
     PromptTemplate,
     emit_struct,
     parse_count,
+    ParsedMention,
 )
 
 
@@ -113,6 +116,52 @@ class TestRequestAndResult:
         with pytest.raises(ValueError, match="latency_ms must be finite and >= 0"):
             CompletionResult(tokens=("a",), token_logprobs=(-0.1,), text="a",
                              stop_reason="eos", latency_ms=latency_ms)
+
+    def test_make_and_replace_run_the_checks(self):
+        request = CompletionRequest("p")
+        result = CompletionResult(tokens=("a",), token_logprobs=(-0.1,), text="a",
+                                  stop_reason="eos", latency_ms=0.0)
+        with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
+            request._replace(max_new_tokens=0)
+        with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
+            CompletionRequest._make(["p", 0, (), True])
+        with pytest.raises(ValueError, match="latency_ms must be finite and >= 0"):
+            result._replace(latency_ms=-5.0)
+        with pytest.raises(ValueError, match="unknown stop_reason"):
+            CompletionResult._make([("a",), (-0.1,), "a", "nope", math.nan])
+        assert request._replace(max_new_tokens=4) == CompletionRequest("p", max_new_tokens=4)
+        assert type(CompletionResult._make(result)) is CompletionResult
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_run_the_checks(self, copy_of):
+        request = CompletionRequest("p", max_new_tokens=3, stop=("\n",), want_logprobs=False)
+        result = CompletionResult(tokens=("a", "b"), token_logprobs=(-0.1, 0.5), text="ab",
+                                  stop_reason="length", latency_ms=2.5)
+        for record in (request, result):
+            again = copy_of(record)
+            assert again == record and type(again) is type(record)
+        # records built around the constructor are refused when rebuilt
+        with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
+            copy_of(tuple.__new__(CompletionRequest, ("p", 0, (), True)))
+        with pytest.raises(ValueError, match="latency_ms must be finite and >= 0"):
+            copy_of(tuple.__new__(CompletionResult, (("a",), (), "a", "eos", -5.0)))
+
+    @pytest.mark.parametrize("record, field", [
+        (CompletionRequest("p"), "max_new_tokens"),
+        (CompletionResult(("a",), (), "a", "eos", 0.0), "latency_ms"),
+        (SequenceTrace("d/PER/count", "PER", "count", None, CompletionRequest("p"),
+                       CompletionResult(("a",), (), "a", "eos", 0.0), 0.0), "latency_ms"),
+        (ScoredMention("PER", "Bob", 0.5, "d/PER/mention1"), "probability"),
+        (ParsedMention("Bob", (0, 0)), "token_span"),
+        (Mention("PER", "Bob"), "text"),
+    ], ids=lambda value: type(value).__name__ if not isinstance(value, str) else value)
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 def _reference_request_limits(tokens, request, default_reason="eos"):

@@ -247,6 +247,15 @@ class TestSpansJson:
         assert pairs[0][1].mentions == []
 
 
+class TestMention:
+    def test_hashes_and_compares_as_its_fields(self):
+        # set and dict orders of mentions depend only on their fields
+        assert hash(Mention("PER", "Bob")) == hash(("PER", "Bob"))
+        assert Mention("PER", "Bob") == ("PER", "Bob")
+        assert Mention(label="PER", text="Bob") == Mention("PER", "Bob")
+        assert repr(Mention("PER", "Bob")) == "Mention(label='PER', text='Bob')"
+
+
 class TestHelpers:
     def test_mention_multiset(self, cuttitta):
         _, gold = cuttitta

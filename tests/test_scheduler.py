@@ -56,6 +56,43 @@ class TestSpanProbability:
     def test_clamped_to_one(self):
         assert span_probability([0.1], (0, 0)) == 1.0
 
+    @pytest.mark.parametrize("logprobs, expected", [
+        ([800.0], 1.0),
+        ([1e308, 1e308], 1.0),
+        ([-1e308, -1e308], 0.0),
+        ([-math.inf, 1e308, 1e308], 0.0),
+        ([-math.inf, 0.5], 0.0),
+        ([-746.0], 0.0),
+        ([1e308, 1e308, -1e308, -1e308, math.log(0.25)], 0.25),
+    ], ids=["above-exp-range", "sum-overflows", "sum-underflows", "minus-inf-beside-overflow",
+            "minus-inf", "exp-underflows", "exact-past-partial-overflow"])
+    def test_every_accepted_list_scores_in_unit_interval(self, logprobs, expected):
+        # each list is one the result contract accepts
+        tokens = tuple("abcde"[:len(logprobs)])
+        result = CompletionResult(tokens=tokens, token_logprobs=tuple(logprobs),
+                                  text="".join(tokens), stop_reason="eos", latency_ms=0.0)
+        span = (0, len(logprobs) - 1)
+        assert span_probability(result.token_logprobs, span) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("mode", ["pair-multi", "pair-batch"])
+    def test_decode_scores_positive_logprob_past_exp_range(self, mode, labels, template):
+        # one mention token with logprob 800.0 scores 1.0 and the decode completes
+        from parner.templates import build_mention_prompt
+        doc = Document(id="x", text="Italy won")
+        entries = []
+        for label in labels:
+            prompt = build_count_prompt(doc, label, template)
+            if label == "LOC":
+                entries.append({"prompt": prompt, "tokens": ["1", "\n"]})
+                entries.append({"prompt": build_mention_prompt(prompt, 1, 1, template),
+                                "tokens": ["Italy", "<eos>"], "logprobs": [800.0, 0.0]})
+            else:
+                entries.append({"prompt": prompt, "tokens": ["<eos>"]})
+        outcome = decode_document(doc, labels, ScriptedBackend(entries), template, mode)
+        assert outcome.defects == []
+        assert [(m.label, m.text, m.probability) for m in outcome.raw_mentions] == [
+            ("LOC", "Italy", 1.0)]
+
 
 class TestPairDecodeTrace:
     """Hand-built scripted trace; every latency is pinned."""
