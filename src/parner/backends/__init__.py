@@ -6,13 +6,11 @@ from parner.backends.base import (
     CompletionRequest,
     CompletionResult,
     CostModel,
-    MissingFixtureError,
     TransportError,
     UnknownPromptError,
     simple_tokenize,
 )
 from parner.backends.oracle import ErrorInjection, OracleBackend
-from parner.backends.scripted import ScriptedBackend
 
 __all__ = [
     "BackendError",
@@ -22,9 +20,7 @@ __all__ = [
     "CostModel",
     "ErrorInjection",
     "HttpBackend",
-    "MissingFixtureError",
     "OracleBackend",
-    "ScriptedBackend",
     "TransportError",
     "UnknownPromptError",
     "simple_tokenize",

@@ -10,7 +10,6 @@ from typing import Iterable, List, NamedTuple, Tuple
 __all__ = [
     "BackendError",
     "TransportError",
-    "MissingFixtureError",
     "UnknownPromptError",
     "CompletionRequest",
     "CompletionResult",
@@ -29,10 +28,6 @@ class BackendError(RuntimeError):
 
 class TransportError(BackendError):
     """HTTP transport failure or protocol violation, after retries."""
-
-
-class MissingFixtureError(BackendError):
-    """A scripted backend was asked for a prompt it has no entry for."""
 
 
 class UnknownPromptError(BackendError):
@@ -173,9 +168,8 @@ class CompletionBackend:
     A backend defines ``generate_batch(requests)`` only when it serves or
     accounts for a batch as one: ``OracleBackend`` does, charging every
     member the batch-size penalty.  "pair-batch" then issues each step as
-    one such call; on a backend without one (``HttpBackend``,
-    ``ScriptedBackend``) its requests fan out on the run's pool like
-    "pair-multi"'s.
+    one such call; on a backend without one (``HttpBackend``) its
+    requests fan out on the run's pool like "pair-multi"'s.
     """
 
     max_in_flight: int = 1
@@ -188,9 +182,7 @@ class CompletionBackend:
 
 
 def apply_request_limits(
-    tokens: List[str],
-    request: CompletionRequest,
-    default_reason: str = "eos",
+    tokens: List[str], request: CompletionRequest
 ) -> Tuple[List[str], str, str]:
     """Apply stop strings and the token budget to a would-be completion.
 
@@ -202,7 +194,7 @@ def apply_request_limits(
     logprobs are the first ``len(tokens)`` of the full list.  Without a
     non-empty stop string the text is joined once, from the kept tokens.
     """
-    reason = default_reason
+    reason = "eos"
     if any(request.stop):
         text = "".join(tokens)
         cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)

@@ -31,7 +31,6 @@ from parner.backends import (
     CostModel,
     ErrorInjection,
     OracleBackend,
-    ScriptedBackend,
 )
 from parner.corpus import (
     CorpusError,
@@ -112,6 +111,8 @@ def _choice(noun: str, choices: Sequence[str], csv: bool = False) -> _Check:
         if csv:
             _CSV.test(key, value)
         items = _split_csv(value) if csv else [value]
+        if not items:
+            raise ConfigError(f"{key} must name at least one {noun}")
         for i, item in enumerate(items):
             if item not in choices:
                 raise ConfigError(f"unknown {noun}: {item!r} ({key} takes {', '.join(choices)})")
@@ -142,7 +143,6 @@ _BACKEND_SETTINGS: Dict[str, Dict] = {
         "forced_mentions": [{"doc_id": str, "label": str, "index": int, "surface": str}],
         "ms_per_token": float, "fixed_overhead_ms": float, "batch_penalty_alpha": float,
     },
-    "scripted": {"fixtures": str},
     "http": {"url": str, "timeout_s": float, "max_retries": int, "max_in_flight": int},
 }
 
@@ -328,10 +328,6 @@ def _make_backend(
         cost = CostModel(**pick("ms_per_token", "fixed_overhead_ms", "batch_penalty_alpha"))
         return OracleBackend(pairs, labels, template=template, cost=cost, errors=errors,
                              seed=options["seed"])
-    if backend == "scripted":
-        if not settings.get("fixtures"):
-            raise ConfigError("scripted backend needs a 'fixtures' path in --backend-config")
-        return ScriptedBackend.from_jsonl(settings["fixtures"])
     if not settings.get("url"):
         raise ConfigError("http backend needs a 'url' in --backend-config")
     from parner.backends.http import HttpBackend  # loads requests: HTTP runs only
@@ -405,7 +401,7 @@ def _load_run(options: Dict):
     pairs, dropped = _load_corpus(options, labels)
     try:
         backend = _make_backend(options, settings, pairs, labels, template)
-    except ValueError as exc:  # a bad backend setting, fixture entry or HTTP route
+    except ValueError as exc:  # a bad backend setting or HTTP route
         raise ConfigError(str(exc)) from None
     docs = [doc for doc, _ in pairs]
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked single-document example and fixture builders."""
+"""Shared fixtures: the worked single-document example, fixture builders and
+a backend replaying scripted completions."""
 
 from __future__ import annotations
 
@@ -7,7 +8,14 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from parner.backends import CompletionResult, simple_tokenize
+from parner.backends import (
+    BackendError,
+    CompletionBackend,
+    CompletionRequest,
+    CompletionResult,
+    simple_tokenize,
+)
+from parner.backends.base import apply_request_limits
 from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.templates import PromptTemplate, build_count_prompt, build_mention_prompt
 
@@ -61,6 +69,30 @@ def completion(
     )
 
 
+class ScriptedBackend(CompletionBackend):
+    """Replays one completion per exact prompt, cut to each request's limits.
+
+    An entry is ``{"prompt", "tokens"}`` with optional ``"logprobs"`` (0.0
+    per token) and ``"latency_ms"`` (0.0); its result is built once, so the
+    ``CompletionResult`` contract checks it.  An unknown prompt raises
+    ``BackendError``.
+    """
+
+    def __init__(self, entries: List[Dict]):
+        self._results = {entry["prompt"]: completion(
+            "".join(entry["tokens"]), entry["tokens"], entry.get("logprobs"),
+            latency_ms=entry.get("latency_ms", 0.0)) for entry in entries}
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        full = self._results.get(request.prompt)
+        if full is None:
+            raise BackendError(f"no scripted completion for prompt ending "
+                               f"{request.prompt[-120:]!r}")
+        tokens, text, reason = apply_request_limits(list(full.tokens), request)
+        logprobs = full.token_logprobs[:len(tokens)] if request.want_logprobs else ()
+        return CompletionResult(tuple(tokens), logprobs, text, reason, full.latency_ms)
+
+
 # Hand-built two-step trace for the worked document: four labels whose
 # counts are 1, 2, 2 and 0, with per-sequence latencies chosen so the
 # document latency is dominated by LOC mention 1 (11 + 22 = 33).
@@ -79,7 +111,7 @@ TRACE_EXPECTED_EXAMPLE_LATENCY = 33.0
 def two_step_fixture_entries(
     doc: Document, labels: LabelSet, t: PromptTemplate
 ) -> List[Dict]:
-    """Scripted-backend entries replaying the hand-built two-step trace."""
+    """``ScriptedBackend`` entries replaying the hand-built two-step trace."""
     entries: List[Dict] = []
     for label in labels:
         prompt = build_count_prompt(doc, labels.surface(label), t)
@@ -92,7 +124,6 @@ def two_step_fixture_entries(
             "prompt": prompt,
             "tokens": tokens,
             "logprobs": [math.log(0.97)] * len(tokens),
-            "finish": "eos",
             "latency_ms": TRACE_STEP1_LATENCY[label],
         })
         for index in range(1, count + 1):
@@ -102,7 +133,6 @@ def two_step_fixture_entries(
                 "prompt": build_mention_prompt(prompt, count, index, t),
                 "tokens": mention_tokens,
                 "logprobs": [math.log(prob)] * len(mention_tokens),
-                "finish": "eos",
                 "latency_ms": latency,
             })
     return entries

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from parner.backends import CostModel, ErrorInjection, OracleBackend, ScriptedBackend
+from parner.backends import CostModel, ErrorInjection, OracleBackend
 from parner.cli import main
 from parner.corpus import (
     Document,
@@ -40,6 +40,7 @@ from parner.templates import (
     parse_structured,
 )
 from conftest import (
+    ScriptedBackend,
     TRACE_EXPECTED_EXAMPLE_LATENCY,
     completion,
     two_step_fixture_entries,

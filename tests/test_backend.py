@@ -1,4 +1,4 @@
-"""Backends: request plumbing, the scripted replayer, the corpus oracle, HTTP."""
+"""Backends: request plumbing, the corpus oracle, HTTP."""
 
 from __future__ import annotations
 
@@ -32,9 +32,7 @@ from parner.backends import (
     CompletionResult,
     CostModel,
     ErrorInjection,
-    MissingFixtureError,
     OracleBackend,
-    ScriptedBackend,
     TransportError,
     UnknownPromptError,
     simple_tokenize,
@@ -164,10 +162,10 @@ class TestRequestAndResult:
             record.extra = 1
 
 
-def _reference_request_limits(tokens, request, default_reason="eos"):
+def _reference_request_limits(tokens, request):
     """``apply_request_limits`` as it was before its no-stop-string fast path."""
     text = "".join(tokens)
-    reason = default_reason
+    reason = "eos"
     cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)
     if cut >= 0:
         kept = []
@@ -202,13 +200,12 @@ def _limited_requests(draw):
 
 
 class TestRequestLimits:
-    @given(_limited_requests(), st.sampled_from(["eos", "length"]))
+    @given(_limited_requests())
     @settings(max_examples=400)
-    def test_matches_reference(self, case, default_reason):
+    def test_matches_reference(self, case):
         tokens, request = case
         before = list(tokens)
-        assert apply_request_limits(tokens, request, default_reason) == \
-            _reference_request_limits(before, request, default_reason)
+        assert apply_request_limits(tokens, request) == _reference_request_limits(before, request)
         assert tokens == before
 
     @pytest.mark.parametrize("stop", [(), ("",), ("", "")])
@@ -218,6 +215,14 @@ class TestRequestLimits:
                                      (2, tokens[:2], "length")]:
             request = CompletionRequest("p", max_new_tokens=budget, stop=stop)
             assert apply_request_limits(tokens, request) == (kept, "".join(kept), reason)
+
+    @pytest.mark.parametrize("tokens, stop, budget, kept, reason", [
+        (["ab", "cd", "ef"], ("bc",), 512, ["a"], "stop_string"),
+        (["ab", "cd", "ef"], (), 2, ["ab", "cd"], "length"),
+    ], ids=["stop-string-straddles-token", "budget-2-of-3"])
+    def test_cuts(self, tokens, stop, budget, kept, reason):
+        request = CompletionRequest("p", max_new_tokens=budget, stop=stop)
+        assert apply_request_limits(tokens, request) == (kept, "".join(kept), reason)
 
 
 class TestSimpleTokenize:
@@ -254,185 +259,6 @@ class TestCostModel:
     def test_zero_settings_accepted(self):
         cost = CostModel(ms_per_token=0, fixed_overhead_ms=0, batch_penalty_alpha=0)
         assert cost.latency_ms(7, 3) == 0.0
-
-
-class TestScriptedBackend:
-    def test_replays_fixture(self):
-        backend = ScriptedBackend([{
-            "prompt": "p", "tokens": ["Ital", "y", "<eos>"],
-            "logprobs": [-0.1, -0.2, -0.05], "finish": "eos", "latency_ms": 12.5,
-        }])
-        result = backend.generate(CompletionRequest(prompt="p"))
-        assert result.text == "Italy<eos>"
-        assert result.tokens == ("Ital", "y", "<eos>")
-        assert result.token_logprobs == (-0.1, -0.2, -0.05)
-        assert result.latency_ms == 12.5
-
-    def test_defaults(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["x"]}])
-        result = backend.generate(CompletionRequest(prompt="p"))
-        assert result.token_logprobs == (0.0,)
-        assert result.stop_reason == "eos"
-        assert result.latency_ms == 0.0
-
-    def test_missing_prompt_names_tail(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["x"]}])
-        with pytest.raises(MissingFixtureError) as err:
-            backend.generate(CompletionRequest(prompt="header\nunknown tail"))
-        assert "unknown tail" in str(err.value)
-
-    def test_stop_string_truncates_straddling_token(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["ab", "cd", "ef"]}])
-        result = backend.generate(CompletionRequest(prompt="p", stop=("bc",)))
-        assert result.text == "a"
-        assert result.tokens == ("a",)
-        assert result.stop_reason == "stop_string"
-
-    def test_limits_keep_the_kept_tokens_logprobs(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["ab", "cd", "ef"],
-                                    "logprobs": [-0.1, -0.2, -0.3]}])
-        stopped = backend.generate(CompletionRequest(prompt="p", stop=("de",)))
-        assert stopped.tokens == ("ab", "c") and stopped.token_logprobs == (-0.1, -0.2)
-        capped = backend.generate(CompletionRequest(prompt="p", max_new_tokens=1))
-        assert capped.tokens == ("ab",) and capped.token_logprobs == (-0.1,)
-
-    @pytest.mark.parametrize("entry", [{"prompt": "p"}, {"tokens": ["a"]}, ["p", ["a"]]],
-                             ids=["no-tokens", "no-prompt", "not-an-object"])
-    def test_incomplete_entry_rejected(self, entry):
-        with pytest.raises(ValueError, match="needs 'prompt' and 'tokens'"):
-            ScriptedBackend([{"prompt": "q", "tokens": ["x"]}, entry])
-
-    def test_max_new_tokens_caps(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b", "c"]}])
-        result = backend.generate(CompletionRequest(prompt="p", max_new_tokens=2))
-        assert result.tokens == ("a", "b")
-        assert result.stop_reason == "length"
-
-    @pytest.mark.parametrize("field, value", [
-        ("tokens", "Italy"), ("tokens", {"Italy": 0}), ("tokens", None),
-        ("logprobs", "-0.1"), ("logprobs", {"-0.1": 0}),
-    ], ids=["tokens-string", "tokens-object", "tokens-null", "logprobs-string",
-            "logprobs-object"])
-    def test_token_fields_must_be_lists(self, field, value):
-        entry = dict({"prompt": "p", "tokens": ["Italy"]}, **{field: value})
-        with pytest.raises(ValueError, match=f"fixture field '{field}' must be a JSON list"):
-            ScriptedBackend([entry])
-
-    def test_null_logprobs_default(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["x"], "logprobs": None}])
-        assert backend.generate(CompletionRequest(prompt="p")).token_logprobs == (0.0,)
-
-    def test_from_jsonl_names_the_field_then_file_and_line(self, tmp_path):
-        path = tmp_path / "fixtures.jsonl"
-        path.write_text(json.dumps({"prompt": "a", "tokens": "Italy"}) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError) as err:
-            ScriptedBackend.from_jsonl(str(path))
-        assert str(err.value) == (f"fixture field 'tokens' must be a JSON list, got 'Italy' "
-                                  f"(fixture file {path}, line 1)")
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("finish", "halted", "fixture field 'finish' must be one of "
-                             "('eos', 'stop_string', 'length'), got 'halted'"),
-        ("finish", None, "fixture field 'finish' must be one of"),
-        ("latency_ms", "soon", "fixture field 'latency_ms' must be a number, got 'soon'"),
-        ("latency_ms", True, "fixture field 'latency_ms' must be a number, got True"),
-        ("logprobs", ["hi", -0.1],
-         "fixture field 'logprobs' must hold numbers, got ['hi', -0.1]"),
-    ], ids=["finish-unknown", "finish-null", "latency-string", "latency-bool",
-            "logprobs-string-entry"])
-    def test_bad_field_rejected_on_load(self, field, value, message):
-        entry = dict({"prompt": "p", "tokens": ["Ital", "y"]}, **{field: value})
-        with pytest.raises(ValueError, match=re.escape(message)):
-            ScriptedBackend([entry])
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("logprobs", [math.nan, -0.1],
-         "fixture field 'logprobs' must hold no NaN or +inf, got [nan, -0.1]"),
-        ("logprobs", [-0.1, math.inf],
-         "fixture field 'logprobs' must hold no NaN or +inf, got [-0.1, inf]"),
-        ("latency_ms", -5, "fixture field 'latency_ms' must be finite and >= 0, got -5"),
-        ("latency_ms", math.nan, "fixture field 'latency_ms' must be finite and >= 0, got nan"),
-        ("latency_ms", math.inf, "fixture field 'latency_ms' must be finite and >= 0, got inf"),
-    ], ids=["logprobs-nan", "logprobs-inf", "latency-negative", "latency-nan", "latency-inf"])
-    def test_non_finite_field_rejected_on_load(self, field, value, message):
-        entry = dict({"prompt": "p", "tokens": ["Ital", "y"]}, **{field: value})
-        with pytest.raises(ValueError, match=re.escape(message)):
-            ScriptedBackend([entry])
-
-    @pytest.mark.parametrize("line, message", [
-        ('{"prompt": "p", "tokens": ["a", "b"], "logprobs": [NaN, 0.0]}',
-         "fixture field 'logprobs' must hold no NaN or +inf, got [nan, 0.0]"),
-        ('{"prompt": "p", "tokens": ["a", "b"], "logprobs": [Infinity, 0.0]}',
-         "fixture field 'logprobs' must hold no NaN or +inf, got [inf, 0.0]"),
-        ('{"prompt": "p", "tokens": ["a"], "latency_ms": -Infinity}',
-         "fixture field 'latency_ms' must be finite and >= 0, got -inf"),
-    ], ids=["nan-logprob", "inf-logprob", "minus-inf-latency"])
-    def test_from_jsonl_rejects_non_finite_json_literals(self, tmp_path, line, message):
-        path = tmp_path / "fixtures.jsonl"
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError) as err:
-            ScriptedBackend.from_jsonl(str(path))
-        assert str(err.value) == f"{message} (fixture file {path}, line 1)"
-
-    def test_minus_inf_and_positive_logprobs_load(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"],
-                                    "logprobs": [-math.inf, 0.5]}])
-        result = backend.generate(CompletionRequest(prompt="p"))
-        assert result.token_logprobs == (-math.inf, 0.5)
-
-    def test_well_formed_fields_load(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a"], "logprobs": [-1],
-                                    "finish": "length", "latency_ms": 3}])
-        result = backend.generate(CompletionRequest(prompt="p"))
-        assert (result.token_logprobs, result.stop_reason, result.latency_ms) == (
-            (-1.0,), "length", 3.0)
-
-    def test_integer_numbers_replay_as_floats(self):
-        backend = ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-1, 0],
-                                    "latency_ms": 3}])
-        result = backend.generate(CompletionRequest(prompt="p"))
-        assert [type(x) for x in result.token_logprobs] == [float, float]
-        assert type(result.latency_ms) is float
-
-    @pytest.mark.parametrize("line, field", [
-        ('{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-1%s, 0.0]}' % ("0" * 400),
-         "logprobs"),
-        ('{"prompt": "p", "tokens": ["a"], "latency_ms": 1%s}' % ("0" * 400), "latency_ms"),
-    ], ids=["huge-logprob", "huge-latency"])
-    def test_integer_too_large_for_a_float_rejected_on_load(self, tmp_path, line, field):
-        path = tmp_path / "fixtures.jsonl"
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError) as err:
-            ScriptedBackend.from_jsonl(str(path))
-        assert str(err.value) == (f"fixture field {field!r} has an integer too large for a "
-                                  f"float (fixture file {path}, line 1)")
-
-    def test_misaligned_fixture_rejected(self):
-        with pytest.raises(ValueError, match="misaligned"):
-            ScriptedBackend([{"prompt": "p", "tokens": ["a", "b"], "logprobs": [-0.1]}])
-
-    def test_from_jsonl(self, tmp_path):
-        path = tmp_path / "fixtures.jsonl"
-        path.write_text(
-            json.dumps({"prompt": "a", "tokens": ["1"]}) + "\n"
-            + json.dumps({"prompt": "b", "tokens": ["2"]}) + "\n",
-            encoding="utf-8",
-        )
-        backend = ScriptedBackend.from_jsonl(str(path))
-        assert backend.generate(CompletionRequest(prompt="b")).text == "2"
-
-    @pytest.mark.parametrize("bad_line, message", [
-        ("not json", "Expecting value"),
-        ('["p", ["a"]]', "fixture entry needs 'prompt' and 'tokens'"),
-    ], ids=["invalid-json", "not-an-object"])
-    def test_from_jsonl_names_file_and_line(self, tmp_path, bad_line, message):
-        path = tmp_path / "fixtures.jsonl"
-        path.write_text(json.dumps({"prompt": "a", "tokens": ["1"]}) + "\n\n"
-                        + bad_line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError) as err:
-            ScriptedBackend.from_jsonl(str(path))
-        assert message in str(err.value)
-        assert str(err.value).endswith(f"(fixture file {path}, line 3)")
 
 
 @pytest.fixture

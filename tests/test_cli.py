@@ -20,11 +20,10 @@ import parner
 from parner import cli
 from parner.backends import CompletionRequest, HttpBackend, OracleBackend
 from parner.cli import main
-from parner.corpus import Document, GoldAnnotation, emit_spans_json, parse_spans_json
+from parner.corpus import Document, GoldAnnotation, Mention, emit_spans_json, parse_spans_json
 from parner.evaluation import micro_f1
 from parner.scheduler import MODES
 from parner.synthetic import make_corpus
-from parner.templates import build_onestep_prompt
 
 
 def write_corpus(tmp_path, pairs, name="corpus.jsonl"):
@@ -133,11 +132,15 @@ class TestDecode:
         assert code == 1
         assert "modee" in capsys.readouterr().err
 
-    def test_usage_error_exits_one(self, corpus_path):
+    @pytest.mark.parametrize("flag, value", [("--mode", "warp"), ("--backend", "scripted")],
+                             ids=["mode-warp", "backend-scripted"])
+    def test_usage_error_exits_one(self, tmp_path, corpus_path, flag, value):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
             main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
-                  "--mode", "warp"])
+                  "--out", str(out), flag, value])
         assert err.value.code == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, config, message", [
         ("decode", ["--parallelism", "0"], None, "parallelism must be a positive integer, got 0"),
@@ -158,10 +161,16 @@ class TestDecode:
         ("reformat", ["--max-mentions", "-1"], None,
          "max_mentions must be null or a non-negative integer, got -1"),
         ("bench", [], {"seed": "s"}, "seed must be an integer, got 's'"),
+        ("decode", [], {"backend": "scripted"},
+         "unknown backend: 'scripted' (backend takes oracle, http)"),
+        ("reformat", [], {"formats": []}, "formats must name at least one format"),
+        ("bench", [], {"modes": []}, "modes must name at least one mode"),
     ], ids=["decode-parallelism", "decode-repeats", "decode-max-new-tokens",
             "bench-config-dedup", "bench-parallelism", "bench-modes",
             "decode-config-max-defects", "decode-config-max-mentions", "decode-config-seed",
-            "reformat-max-defects", "reformat-max-mentions", "bench-config-seed"])
+            "reformat-max-defects", "reformat-max-mentions", "bench-config-seed",
+            "decode-config-scripted-backend", "reformat-config-no-formats",
+            "bench-config-no-modes"])
     def test_bad_run_option_rejected_before_decoding(self, tmp_path, corpus_path, capsys,
                                                      command, flags, config, message):
         out = tmp_path / "out"
@@ -171,65 +180,6 @@ class TestDecode:
                      "--out", str(out), *flags])
         assert code == 1
         assert f"parner: error: {message}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("entry, message", [
-        ({"tokens": ["Italy", "<eos>"], "logprobs": [-0.1]},
-         "fixture logprobs misaligned with its tokens"),
-        ({"logprobs": [-0.1]}, "fixture entry needs 'prompt' and 'tokens'"),
-        ({"tokens": ["Italy"], "finish": "halted"}, "fixture field 'finish' must be one of"),
-        ({"tokens": ["Italy"], "latency_ms": "soon"},
-         "fixture field 'latency_ms' must be a number, got 'soon'"),
-        ({"tokens": ["Italy", "<eos>"], "logprobs": ["hi", -0.1]},
-         "fixture field 'logprobs' must hold numbers, got ['hi', -0.1]"),
-    ], ids=["misaligned-logprobs", "no-tokens", "unknown-finish", "string-latency",
-            "string-logprob"])
-    def test_bad_fixture_rejected_before_decoding(self, tmp_path, corpus_path, capsys,
-                                                  entry, message):
-        fixtures = tmp_path / "fixtures.jsonl"
-        fixtures.write_text(json.dumps({"prompt": "p", **entry}) + "\n", encoding="utf-8")
-        out = tmp_path / "out"
-        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
-                     "--backend", "scripted", "--max-defects", "100", "--out", str(out),
-                     "--backend-config",
-                     write_json(tmp_path, "backend.json", {"fixtures": str(fixtures)})])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"parner: error: {message}" in err
-        assert f"(fixture file {fixtures}, line 1)" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("entry, message", [
-        ('"tokens": ["Zed", "<eos>"], "logprobs": [NaN, 0.0]',
-         "fixture field 'logprobs' must hold no NaN or +inf, got [nan, 0.0]"),
-        ('"tokens": ["Zed", "<eos>"], "logprobs": [Infinity, 0.0]',
-         "fixture field 'logprobs' must hold no NaN or +inf, got [inf, 0.0]"),
-        ('"tokens": ["Zed", "<eos>"], "latency_ms": -5',
-         "fixture field 'latency_ms' must be finite and >= 0, got -5"),
-        ('"tokens": ["Zed", "<eos>"], "latency_ms": NaN',
-         "fixture field 'latency_ms' must be finite and >= 0, got nan"),
-        ('"tokens": ["Zed", "<eos>"], "logprobs": [-1' + "0" * 400 + ', 0.0]',
-         "fixture field 'logprobs' has an integer too large for a float"),
-        ('"tokens": ["Zed", "<eos>"], "latency_ms": 1' + "0" * 400,
-         "fixture field 'latency_ms' has an integer too large for a float"),
-    ], ids=["nan-logprob", "inf-logprob", "negative-latency", "nan-latency",
-            "huge-logprob", "huge-latency"])
-    def test_non_finite_fixture_rejected_before_decoding(self, tmp_path, labels, template,
-                                                         capsys, entry, message):
-        # every label's onestep prompt has an entry, so each would be replayed
-        doc = Document(id="d0", text="Zed met Ann .")
-        corpus = write_corpus(tmp_path, [(doc, GoldAnnotation(doc_id="d0", mentions=[]))])
-        fixtures = tmp_path / "fixtures.jsonl"
-        fixtures.write_text("".join(
-            f'{{"prompt": {json.dumps(build_onestep_prompt(doc, label, template))}, {entry}}}\n'
-            for label in labels), encoding="utf-8")
-        out = tmp_path / "out"
-        code = main(["decode", "--corpus", corpus, "--labels", LABELS_ARG, "--mode", "onestep",
-                     "--backend", "scripted", "--out", str(out), "--backend-config",
-                     write_json(tmp_path, "backend.json", {"fixtures": str(fixtures)})])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"parner: error: {message} (fixture file {fixtures}, line 1)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("setting", ["ms_per_token", "fixed_overhead_ms",
@@ -273,16 +223,20 @@ class TestDecode:
         assert main(["decode", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--labels", LABELS_ARG, "--out", str(tmp_path / "out")]) == 1
 
-    def test_backend_failures_trip_defect_threshold(self, tmp_path, corpus_path, capsys):
-        fixtures = tmp_path / "fixtures.jsonl"
-        fixtures.write_text("", encoding="utf-8")
-        backend_config = write_json(tmp_path, "backend.json",
-                                    {"fixtures": str(fixtures)})
-        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
-                     "--backend", "scripted", "--backend-config", backend_config,
-                     "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "defects" in capsys.readouterr().err
+    def test_backend_failures_trip_defect_threshold(self, tmp_path, capsys):
+        # the gold mention is not in the text, so the oracle cannot build the
+        # augmented answer: one defect
+        corpus = write_corpus(tmp_path, [(Document(id="bad", text="no match here"),
+                                          GoldAnnotation(doc_id="bad", mentions=[
+                                              Mention("LOC", "Italy")]))])
+        args = ["decode", "--corpus", corpus, "--labels", LABELS_ARG, "--mode", "autoreg-aug",
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert "defects: 1 (threshold 0)" in capsys.readouterr().err
+        outcome = json.loads((tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8"))
+        assert outcome["defects"] == [
+            "autoreg request failed: augmented answer unbuildable for document bad"]
+        assert main(args + ["--max-defects", "1"]) == 0
 
     def test_identical_seeds_identical_bytes(self, tmp_path, labels, corpus_path):
         backend_config = write_json(tmp_path, "backend.json",
@@ -478,10 +432,6 @@ class TestOptionChecks:
         ("oracle", {"hi_token_prob": 0.9}, "unknown oracle backend settings: ['hi_token_prob']"),
         ("oracle", {"prob_jitter": 0}, "unknown oracle backend settings: ['prob_jitter']"),
         ("oracle", {"ms_per_token": -1}, "ms_per_token must be finite and >= 0, got -1.0"),
-        ("scripted", {"fixtures": "f.jsonl", "fixture": "f.jsonl"},
-         "unknown scripted backend settings: ['fixture']"),
-        ("scripted", {"fixtures": ["f.jsonl"]},
-         "scripted backend setting fixtures must be a string, got ['f.jsonl']"),
         ("http", {"url": HTTP_URL, "max_inflight": 2},
          "unknown http backend settings: ['max_inflight']"),
         ("http", {"url": HTTP_URL, "max_retries": 2.7},
@@ -494,9 +444,8 @@ class TestOptionChecks:
          "timeout_s must be a finite number > 0, got inf"),
     ], ids=["oracle-unknown", "oracle-mistyped", "oracle-forced-counts",
             "oracle-forced-mentions", "oracle-token-prob", "oracle-prob-jitter",
-            "oracle-negative-cost", "scripted-unknown", "scripted-mistyped",
-            "http-unknown", "http-mistyped", "http-negative-timeout", "http-zero-timeout",
-            "http-infinite-timeout"])
+            "oracle-negative-cost", "http-unknown", "http-mistyped", "http-negative-timeout",
+            "http-zero-timeout", "http-infinite-timeout"])
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, corpus_path, capsys,
                                                          backend, settings, message):
         out = tmp_path / "out"
@@ -523,7 +472,11 @@ class TestOptionChecks:
         ("reformat", ["--formats", "pair,aug,pair"], "formats names format 'pair' twice"),
         ("bench", ["--modes", "onestep,autoreg-struct,onestep"],
          "modes names mode 'onestep' twice"),
-    ], ids=["unknown-format", "repeated-format", "repeated-mode"])
+        ("reformat", ["--formats", ""], "formats must name at least one format"),
+        ("reformat", ["--formats", ","], "formats must name at least one format"),
+        ("bench", ["--modes", ""], "modes must name at least one mode"),
+    ], ids=["unknown-format", "repeated-format", "repeated-mode", "empty-formats",
+            "comma-formats", "empty-modes"])
     def test_bad_list_rejected_before_writing(self, tmp_path, corpus_path, capsys,
                                               command, flags, message):
         out = tmp_path / "out"

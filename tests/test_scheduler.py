@@ -20,7 +20,6 @@ from parner.backends import (
     CostModel,
     ErrorInjection,
     OracleBackend,
-    ScriptedBackend,
 )
 from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.dedup import deduplicate
@@ -34,6 +33,7 @@ from parner.scheduler import (
 from parner.synthetic import make_corpus
 from parner.templates import PromptTemplate, build_count_prompt
 from conftest import (
+    ScriptedBackend,
     TRACE_COUNTS,
     TRACE_EXPECTED_EXAMPLE_LATENCY,
     TRACE_STEP1_LATENCY,
