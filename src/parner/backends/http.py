@@ -646,5 +646,5 @@ class HttpBackend(CompletionBackend):
                 stop_reason=stop_reason,
                 latency_ms=latency_ms,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # a logprob too big for a float
             raise TransportError(f"completion response breaks the result contract: {exc}") from None

@@ -261,6 +261,19 @@ class TestCostModel:
         assert cost.latency_ms(7, 3) == 0.0
 
 
+class TestErrorInjection:
+    @pytest.mark.parametrize("field, value", [
+        ("p_count", -0.1), ("p_index", 1.5), ("p_count", math.nan),
+    ], ids=["negative", "above-one", "nan"])
+    def test_probability_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be in \\[0, 1\\], got {value}$"):
+            ErrorInjection(**{field: value})
+
+    def test_bounds_accepted(self):
+        errors = ErrorInjection(p_count=0.0, p_index=1.0)
+        assert (errors.p_count, errors.p_index) == (0.0, 1.0)
+
+
 @pytest.fixture
 def oracle_corpus(cuttitta):
     doc, gold = cuttitta
@@ -818,6 +831,55 @@ class TestHttpBackend:
         assert [m.label for m in outcome.raw_mentions] == ["PER", "MISC", "ORG"]
         assert all(m.text == "Italy" for m in outcome.raw_mentions)
 
+    @pytest.mark.parametrize("body, message", [
+        (["Italy<eos>"], "malformed completion response: ['Italy<eos>']"),
+        ({"tokens": ["Italy<eos>"]}, "malformed completion response: {'tokens'"),
+        (dict(_OK_BODY, tokens=None), "completion response is missing 'tokens'"),
+        (dict(_OK_BODY, finish_reason=None), "unknown finish_reason: None"),
+        (dict(_OK_BODY, token_logprobs=["hi", -0.05]),
+         "breaks the result contract: could not convert string to float: 'hi'"),
+        (dict(_OK_BODY, token_logprobs=[-10 ** 400, -0.05]),
+         "breaks the result contract: int too large to convert to float"),
+    ], ids=["not-an-object", "no-text", "tokens-null", "finish-null", "logprobs-string-entry",
+            "logprobs-huge-integer"])
+    def test_answer_breaking_the_contract_rejected(self, stub_server, body, message):
+        stub_server.behavior = lambda payload, n: (200, body)
+        with _client(stub_server) as backend:
+            with pytest.raises(TransportError, match=re.escape(message)):
+                backend.generate(CompletionRequest(prompt="p"))
+        assert len(stub_server.calls) == 1
+
+    def test_integer_logprobs_arrive_as_floats(self, stub_server):
+        stub_server.behavior = lambda payload, n: (200, dict(_OK_BODY, token_logprobs=[-1, 0]))
+        with _client(stub_server) as backend:
+            result = backend.generate(CompletionRequest(prompt="p"))
+        assert result.token_logprobs == (-1.0, 0.0)
+        assert [type(x) for x in result.token_logprobs] == [float, float]
+
+    def test_minus_inf_and_positive_logprobs_accepted(self, stub_server):
+        # the stub's json.dumps writes the -Infinity literal
+        body = dict(_OK_BODY, token_logprobs=[-math.inf, 0.5])
+        stub_server.behavior = lambda payload, n: (200, body)
+        with _client(stub_server) as backend:
+            result = backend.generate(CompletionRequest(prompt="p"))
+        assert result.token_logprobs == (-math.inf, 0.5)
+
+    def test_huge_integer_logprob_is_one_defect(self, stub_server, labels, template):
+        doc = Document(id="x", text="Italy beat England.")
+
+        def behavior(payload, n):
+            logprob = -10 ** 400 if "LOC" in payload["prompt"] else -0.1
+            return 200, {"text": '["Italy"]', "tokens": ['["Italy"]'],
+                         "token_logprobs": [logprob], "finish_reason": "eos"}
+
+        stub_server.behavior = behavior
+        with _client(stub_server) as backend:
+            outcome = run_corpus([doc], labels, backend, template, "onestep")[0]
+        assert len(outcome.defects) == 1
+        assert outcome.defects[0].startswith("onestep request failed for label LOC: ")
+        assert "int too large to convert to float" in outcome.defects[0]
+        assert sorted(m.label for m in outcome.raw_mentions) == ["MISC", "ORG", "PER"]
+
     def test_invalid_utf8_answer_is_invalid_json(self, stub_server):
         body = b'{"text": "K\xf6ln", "tokens": ["K\xf6ln"], "finish_reason": "eos"}'
         stub_server.raw_answer = lambda n: _raw_answer(
@@ -1175,6 +1237,88 @@ class TestKeepAliveTransport:
                 assert result.tokens == ("Italy", "<eos>")
                 assert result.token_logprobs == (-0.1, -0.05)
         assert stub_server.accepted == 1
+
+    @pytest.mark.parametrize("answer, error", [
+        (b"", "connection closed without an answer"),
+        (b"HTTP/1.1 2000 OK\r\n\r\n", "malformed status line b'HTTP/1.1 2000 OK"),
+        (b"HTTP/1.1 099 Early\r\n\r\n", "malformed status line b'HTTP/1.1 099 Early"),
+        (b"ICY 200 OK\r\n\r\n", "malformed status line b'ICY 200 OK"),
+        (_raw_answer(_OK_LENGTH, b"X-Broken"), "malformed header line b'X-Broken"),
+        (_raw_answer(_OK_LENGTH, b" folded: 1"), "malformed header line b' folded: 1"),
+        (_raw_answer(b"Transfer-Encoding: chunked", body=b"zz\r\n" + _OK_JSON),
+         "malformed chunk size b'zz'"),
+        (_raw_answer(b"Transfer-Encoding: chunked", body=b"%x\r\n" % (len(_OK_JSON) + 1)
+                     + _OK_JSON), "chunked answer cut short"),
+        (_raw_answer(b"Content-Length: 12x"), "malformed Content-Length '12x'"),
+    ], ids=["no-answer", "four-digit-status", "status-below-100", "not-http",
+            "header-without-colon", "folded-header", "bad-chunk-size", "chunk-cut-short",
+            "bad-content-length"])
+    def test_malformed_answer_is_a_transport_error(self, stub_server, answer, error):
+        stub_server.drop_idle = True
+        stub_server.raw_answer = lambda n: answer
+        with _client(stub_server, max_retries=0) as backend:
+            with pytest.raises(TransportError, match=re.escape(error)):
+                backend.generate(CompletionRequest(prompt="p"))
+            assert not backend._adapter._idle
+        assert len(stub_server.calls) == 1
+
+    def test_undecodable_body_fails_the_call_not_the_connection(self, stub_server):
+        stub_server.raw_answer = lambda n: (
+            _raw_answer(b"Content-Encoding: gzip", _OK_LENGTH) if n == 1 else None)
+        with _client(stub_server, max_retries=0) as backend:
+            with pytest.raises(TransportError, match="Not a gzipped file"):
+                backend.generate(CompletionRequest(prompt="p"))
+            assert backend.generate(CompletionRequest(prompt="q")).text == "Italy<eos>"
+        assert stub_server.accepted == 1
+
+    def test_raw_deflate_answer_decodes(self, stub_server):
+        # a deflate body without the zlib wrapper, as some servers send it
+        compressor = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+        body = compressor.compress(_OK_JSON) + compressor.flush()
+        stub_server.raw_answer = lambda n: _raw_answer(
+            b"Content-Encoding: deflate", b"Content-Length: %d" % len(body), body=body)
+        with _client(stub_server, max_retries=0) as backend:
+            result = backend.generate(CompletionRequest(prompt="p"))
+        assert result.tokens == ("Italy", "<eos>")
+        assert result.token_logprobs == (-0.1, -0.05)
+
+    @pytest.mark.parametrize("status", [b"204 No Content", b"304 Not Modified"],
+                             ids=["204", "304"])
+    def test_answer_that_has_no_body_keeps_the_connection(self, stub_server, status):
+        stub_server.raw_answer = lambda n: b"HTTP/1.1 %s\r\n\r\n" % status if n == 1 else None
+        with _client(stub_server, max_retries=0, timeout_s=5.0) as backend:
+            with pytest.raises(TransportError, match=f"returned {status[:3].decode()}: $"):
+                backend.generate(CompletionRequest(prompt="p"))
+            assert backend.generate(CompletionRequest(prompt="q")).text == "Italy<eos>"
+        assert stub_server.accepted == 1
+
+    def test_text_body_is_sent_as_utf8(self, stub_server):
+        with requests.Session() as session:
+            with contextlib.closing(HttpBackend(_url(stub_server), session=session)):
+                session.post(_url(stub_server), data='"Köln"', timeout=5)
+        with requests.Session() as stock:
+            stock.post(_url(stub_server), data='"Köln"', timeout=5)
+        ours, theirs = stub_server.calls
+        assert ours["body"] == theirs["body"] == '"Köln"'.encode("utf-8")
+        assert ours["wire_headers"] == theirs["wire_headers"]
+
+    @pytest.mark.parametrize("change, error", [
+        (lambda request: request.headers.__setitem__("X-Note", "Ω"),
+         "not sent: cannot encode header b'X-Note'"),
+        (lambda request: setattr(request, "method", "PO\x01ST"),
+         "must be ASCII without control characters"),
+    ], ids=["header-not-latin-1", "control-character-in-method"])
+    def test_unencodable_request_is_refused_unwritten(self, stub_server, change, error):
+        def auth(request):  # runs after requests has checked the headers
+            change(request)
+            return request
+
+        with requests.Session() as session:
+            session.auth = auth
+            with contextlib.closing(HttpBackend(_url(stub_server), session=session)) as backend:
+                with pytest.raises(TransportError, match=re.escape(error)):
+                    backend.generate(CompletionRequest(prompt="p"))
+        assert stub_server.accepted == 0
 
     @pytest.mark.parametrize("value", ["a\r\nX-Injected: 1", "a\nb", "a\rb"],
                              ids=["crlf", "lf", "cr"])

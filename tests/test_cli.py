@@ -326,6 +326,31 @@ class TestDecode:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_unknown_template_field_rejected(self, tmp_path, corpus_path, capsys):
+        template = write_json(tmp_path, "template.json", {"count_mark": "<n>"})
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--template", template, "--out", str(out)])
+        assert code == 1
+        assert ("parner: error: unknown template fields: ['count_mark']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--config", "--config"), ("--template", "template file"),
+        ("--backend-config", "backend config"),
+    ])
+    def test_file_that_is_not_a_json_object_rejected(self, tmp_path, corpus_path, capsys,
+                                                     flag, what):
+        path = write_json(tmp_path, "list.json", ["PER"])
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--out", str(out), flag, path])
+        assert code == 1
+        assert (f"parner: error: {what} must hold a JSON object: {path}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("fields, message", [
         ({"count_marker": ""}, "count_marker must be non-empty"),
         ({"count_terminator": "0"}, "nor count_terminator or eos_literal start with one"),
@@ -432,6 +457,10 @@ class TestOptionChecks:
         ("oracle", {"hi_token_prob": 0.9}, "unknown oracle backend settings: ['hi_token_prob']"),
         ("oracle", {"prob_jitter": 0}, "unknown oracle backend settings: ['prob_jitter']"),
         ("oracle", {"ms_per_token": -1}, "ms_per_token must be finite and >= 0, got -1.0"),
+        ("oracle", {"forced_counts": {"doc_id": "d0"}},
+         "oracle backend setting forced_counts must be a list, got {'doc_id': 'd0'}"),
+        ("http", {}, "http backend needs a 'url' in --backend-config"),
+        ("http", {"url": ""}, "http backend needs a 'url' in --backend-config"),
         ("http", {"url": HTTP_URL, "max_inflight": 2},
          "unknown http backend settings: ['max_inflight']"),
         ("http", {"url": HTTP_URL, "max_retries": 2.7},
@@ -444,7 +473,8 @@ class TestOptionChecks:
          "timeout_s must be a finite number > 0, got inf"),
     ], ids=["oracle-unknown", "oracle-mistyped", "oracle-forced-counts",
             "oracle-forced-mentions", "oracle-token-prob", "oracle-prob-jitter",
-            "oracle-negative-cost", "http-unknown", "http-mistyped", "http-negative-timeout",
+            "oracle-negative-cost", "oracle-forced-counts-not-a-list", "http-no-url",
+            "http-empty-url", "http-unknown", "http-mistyped", "http-negative-timeout",
             "http-zero-timeout", "http-infinite-timeout"])
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, corpus_path, capsys,
                                                          backend, settings, message):
@@ -655,11 +685,33 @@ class _OracleHandler(BaseHTTPRequestHandler):
         pass
 
 
-@contextlib.contextmanager
+class _FixedAnswerHandler(BaseHTTPRequestHandler):
+    """Answers every completion request with ``server.status`` and ``server.body``."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.send_response(self.server.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.server.body)))
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+    def log_message(self, *args):
+        pass
+
+
 def _oracle_server(pairs, labels, template):
     """A completion server over ``pairs``; yields its URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _OracleHandler)
-    server.oracle = OracleBackend(pairs, labels, template)
+    return _serving(_OracleHandler, oracle=OracleBackend(pairs, labels, template))
+
+
+@contextlib.contextmanager
+def _serving(handler, **attributes):
+    """A completion server whose ``handler`` reads ``attributes`` off the server;
+    yields its URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    for name, value in attributes.items():
+        setattr(server, name, value)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
@@ -691,6 +743,31 @@ class TestHttpEndToEnd:
                 metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
                 assert metrics["latency"]["mean_example_latency_ms"] > 0
                 assert metrics["total_defects"] == 0
+
+    @pytest.mark.parametrize("status, body, reason", [
+        (200, '{"text": "[]", "tokens": ["[]"], "token_logprobs": [NaN]}',
+         "token_logprobs must hold no NaN or +inf, got nan"),
+        (200, '{"text": "[]", "tokens": ["[]"], "token_logprobs": [-1%s]}' % ("0" * 400),
+         "int too large to convert to float"),
+        (200, '{"text": "[]!", "tokens": ["[]"], "token_logprobs": [-0.1]}',
+         "tokens concatenate to '[]', not to text '[]!'"),
+        (500, '{"error": "down"}', "failed after 1 attempts: server error 500"),
+    ], ids=["nan-logprob", "huge-integer-logprob", "misaligned-text", "server-error"])
+    def test_broken_answers_are_defects_that_trip_the_threshold(self, tmp_path, capsys,
+                                                                status, body, reason):
+        doc = Document(id="d0", text="Zed met Ann .")
+        corpus = write_corpus(tmp_path, [(doc, GoldAnnotation(doc_id="d0", mentions=[]))])
+        out = tmp_path / "out"
+        with _serving(_FixedAnswerHandler, status=status, body=body.encode("utf-8")) as url:
+            args = ["decode", "--corpus", corpus, "--labels", LABELS_ARG, "--mode", "onestep",
+                    "--backend", "http", "--out", str(out), "--backend-config",
+                    write_json(tmp_path, "backend.json", {"url": url, "max_retries": 0})]
+            assert main(args) == 2
+            assert "defects: 4 (threshold 0)" in capsys.readouterr().err
+            outcome = json.loads((out / "outcomes.jsonl").read_text(encoding="utf-8"))
+            assert len(outcome["defects"]) == 4
+            assert all(reason in defect for defect in outcome["defects"])
+            assert main(args + ["--max-defects", "4"]) == 0
 
     @pytest.mark.parametrize("config, message", [
         ({"max_in_flight": 0}, "max_retries >= 0, got 0 and 2"),

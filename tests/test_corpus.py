@@ -50,6 +50,9 @@ class TestLabelSet:
         with pytest.raises(CorpusError):
             ls.canonical("LOC")  # strict: only surfaces invert
 
+    def test_repr_lists_labels_in_order(self):
+        assert repr(LabelSet(["PER", "LOC"])) == "LabelSet(['PER', 'LOC'])"
+
     def test_surface_map_must_cover_all_labels(self):
         with pytest.raises(CorpusError):
             LabelSet(["LOC", "PER"], surface_map={"LOC": "地点"})
@@ -116,6 +119,15 @@ class TestBioSpans:
     def test_bad_tag_rejected(self):
         with pytest.raises(CorpusError):
             bio_spans(["B-PER", "X-PER"])
+
+    @pytest.mark.parametrize("tag", ["B-", "I-"])
+    def test_tag_without_label_rejected(self, tag):
+        with pytest.raises(CorpusError, match=f"malformed BIO tag at position 1: '{tag}'"):
+            bio_spans(["O", tag])
+
+    def test_unknown_malformed_policy_rejected(self):
+        with pytest.raises(CorpusError, match="unknown malformed-tag policy: 'drop'"):
+            bio_spans(["O"], malformed="drop")
 
     def test_spans_to_bio_inverse(self):
         spans = [("PER", 0, 2), ("LOC", 3, 4)]
@@ -191,6 +203,11 @@ class TestParseBio:
         assert "GPE" in str(err.value)
         assert "2" in str(err.value)
 
+    def test_line_without_tag_column_reports_line(self, labels):
+        with pytest.raises(CorpusError,
+                           match="line 2: expected token and tag columns: 'Paris'"):
+            parse_bio("a O\nParis\n", labels)
+
     def test_trailing_blank_lines_ignored(self, labels):
         pairs = parse_bio("a O\n\n\n", labels)
         assert len(pairs) == 1
@@ -241,6 +258,22 @@ class TestSpansJson:
         row = json.dumps({"id": "a", "text": "x", "mentions": ["bad"]})
         with pytest.raises(CorpusError):
             parse_spans_json(row + "\n", labels)
+
+    def test_blank_lines_skipped_and_counted(self, labels):
+        row = json.dumps({"id": "a", "text": "x"})
+        assert len(parse_spans_json("\n" + row + "\n  \n", labels)) == 1
+        with pytest.raises(CorpusError, match="^line 3: invalid JSON"):
+            parse_spans_json(row + "\n\nnot json\n", labels)
+
+    @pytest.mark.parametrize("record, message", [
+        ({"id": 1, "text": "x"}, "line 1: 'id' and 'text' must be strings"),
+        ({"id": "a", "text": None}, "line 1: 'id' and 'text' must be strings"),
+        ({"id": "a", "text": "x", "mentions": {"label": "PER"}},
+         "line 1: 'mentions' must be a list"),
+    ], ids=["id-number", "text-null", "mentions-object"])
+    def test_mistyped_record_rejected(self, labels, record, message):
+        with pytest.raises(CorpusError, match=f"^{message}$"):
+            parse_spans_json(json.dumps(record) + "\n", labels)
 
     def test_missing_mentions_key_defaults_empty(self, labels):
         pairs = parse_spans_json(json.dumps({"id": "a", "text": "x"}) + "\n", labels)

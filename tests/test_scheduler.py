@@ -387,6 +387,11 @@ class TestRunCorpus:
     def test_empty_corpus(self, labels, template):
         assert run_corpus([], labels, ScriptedBackend([]), template, "pair-multi") == []
 
+    def test_decode_document_rejects_unknown_mode(self, cuttitta, labels, template):
+        doc, _ = cuttitta
+        with pytest.raises(ValueError, match="^unknown decode mode: 'warp' "):
+            decode_document(doc, labels, ScriptedBackend([]), template, "warp")
+
     @pytest.mark.parametrize("max_in_flight", [1, 8])
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("mode", MODES)

@@ -22,6 +22,9 @@ class TestMakeCorpus:
         large = make_corpus(20, labels, seed=7)
         assert large[:5] == small
 
+    def test_plain_label_list_accepted(self, labels):
+        assert make_corpus(4, list(labels), seed=5) == make_corpus(4, labels, seed=5)
+
     def test_ids_sequential(self, labels):
         pairs = make_corpus(3, labels, seed=0)
         assert [doc.id for doc, _ in pairs] == ["doc-0", "doc-1", "doc-2"]

@@ -22,6 +22,7 @@ from parner.templates import (
     emit_aug,
     emit_onestep,
     emit_struct,
+    mention_marker,
     parse_augmented,
     parse_count,
     parse_mention,
@@ -63,6 +64,11 @@ class TestPromptConstruction:
             build_mention_prompt("base", 2, 3, template)
         with pytest.raises(TemplateError):
             build_mention_prompt("base", 0, 1, template)
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_mention_marker_index_must_be_positive(self, template, index):
+        with pytest.raises(TemplateError, match=f"mention index must be >= 1, got {index}"):
+            mention_marker(index, template)
 
     def test_onestep_prompt(self, template):
         doc = Document(id="x", text="some text")
@@ -328,6 +334,16 @@ class TestStructFormat:
         assert mentions == [Mention("PER", "Cuttitta")]
         assert len(defects) == 2
 
+    def test_parse_wrapped_text_without_groups_is_defect(self, labels):
+        mentions, defects = parse_structured("(PER: Cuttitta)", labels)
+        assert mentions == []
+        assert defects == ["unparseable tail at offset 0: 'PER: Cuttitta'"]
+
+    def test_parse_empty_surface_is_defect(self, labels):
+        mentions, defects = parse_structured("((LOC): (Italy, , England))", labels)
+        assert mentions == [Mention("LOC", "Italy"), Mention("LOC", "England")]
+        assert defects == ["empty mention surface under label 'LOC'"]
+
     def test_surface_map_round_trip(self):
         ls = LabelSet(["LOC", "PER"], surface_map={"LOC": "地点", "PER": "名称"})
         gold = GoldAnnotation(doc_id="x", mentions=[Mention("LOC", "孟买")])
@@ -385,6 +401,11 @@ class TestAugFormat:
         mentions, defects = parse_augmented("no brackets at all", labels)
         assert mentions == [] and defects == []
 
+    def test_parse_empty_surface_is_defect(self, labels):
+        mentions, defects = parse_augmented("[ | LOC] beat [England | LOC]", labels)
+        assert mentions == [Mention("LOC", "England")]
+        assert defects == ["bracket with empty mention surface"]
+
 
 class TestOnestepFormat:
     def test_emit_list(self, cuttitta):
@@ -424,6 +445,28 @@ class TestOnestepFormat:
         mentions, defects = parse_onestep(c, template)
         assert [m.text for m in mentions] == ["Italy"]
         assert len(defects) == 1
+
+    @pytest.mark.parametrize("text, surfaces", [
+        ('["Italy", 3]', ["Italy"]),
+        ('{"LOC": "Italy"}', ["LOC", "Italy"]),
+    ], ids=["number-entry", "object"])
+    def test_parse_json_that_is_not_a_list_of_strings(self, template, text, surfaces):
+        mentions, defects = parse_onestep(completion(text, tokens=[text]), template)
+        assert [m.text for m in mentions] == surfaces
+        assert defects == [f"completion is not a JSON list of strings: {text!r}"]
+
+    def test_parse_undecodable_literal_is_skipped(self, template):
+        text = r'["Ital\y", "England"]'
+        mentions, defects = parse_onestep(completion(text, tokens=[text]), template)
+        assert [m.text for m in mentions] == ["England"]
+        assert defects == [f"completion is not well-formed JSON: {text!r}",
+                           "undecodable string literal: '\"Ital\\\\y\"'"]
+
+    def test_parse_empty_surface_is_defect(self, template):
+        text = '["", "Italy"]'
+        mentions, defects = parse_onestep(completion(text, tokens=[text]), template)
+        assert [m.text for m in mentions] == ["Italy"]
+        assert defects == ["empty mention surface in list"]
 
 
 @st.composite
