@@ -50,6 +50,8 @@ __all__ = ["HttpBackend", "TOKEN_ENV_VAR"]
 TOKEN_ENV_VAR = "PARNER_HTTP_TOKEN"
 
 _FINISH_TO_STOP_REASON = {"eos": "eos", "stop": "stop_string", "length": "length"}
+# the JSON types a logprob may have: a bool is no number here
+_NUMBERS = (int, float)
 
 # first wait before a retry, in seconds; it doubles on every further retry
 _BACKOFF_S = 0.25
@@ -638,11 +640,19 @@ class HttpBackend(CompletionBackend):
         stop_reason = _FINISH_TO_STOP_REASON.get(body.get("finish_reason", "eos"))
         if stop_reason is None:
             raise TransportError(f"unknown finish_reason: {body.get('finish_reason')!r}")
+        # checked, not coerced: a null token is no text "None", and a true
+        # logprob no probability 1
+        if type(text) is not str or not all(type(token) is str for token in tokens):
+            raise TransportError("completion response breaks the result contract: text and "
+                                 f"tokens must be strings: {str(body)[:200]}")
+        if request.want_logprobs and not all(type(x) in _NUMBERS for x in logprobs):
+            raise TransportError("completion response breaks the result contract: "
+                                 f"token_logprobs must be numbers: {str(logprobs)[:200]}")
         try:
             return CompletionResult(
-                tokens=tuple(str(t) for t in tokens),
+                tokens=tuple(tokens),
                 token_logprobs=tuple(float(x) for x in logprobs) if request.want_logprobs else (),
-                text=str(text),
+                text=text,
                 stop_reason=stop_reason,
                 latency_ms=latency_ms,
             )

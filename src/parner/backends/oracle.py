@@ -40,7 +40,7 @@ from parner.templates import (
     count_answer,
     emit_aug,
     emit_onestep,
-    emit_struct,
+    emit_struct_groups,
     read_mention_prompt,
 )
 
@@ -153,12 +153,13 @@ class OracleBackend(CompletionBackend):
         # earlier one
         self._texts: Dict[str, _Pair] = {}
         for position, (doc, gold) in enumerate(pairs):
+            by_label = gold.by_label(labels)
             try:
                 aug_output: Optional[str] = emit_aug(doc, gold, labels)
             except TemplateError:
                 aug_output = None  # mention not verbatim in text; format unbuildable
-            self._texts[doc.text] = (position, doc, gold, gold.by_label(labels),
-                                     emit_struct(gold, labels), aug_output)
+            self._texts[doc.text] = (position, doc, gold, by_label,
+                                     emit_struct_groups(by_label, labels), aug_output)
 
         # the builders lay out each frame around a sentinel document text
         by_prefix: Dict[str, Dict[str, _Frame]] = {}

@@ -193,8 +193,10 @@ _OPTIONS: Tuple[_Option, ...] = (
     _Option("dedup", dict.fromkeys(_RUNS, "keep-max"), _choice("dedup policy", DEDUP_MODES),
             "policy for the same surface under several labels"),
     _Option("parallelism", dict.fromkeys(_RUNS, 4), _POSITIVE, "documents decoded at once"),
-    _Option("repeats", {"decode": 1, "bench": 3}, _POSITIVE,
-            "decodes per document, whose latencies are averaged"),
+    _Option("repeats", dict.fromkeys(_RUNS, 1), _POSITIVE,
+            "decodes per document, whose latencies are averaged; the oracle's latency is "
+            "the same on every repeat, so HTTP runs pass more to average a measured "
+            "wall clock"),
     _Option("seed", dict.fromkeys(_RUNS, 0), _integer(-math.inf, "an integer"),
             "seed of the oracle's error injection"),
     _Option("max_new_tokens", dict.fromkeys(_RUNS, 512), _POSITIVE,

@@ -7,6 +7,7 @@ load into the same (Document, GoldAnnotation) pairs.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -34,6 +35,11 @@ class Mention(NamedTuple):
 
     label: str
     text: str
+
+
+# Mention from a (label, text) pair through tuple.__new__ alone: the named
+# tuple's own constructor is a Python function that costs about as much again
+_mention = functools.partial(tuple.__new__, Mention)
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,10 @@ class LabelSet:
 
     def surface(self, label: str) -> str:
         """The string shown to the model for ``label``."""
-        self.rank(label)
-        return self._surface[label]
+        try:
+            return self._surface[label]
+        except KeyError:
+            raise CorpusError(f"unknown label: {label!r}") from None
 
     def canonical(self, surface: str) -> str:
         """Inverse of :meth:`surface`."""
@@ -253,6 +261,7 @@ def parse_spans_json(text: str, labels: LabelSet) -> List[Tuple[Document, GoldAn
     """
     docs: List[Tuple[Document, GoldAnnotation]] = []
     seen_ids: set = set()
+    known = frozenset(labels.labels)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -277,16 +286,15 @@ def parse_spans_json(text: str, labels: LabelSet) -> List[Tuple[Document, GoldAn
         seen_ids.add(doc_id)
         mentions: List[Mention] = []
         for m in raw_mentions:
-            if not isinstance(m, dict) or not isinstance(m.get("label"), str) \
-                    or not isinstance(m.get("text"), str):
+            label = surface = None
+            if isinstance(m, dict):
+                label, surface = m.get("label"), m.get("text")
+            if not isinstance(label, str) or not isinstance(surface, str):
                 raise CorpusError(f"line {lineno}: malformed mention entry: {m!r}")
-            if m["label"] not in labels:
-                raise CorpusError(
-                    f"line {lineno}: mention label {m['label']!r} not in label set"
-                )
-            mentions.append(Mention(m["label"], m["text"]))
-        docs.append((Document(id=doc_id, text=doc_text),
-                     GoldAnnotation(doc_id=doc_id, mentions=mentions)))
+            if label not in known:
+                raise CorpusError(f"line {lineno}: mention label {label!r} not in label set")
+            mentions.append(_mention((label, surface)))
+        docs.append((Document(doc_id, doc_text), GoldAnnotation(doc_id, mentions)))
     return docs
 
 

@@ -266,12 +266,8 @@ def decode_document(
                                         upstream + result.latency_ms))
             yield label, index, result, seq_id
 
-    def keep(label: str, text: str, probability: float, seq_id: str, empty_defect: str) -> None:
-        if text:
-            mentions.append(ScoredMention(label, text, probability, seq_id))
-        else:
-            defects.append(empty_defect)
-
+    # the list, struct and aug parsers drop an empty surface and record
+    # their own defect, so only the mention step can meet one
     step2: List[_Planned] = []
     if mode == "onestep":
         step1 = [(label, None, build_onestep_prompt(doc, labels.surface(label), t), ())
@@ -279,9 +275,10 @@ def decode_document(
         for label, _, result, seq_id in issue("onestep", step1):
             parsed, parse_defects = parse_onestep(result, t)
             defects.extend(f"label {label}: {d}" for d in parse_defects)
-            for item in parsed:
-                keep(label, item.text, span_probability(result.token_logprobs, item.token_span),
-                     seq_id, f"empty mention in onestep list for label {label}")
+            mentions.extend(
+                ScoredMention(label, item.text,
+                              span_probability(result.token_logprobs, item.token_span), seq_id)
+                for item in parsed)
     elif mode.startswith("autoreg-"):
         fmt = mode[len("autoreg-"):]
         step1 = [(None, None, build_autoreg_prompt(doc, fmt, labels, t), ())]
@@ -290,8 +287,7 @@ def decode_document(
             parser = parse_structured if fmt == "struct" else parse_augmented
             parsed, parse_defects = parser(text, labels)
             defects.extend(parse_defects)
-            for m in parsed:
-                keep(m.label, m.text, 1.0, seq_id, f"empty mention surface under label {m.label}")
+            mentions.extend(ScoredMention(m.label, m.text, 1.0, seq_id) for m in parsed)
     else:
         count_prompts = {label: build_count_prompt(doc, labels.surface(label), t)
                          for label in labels}
@@ -316,8 +312,12 @@ def decode_document(
         ]
         for label, index, result, seq_id in issue("mention", step2):
             parsed = parse_mention(result, t)
-            keep(label, parsed.text, span_probability(result.token_logprobs, parsed.token_span),
-                 seq_id, f"empty mention for label {label} index {index}")
+            if parsed.text:
+                mentions.append(ScoredMention(
+                    label, parsed.text,
+                    span_probability(result.token_logprobs, parsed.token_span), seq_id))
+            else:
+                defects.append(f"empty mention for label {label} index {index}")
 
     return DecodeOutcome(
         doc_id=doc.id,

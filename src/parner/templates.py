@@ -20,7 +20,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass, fields
-from typing import List, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from parner.corpus import CorpusError, Document, GoldAnnotation, LabelSet, Mention
 
@@ -41,6 +41,7 @@ __all__ = [
     "parse_count",
     "parse_mention",
     "emit_struct",
+    "emit_struct_groups",
     "parse_structured",
     "emit_aug",
     "parse_augmented",
@@ -335,11 +336,16 @@ def emit_struct(gold: GoldAnnotation, labels: LabelSet) -> str:
 
         ((PER): (Cuttitta), (MISC): (1995 World Cup), (LOC): (Italy, England), (ORG): (NULL))
     """
-    groups = []
-    for label, mentions in gold.by_label(labels).items():
+    return emit_struct_groups(gold.by_label(labels), labels)
+
+
+def emit_struct_groups(groups: Dict[str, List[Mention]], labels: LabelSet) -> str:
+    """:func:`emit_struct` of the mentions that ``GoldAnnotation.by_label`` grouped."""
+    parts = []
+    for label, mentions in groups.items():
         body = ", ".join([m.text for m in mentions]) if mentions else _NULL_BODY
-        groups.append(f"({labels.surface(label)}): ({body})")
-    return "(" + ", ".join(groups) + ")"
+        parts.append(f"({labels.surface(label)}): ({body})")
+    return "(" + ", ".join(parts) + ")"
 
 
 def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[str]]:
@@ -348,7 +354,12 @@ def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[s
     Mention bodies are comma-separated, so surfaces containing ", " cannot
     round-trip; that is a limit of the format itself.  Anything unparseable
     is reported as a defect string while the well-formed prefix is kept.
-    Repeated label groups accumulate.
+    Repeated label groups accumulate.  Inside the last group's body, the
+    header of a label whose header occurs nowhere earlier starts a group of
+    its own; the text between the body's closing parenthesis and that
+    header belongs to no group and is a defect.  :func:`emit_struct` writes
+    every label's header before the last body begins, so its output parses
+    as if this rule did not exist.
     """
     mentions: List[Mention] = []
     defects: List[str] = []
@@ -377,15 +388,22 @@ def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[s
             body = inner[body_start:next_group]
             pos = next_group + len("), ")
         else:
-            close = inner.rfind(")", body_start)
+            header = _first_header(inner, body_start, labels)
+            end = len(inner) if header < 0 else header
+            close = inner.rfind(")", body_start, end)
             if close < 0:
                 defects.append(f"unterminated mention body at offset {body_start}")
-                break
+                if header < 0:
+                    break
+                pos = header
+                continue
             body = inner[body_start:close]
-            tail = inner[close + 1 :]
-            if tail:
+            tail = inner[close + 1 : end]
+            if header >= 0:
+                defects.append(f"text outside any label group at offset {close + 1}: {tail!r}")
+            elif tail:
                 defects.append(f"unparseable tail after final group: {tail!r}")
-            pos = len(inner)
+            pos = end
         try:
             label = labels.canonical(surface)
         except CorpusError:
@@ -399,6 +417,13 @@ def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[s
                 continue
             mentions.append(Mention(label, part))
     return mentions, defects
+
+
+def _first_header(inner: str, start: int, labels: LabelSet) -> int:
+    """The earliest offset, at or after ``start``, at which some label's
+    group header first occurs in ``inner``; -1 when there is none."""
+    firsts = [inner.find(f"({labels.surface(label)}): (") for label in labels]
+    return min([i for i in firsts if i >= start], default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +440,19 @@ def emit_aug(doc: Document, gold: GoldAnnotation, labels: LabelSet) -> str:
         TemplateError: when a mention surface does not occur verbatim in the
             remaining text, making the format unbuildable for this document.
     """
+    text, surface = doc.text, labels.surface
     out = []
     cursor = 0
-    for m in gold.mentions:
-        idx = doc.text.find(m.text, cursor) if m.text else -1
+    for label, mention in gold.mentions:
+        idx = text.find(mention, cursor) if mention else -1
         if idx < 0:
             raise TemplateError(
-                f"mention {m.text!r} not found verbatim in document {doc.id} after offset {cursor}"
+                f"mention {mention!r} not found verbatim in document {doc.id} after offset {cursor}"
             )
-        out.append(doc.text[cursor:idx])
-        out.append(f"[{m.text} | {labels.surface(m.label)}]")
-        cursor = idx + len(m.text)
-    out.append(doc.text[cursor:])
+        out.append(text[cursor:idx])
+        out.append(f"[{mention} | {surface(label)}]")
+        cursor = idx + len(mention)
+    out.append(text[cursor:])
     return "".join(out)
 
 

@@ -837,17 +837,52 @@ class TestHttpBackend:
         (dict(_OK_BODY, tokens=None), "completion response is missing 'tokens'"),
         (dict(_OK_BODY, finish_reason=None), "unknown finish_reason: None"),
         (dict(_OK_BODY, token_logprobs=["hi", -0.05]),
-         "breaks the result contract: could not convert string to float: 'hi'"),
+         "breaks the result contract: token_logprobs must be numbers: ['hi', -0.05]"),
         (dict(_OK_BODY, token_logprobs=[-10 ** 400, -0.05]),
          "breaks the result contract: int too large to convert to float"),
+        ({"text": "Noneab", "tokens": [None, "ab"], "token_logprobs": ["-0.1", True]},
+         "breaks the result contract: text and tokens must be strings"),
+        (dict(_OK_BODY, tokens=["Italy", 5]),
+         "breaks the result contract: text and tokens must be strings"),
+        ({"text": 5, "tokens": ["5"], "token_logprobs": [-0.1]},
+         "breaks the result contract: text and tokens must be strings"),
+        (dict(_OK_BODY, token_logprobs=["-0.1", -0.05]),
+         "breaks the result contract: token_logprobs must be numbers: ['-0.1', -0.05]"),
+        (dict(_OK_BODY, token_logprobs=[True, -0.05]),
+         "breaks the result contract: token_logprobs must be numbers: [True, -0.05]"),
+        (dict(_OK_BODY, token_logprobs=[None, -0.05]),
+         "breaks the result contract: token_logprobs must be numbers: [None, -0.05]"),
     ], ids=["not-an-object", "no-text", "tokens-null", "finish-null", "logprobs-string-entry",
-            "logprobs-huge-integer"])
+            "logprobs-huge-integer", "null-token", "number-token", "number-text",
+            "numeric-string-logprob", "true-logprob", "null-logprob"])
     def test_answer_breaking_the_contract_rejected(self, stub_server, body, message):
         stub_server.behavior = lambda payload, n: (200, body)
         with _client(stub_server) as backend:
             with pytest.raises(TransportError, match=re.escape(message)):
                 backend.generate(CompletionRequest(prompt="p"))
         assert len(stub_server.calls) == 1
+
+    def test_mistyped_logprob_ignored_when_none_asked_for(self, stub_server):
+        stub_server.behavior = lambda payload, n: (200, dict(_OK_BODY, token_logprobs=[True, "x"]))
+        with _client(stub_server) as backend:
+            result = backend.generate(CompletionRequest(prompt="p", want_logprobs=False))
+        assert result.tokens == ("Italy", "<eos>") and result.token_logprobs == ()
+
+    def test_true_logprob_is_one_defect_not_probability_one(self, stub_server, labels, template):
+        doc = Document(id="x", text="Italy beat England.")
+
+        def behavior(payload, n):
+            logprob = True if "LOC" in payload["prompt"] else -0.1
+            return 200, {"text": '["Italy"]', "tokens": ['["Italy"]'],
+                         "token_logprobs": [logprob], "finish_reason": "eos"}
+
+        stub_server.behavior = behavior
+        with _client(stub_server) as backend:
+            outcome = run_corpus([doc], labels, backend, template, "onestep")[0]
+        assert len(outcome.defects) == 1
+        assert outcome.defects[0].startswith("onestep request failed for label LOC: ")
+        assert "token_logprobs must be numbers: [True]" in outcome.defects[0]
+        assert sorted(m.label for m in outcome.raw_mentions) == ["MISC", "ORG", "PER"]
 
     def test_integer_logprobs_arrive_as_floats(self, stub_server):
         stub_server.behavior = lambda payload, n: (200, dict(_OK_BODY, token_logprobs=[-1, 0]))

@@ -655,6 +655,18 @@ def test_every_command_writes_its_resolved_config(tmp_path, corpus_path, command
     assert snapshot["command"] == command and snapshot["out"] == str(out)
 
 
+@pytest.mark.parametrize("command", ["decode", "bench"])
+def test_one_repeat_by_default(tmp_path, corpus_path, command):
+    # the oracle attributes the same latency on every repeat
+    out = tmp_path / "out"
+    args = [command, "--corpus", corpus_path, "--labels", LABELS_ARG, "--out", str(out)]
+    if command == "bench":
+        args += ["--modes", "onestep", "--baseline", "onestep"]
+    assert main(args) == 0
+    snapshot = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
+    assert snapshot["repeats"] == 1
+
+
 class _OracleHandler(BaseHTTPRequestHandler):
     """Serves completions over HTTP by delegating to an in-process oracle."""
 

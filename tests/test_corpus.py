@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -79,6 +80,13 @@ class TestLabelSet:
             ls.surface("PER")
         with pytest.raises(CorpusError):
             ls.canonical("PER")
+
+    def test_unknown_label_surface_message(self):
+        ls = LabelSet(["LOC"], {"LOC": "地点"})
+        with pytest.raises(CorpusError, match=r"^unknown label: 'PER'$"):
+            ls.surface("PER")
+        with pytest.raises(CorpusError, match=r"^unknown label: '地点'$"):
+            ls.surface("地点")  # a surface is no label
 
     def test_apply_label_map(self):
         mapped = LabelSet(["LOC", "PER"], surface_map={"LOC": "location", "PER": "person"})
@@ -259,11 +267,32 @@ class TestSpansJson:
         with pytest.raises(CorpusError):
             parse_spans_json(row + "\n", labels)
 
-    def test_blank_lines_skipped_and_counted(self, labels):
+    @pytest.mark.parametrize("blank", ["", "  ", "\t", "\u3000"])
+    def test_blank_lines_skipped_and_counted(self, labels, blank):
         row = json.dumps({"id": "a", "text": "x"})
-        assert len(parse_spans_json("\n" + row + "\n  \n", labels)) == 1
+        assert len(parse_spans_json(f"{blank}\n{row}\n{blank}\n", labels)) == 1
         with pytest.raises(CorpusError, match="^line 3: invalid JSON"):
-            parse_spans_json(row + "\n\nnot json\n", labels)
+            parse_spans_json(f"{row}\n{blank}\nnot json\n", labels)
+
+    @pytest.mark.parametrize("mention, message", [
+        ("bad", "malformed mention entry: 'bad'"),
+        (None, "malformed mention entry: None"),
+        (["PER", "Bob"], "malformed mention entry: ['PER', 'Bob']"),
+        ({}, "malformed mention entry: {}"),
+        ({"text": "Bob"}, "malformed mention entry: {'text': 'Bob'}"),
+        ({"label": "PER"}, "malformed mention entry: {'label': 'PER'}"),
+        ({"label": 1, "text": "Bob"}, "malformed mention entry: {'label': 1, 'text': 'Bob'}"),
+        ({"label": "PER", "text": None},
+         "malformed mention entry: {'label': 'PER', 'text': None}"),
+        ({"label": "GPE", "text": "Bob"}, "mention label 'GPE' not in label set"),
+        ({"label": "GPE", "text": 1}, "malformed mention entry: {'label': 'GPE', 'text': 1}"),
+    ], ids=["string", "null", "list", "empty", "no-label", "no-text", "label-number",
+            "text-null", "unknown-label", "unknown-label-text-number"])
+    def test_malformed_mention_messages(self, labels, mention, message):
+        row = json.dumps({"id": "a", "text": "Bob", "mentions": [
+            {"label": "PER", "text": "Bob"}, mention]})
+        with pytest.raises(CorpusError, match=f"^line 2: {re.escape(message)}$"):
+            parse_spans_json("\n" + row + "\n", labels)
 
     @pytest.mark.parametrize("record, message", [
         ({"id": 1, "text": "x"}, "line 1: 'id' and 'text' must be strings"),

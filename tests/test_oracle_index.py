@@ -296,6 +296,36 @@ class TestTieBreaks:
         assert result.text == '["l"]<eos>'
 
 
+class TestPrebuiltAnswers:
+    """The struct and aug answers built with the index are the emitters' own."""
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_equal_emit_struct_and_emit_aug(self, setup):
+        t, labels = SETUPS[setup]
+        pairs = make_corpus(20, LABEL_NAMES, seed=4)
+        # same-label repeats, and a last document whose aug answer cannot be built
+        doc, gold = pairs[0]
+        again = gold.mentions[0]
+        pairs[0] = (Document(doc.id, doc.text + " " + again.text),
+                    GoldAnnotation(doc.id, gold.mentions + [again]))
+        pairs.append((Document("lost", "no mention here"),
+                      GoldAnnotation("lost", [Mention("LOC", "Rome"), Mention("LOC", "Rome")])))
+        oracle = OracleBackend(pairs, labels, t)
+        for doc, gold in pairs:
+            struct = oracle.generate(CompletionRequest(
+                build_autoreg_prompt(doc, "struct", labels, t), 10 ** 6))
+            assert struct.text == emit_struct(gold, labels) + t.eos_literal
+            aug_prompt = build_autoreg_prompt(doc, "aug", labels, t)
+            if doc.id == "lost":
+                with pytest.raises(TemplateError):
+                    emit_aug(doc, gold, labels)
+                with pytest.raises(UnknownPromptError, match="augmented answer unbuildable"):
+                    oracle.generate(CompletionRequest(aug_prompt))
+                continue
+            aug = oracle.generate(CompletionRequest(aug_prompt, 10 ** 6))
+            assert aug.text == emit_aug(doc, gold, labels) + t.eos_literal
+
+
 class TestIndexSize:
     def test_memory_below_twice_the_corpus_text(self, labels):
         pairs = make_corpus(300, labels, fillers_between=(40, 80))

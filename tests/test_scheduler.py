@@ -195,7 +195,28 @@ class TestPairDecodeDegradation:
                 entries.append({"prompt": prompt, "tokens": ["<eos>"]})
         outcome = decode_document(doc, labels, ScriptedBackend(entries), template, "pair-multi")
         assert outcome.raw_mentions == []
-        assert len(outcome.defects) == 1
+        assert outcome.defects == ["empty mention for label PER index 1"]
+
+    @pytest.mark.parametrize("mode, answer, defect", [
+        ("onestep", '["Italy", ""]', "label LOC: empty mention surface in list"),
+        ("autoreg-struct", "((PER): (NULL), (MISC): (NULL), (LOC): (Italy, ), (ORG): (NULL))",
+         "empty mention surface under label 'LOC'"),
+        ("autoreg-aug", "[Italy | LOC] won [ | LOC]", "bracket with empty mention surface"),
+    ])
+    def test_parser_reports_an_empty_surface_once(self, labels, template, mode, answer, defect):
+        from parner.templates import build_autoreg_prompt, build_onestep_prompt
+        doc = Document(id="x", text="Italy won")
+        if mode == "onestep":
+            entries = [{"prompt": build_onestep_prompt(doc, label, template),
+                        "tokens": [answer if label == "LOC" else "[]", "<eos>"]}
+                       for label in labels]
+        else:
+            entries = [{"prompt": build_autoreg_prompt(doc, mode[len("autoreg-"):], labels,
+                                                       template),
+                        "tokens": [answer, "<eos>"]}]
+        outcome = decode_document(doc, labels, ScriptedBackend(entries), template, mode)
+        assert [(m.label, m.text) for m in outcome.raw_mentions] == [("LOC", "Italy")]
+        assert outcome.defects == [defect]
 
     def test_zero_entity_document(self, labels, template):
         doc = Document(id="x", text="nothing")

@@ -344,6 +344,46 @@ class TestStructFormat:
         assert mentions == [Mention("LOC", "Italy"), Mention("LOC", "England")]
         assert defects == ["empty mention surface under label 'LOC'"]
 
+    def test_text_outside_any_group_is_defect(self, labels):
+        mentions, defects = parse_structured("((PER): (Cuttitta), x(LOC): (Rome))", labels)
+        assert mentions == [Mention("PER", "Cuttitta"), Mention("LOC", "Rome")]
+        assert defects == ["text outside any label group at offset 17: ', x'"]
+
+    def test_header_inside_an_unclosed_body_is_defect(self, labels):
+        mentions, defects = parse_structured("((PER): (Cuttitta(LOC): (Rome))", labels)
+        assert mentions == [Mention("LOC", "Rome")]
+        assert defects == ["unterminated mention body at offset 8"]
+
+    def test_groups_without_separator_are_defect(self, labels):
+        mentions, defects = parse_structured("((PER): (a)(LOC): (b))", labels)
+        assert mentions == [Mention("PER", "a"), Mention("LOC", "b")]
+        assert defects == ["text outside any label group at offset 10: ''"]
+
+    @pytest.mark.parametrize("names, label, surface", [
+        (["PER"], "PER", "Cuttitta), x(LOC): (Rome"),
+        (["PER", "MISC", "LOC", "ORG"], "ORG", "a(PER): (b"),
+        (["PER", "MISC", "LOC", "ORG"], "ORG", "a), x(ORG): (b"),
+    ], ids=["not-a-label", "earlier-label", "own-label"])
+    def test_header_that_occurs_earlier_stays_in_the_body(self, names, label, surface):
+        ls = LabelSet(names)
+        mentions, defects = parse_structured(
+            emit_struct(GoldAnnotation("x", [Mention(label, surface)]), ls), ls)
+        assert defects == []
+        assert mentions == [Mention(label, part) for part in surface.split(", ")]
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["PER", "MISC", "LOC", "ORG"]),
+        st.lists(st.sampled_from(["(", ")", ", ", ": ", "), (", "(PER): (", "(LOC): (", "(ORG): (",
+                                  "NULL", "x"]), max_size=5).map("".join)), max_size=5))
+    @settings(max_examples=300)
+    def test_emitted_text_never_splits_at_a_header(self, pairs):
+        # emit_struct writes every header before the last body, so the last
+        # body never starts a group of its own, whatever the surfaces hold
+        gold = GoldAnnotation("x", [Mention(label, surface) for label, surface in pairs])
+        _, defects = parse_structured(emit_struct(gold, _PROP_LABELS), _PROP_LABELS)
+        assert not any(d.startswith(("text outside any label group",
+                                     "unterminated mention body")) for d in defects)
+
     def test_surface_map_round_trip(self):
         ls = LabelSet(["LOC", "PER"], surface_map={"LOC": "地点", "PER": "名称"})
         gold = GoldAnnotation(doc_id="x", mentions=[Mention("LOC", "孟买")])
