@@ -354,12 +354,13 @@ def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[s
     Mention bodies are comma-separated, so surfaces containing ", " cannot
     round-trip; that is a limit of the format itself.  Anything unparseable
     is reported as a defect string while the well-formed prefix is kept.
-    Repeated label groups accumulate.  Inside the last group's body, the
-    header of a label whose header occurs nowhere earlier starts a group of
-    its own; the text between the body's closing parenthesis and that
-    header belongs to no group and is a defect.  :func:`emit_struct` writes
-    every label's header before the last body begins, so its output parses
-    as if this rule did not exist.
+    Repeated label groups accumulate.  Inside a group's body, the header of
+    a label whose header occurs nowhere earlier in the text and nowhere
+    after that body starts a group of its own; the text between the body's
+    closing parenthesis and that header belongs to no group and is a defect.
+    In :func:`emit_struct`'s output every label's real header lies outside
+    every body, so a header inside a body either occurs earlier or occurs
+    again after it, and the output parses as if this rule did not exist.
     """
     mentions: List[Mention] = []
     defects: List[str] = []
@@ -372,6 +373,9 @@ def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[s
         inner = inner[:-1]
     else:
         defects.append(f"annotation not closed: {text!r}")
+    # (first offset, header) of each label's group header in the text, in
+    # text order; bodies only move right, so a header behind one is dropped
+    firsts = sorted(_first_headers(inner, labels))
     pos = 0
     while pos < len(inner):
         if not inner.startswith("(", pos):
@@ -384,11 +388,20 @@ def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[s
         surface = inner[pos + 1 : head_end]
         body_start = head_end + len("): (")
         next_group = inner.find("), (", body_start)
-        if next_group >= 0:
+        stop = len(inner) if next_group < 0 else next_group
+        while firsts and firsts[0][0] < body_start:
+            del firsts[0]
+        header = -1
+        for first, group_header in firsts:
+            if first >= stop:
+                break
+            if inner.rfind(group_header) < stop:  # nowhere after the body either
+                header = first
+                break
+        if header < 0 and next_group >= 0:
             body = inner[body_start:next_group]
             pos = next_group + len("), ")
         else:
-            header = _first_header(inner, body_start, labels)
             end = len(inner) if header < 0 else header
             close = inner.rfind(")", body_start, end)
             if close < 0:
@@ -419,11 +432,16 @@ def parse_structured(text: str, labels: LabelSet) -> Tuple[List[Mention], List[s
     return mentions, defects
 
 
-def _first_header(inner: str, start: int, labels: LabelSet) -> int:
-    """The earliest offset, at or after ``start``, at which some label's
-    group header first occurs in ``inner``; -1 when there is none."""
-    firsts = [inner.find(f"({labels.surface(label)}): (") for label in labels]
-    return min([i for i in firsts if i >= start], default=-1)
+def _first_headers(inner: str, labels: LabelSet) -> List[Tuple[int, str]]:
+    """(offset of its first occurrence, header) of each label's group header
+    that occurs in ``inner``."""
+    found = []
+    for label in labels:
+        header = f"({labels.surface(label)}): ("
+        first = inner.find(header)
+        if first >= 0:
+            found.append((first, header))
+    return found
 
 
 # ---------------------------------------------------------------------------

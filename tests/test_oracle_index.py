@@ -1,10 +1,13 @@
 """The oracle's prompt index: frames plus document text, checked on
-adversarial texts, against a map of every buildable prompt, and for size."""
+adversarial texts, against a map of every buildable prompt, for size, and
+for answers built on first use."""
 
 from __future__ import annotations
 
 import dataclasses
 import re
+import sys
+import threading
 import tracemalloc
 from typing import Dict, List, Tuple
 
@@ -12,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parner.backends import CompletionRequest, OracleBackend, UnknownPromptError
-from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
+from parner.backends import (CompletionRequest, CompletionResult, OracleBackend,
+                             UnknownPromptError)
+from parner.backends import oracle as oracle_module
+from parner.corpus import CorpusError, Document, GoldAnnotation, LabelSet, Mention
 from parner.evaluation import micro_f1
 from parner.scheduler import run_corpus
 from parner.synthetic import make_corpus
@@ -297,7 +302,7 @@ class TestTieBreaks:
 
 
 class TestPrebuiltAnswers:
-    """The struct and aug answers built with the index are the emitters' own."""
+    """The struct and aug answers, built on first use, are the emitters' own."""
 
     @pytest.mark.parametrize("setup", sorted(SETUPS))
     def test_equal_emit_struct_and_emit_aug(self, setup):
@@ -326,40 +331,157 @@ class TestPrebuiltAnswers:
             assert aug.text == emit_aug(doc, gold, labels) + t.eos_literal
 
 
+def _every_prompt(pairs: Pairs, labels: LabelSet, t: PromptTemplate) -> List[str]:
+    """Each prompt kind of each document: count, first mention, onestep, struct, aug."""
+    prompts = []
+    for doc, _ in pairs:
+        for label in labels:
+            count = build_count_prompt(doc, labels.surface(label), t)
+            prompts += [count, build_mention_prompt(count, 1, 1, t),
+                        build_onestep_prompt(doc, labels.surface(label), t)]
+        prompts += [build_autoreg_prompt(doc, fmt, labels, t) for fmt in ("struct", "aug")]
+    return prompts
+
+
+def _answer_all(oracle: OracleBackend, prompts: List[str]) -> List[CompletionResult]:
+    return [oracle.generate(CompletionRequest(prompt, 10 ** 6)) for prompt in prompts]
+
+
 class TestIndexSize:
-    def test_memory_below_twice_the_corpus_text(self, labels):
+    def test_memory_below_twice_the_corpus_text(self, labels, template):
         pairs = make_corpus(300, labels, fillers_between=(40, 80))
         text_bytes = sum(len(doc.text.encode("utf-8")) for doc, _ in pairs)
+        autoreg = [build_autoreg_prompt(doc, fmt, labels, template)
+                   for doc, _ in pairs for fmt in ("struct", "aug")]
         tracemalloc.start()
         try:
-            oracle = OracleBackend(pairs, labels)
+            oracle = OracleBackend(pairs, labels, template)
+            # every label group, struct answer and aug answer built
+            for prompt in autoreg:
+                oracle.generate(CompletionRequest(prompt))
             grown, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert oracle.generate(CompletionRequest(
-            prompt=build_count_prompt(pairs[-1][0], "PER", PromptTemplate())))
+        assert all(entry.aug is not None for entry in oracle._texts.values())
         assert grown < 2 * text_bytes
 
     def test_holds_no_prompt(self, labels, template):
         pairs = make_corpus(5, labels, seed=3)
         oracle = OracleBackend(pairs, labels, template)
-        prompts = {build_autoreg_prompt(doc, fmt, labels, template)
-                   for doc, _ in pairs for fmt in ("aug", "struct")}
-        prompts |= {build(doc, label, template) for doc, _ in pairs for label in labels
-                    for build in (build_count_prompt, build_onestep_prompt)}
-        held, todo = set(), list(vars(oracle).values())
+        prompts = _every_prompt(pairs, labels, template)
+        _answer_all(oracle, prompts)
+        # every string the oracle reaches, through containers and the
+        # attributes of every object, its document entries among them
+        held, seen, todo = set(), set(), [oracle]
         while todo:
             value = todo.pop()
             if isinstance(value, str):
                 held.add(value)
-            elif isinstance(value, dict):
-                todo.extend(value.keys())
-                todo.extend(value.values())
-            elif isinstance(value, (tuple, list)):
-                todo.extend(value)
-            elif isinstance(value, Document):
-                held.add(value.text)
-        assert held and not held & prompts
+            elif id(value) in seen:
+                continue
+            else:
+                seen.add(id(value))
+                if isinstance(value, dict):
+                    todo.extend(value.keys())
+                    todo.extend(value.values())
+                elif isinstance(value, (tuple, list, set, frozenset)):
+                    todo.extend(value)
+                elif hasattr(value, "__dict__"):
+                    todo.extend(vars(value).values())
+        entries = list(oracle._texts.values())
+        assert all({"by_label", "struct", "aug"} <= vars(entry).keys() for entry in entries)
+        assert {entry.aug for entry in entries} <= held
+        assert held and not held & set(prompts)
+
+
+class TestFirstUse:
+    """Label groups and struct and aug answers are built on first use, once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> Dict[str, int]:
+        calls = {"emit_aug": 0, "emit_struct_groups": 0, "by_label": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in ("emit_aug", "emit_struct_groups"):
+            monkeypatch.setattr(oracle_module, name, counted(name, getattr(oracle_module, name)))
+        monkeypatch.setattr(GoldAnnotation, "by_label",
+                            counted("by_label", GoldAnnotation.by_label))
+        return calls
+
+    def test_construction_builds_no_answer(self, calls, labels, template):
+        pairs = make_corpus(10, labels, seed=2)
+        oracle = OracleBackend(pairs, labels, template)
+        assert calls == {"emit_aug": 0, "emit_struct_groups": 0, "by_label": 0}
+        doc = pairs[3][0]
+        for _ in range(2):
+            oracle.generate(CompletionRequest(build_autoreg_prompt(doc, "aug", labels, template)))
+        assert calls == {"emit_aug": 1, "emit_struct_groups": 0, "by_label": 0}
+        for _ in range(2):
+            oracle.generate(CompletionRequest(
+                build_autoreg_prompt(doc, "struct", labels, template)))
+            oracle.generate(CompletionRequest(build_count_prompt(doc, "LOC", template)))
+        assert calls == {"emit_aug": 1, "emit_struct_groups": 1, "by_label": 1}
+
+    def test_pair_and_onestep_build_no_answer(self, calls, labels, template):
+        pairs = make_corpus(10, labels, seed=2)
+        oracle = OracleBackend(pairs, labels, template)
+        for mode in ("pair-batch", "onestep"):
+            run_corpus([doc for doc, _ in pairs], labels, oracle, template, mode,
+                       parallelism=1)
+        assert calls == {"emit_aug": 0, "emit_struct_groups": 0, "by_label": len(pairs)}
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_concurrent_first_use_gives_the_single_thread_answers(self, setup):
+        t, labels = SETUPS[setup]
+        pairs = make_corpus(6, LABEL_NAMES, seed=9)
+        prompts = [[build_autoreg_prompt(doc, fmt, labels, t) for fmt in ("struct", "aug")]
+                   + [build_count_prompt(doc, labels.surface("LOC"), t)] for doc, _ in pairs]
+        single = OracleBackend(pairs, labels, t)
+        expected = [_answer_all(single, own) for own in prompts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the first builds
+        try:
+            for own, answers in zip(prompts, expected):
+                oracle = OracleBackend(pairs, labels, t)
+                barrier = threading.Barrier(8)
+                results: List[object] = [None] * 8
+
+                def ask(i: int) -> None:
+                    barrier.wait(timeout=30)
+                    results[i] = _answer_all(oracle, own[i % 2:] + own[:i % 2])
+
+                threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [answers[i % 2:] + answers[:i % 2] for i in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestUnknownLabel:
+    """A gold mention under a label outside the label set is refused at
+    construction, whether or not the aug answer could reach it."""
+
+    @pytest.mark.parametrize("mentions", [
+        [Mention("LOC", "Rome"), Mention("GPE", "Paris")],
+        # the aug answer stops at the first mention, which is not in the text
+        [Mention("LOC", "Milan"), Mention("GPE", "Paris")],
+        [Mention("GPE", "Lyon")],
+    ], ids=["reached", "behind-an-unbuildable-mention", "not-in-text"])
+    def test_raised_at_construction(self, labels, mentions):
+        pairs = make_corpus(3, labels, seed=1)
+        pairs.insert(1, (Document("x", "Rome and Paris"), GoldAnnotation("x", mentions)))
+        unknown = next(m.label for m in mentions if m.label not in labels)
+        with pytest.raises(CorpusError, match=f"^unknown label: '{unknown}'$"):
+            OracleBackend(pairs, labels)
 
 
 def test_template_holding_the_sentinel_rejected(labels):

@@ -349,6 +349,20 @@ class TestStructFormat:
         assert mentions == [Mention("PER", "Cuttitta"), Mention("LOC", "Rome")]
         assert defects == ["text outside any label group at offset 17: ', x'"]
 
+    def test_text_outside_any_group_before_a_later_group_is_defect(self, labels):
+        mentions, defects = parse_structured(
+            "((PER): (Cuttitta), x(LOC): (Rome), (ORG): (NULL))", labels)
+        assert mentions == [Mention("PER", "Cuttitta"), Mention("LOC", "Rome")]
+        assert defects == ["text outside any label group at offset 17: ', x'"]
+
+    def test_header_that_occurs_again_later_stays_in_the_body(self, labels):
+        # the body of a group that is not the last holds a later label's header
+        gold = GoldAnnotation("x", [Mention("PER", "a), x(LOC): (b"), Mention("LOC", "c")])
+        mentions, defects = parse_structured(emit_struct(gold, labels), labels)
+        assert defects == []
+        assert mentions == [Mention("PER", "a)"), Mention("PER", "x(LOC): (b"),
+                            Mention("LOC", "c")]
+
     def test_header_inside_an_unclosed_body_is_defect(self, labels):
         mentions, defects = parse_structured("((PER): (Cuttitta(LOC): (Rome))", labels)
         assert mentions == [Mention("LOC", "Rome")]
