@@ -18,8 +18,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from parner.backends.base import (
@@ -31,7 +31,7 @@ from parner.backends.base import (
     apply_request_limits,
     simple_tokenize,
 )
-from parner.corpus import CorpusError, Document, GoldAnnotation, LabelSet, Mention
+from parner.corpus import Document, GoldAnnotation, LabelSet, Mention
 from parner.templates import (
     PromptTemplate,
     TemplateError,
@@ -49,6 +49,9 @@ __all__ = ["ErrorInjection", "OracleBackend"]
 
 # the logprobs of an answer's first n tokens, computed only when asked for
 _Logprobs = Callable[[int], List[float]]
+# a document's position in the corpus, the document, its gold, and its gold
+# mentions by label
+_Pair = Tuple[int, Document, GoldAnnotation, Dict[str, List[Mention]]]
 # a frame's build order within one document, its prompt kind, and its
 # label (count, onestep) or format (autoreg)
 _Frame = Tuple[int, str, str]
@@ -94,38 +97,6 @@ class ErrorInjection:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-class _Entry:
-    """One corpus document in the index: its corpus position, the document
-    and its gold.  The gold's label groups and the struct and aug answers
-    are built on first use, at most once per backend.
-
-    ``cached_property`` locks the first build on Python 3.10 and 3.11; from
-    3.12 two threads may both build an answer, but they build the same value.
-    """
-
-    def __init__(self, position: int, doc: Document, gold: GoldAnnotation, labels: LabelSet):
-        self.position = position
-        self.doc = doc
-        self.gold = gold
-        self._labels = labels
-
-    @cached_property
-    def by_label(self) -> Dict[str, List[Mention]]:
-        return self.gold.by_label(self._labels)
-
-    @cached_property
-    def struct(self) -> str:
-        return emit_struct_groups(self.by_label, self._labels)
-
-    @cached_property
-    def aug(self) -> Optional[str]:
-        """None when the aug format cannot be built for this document."""
-        try:
-            return emit_aug(self.doc, self.gold, self._labels)
-        except TemplateError:
-            return None  # a mention not verbatim in the text
-
-
 class OracleBackend(CompletionBackend):
     """Answers protocol prompts from a gold corpus with simulated latency.
 
@@ -149,21 +120,23 @@ class OracleBackend(CompletionBackend):
     A prompt is recognised as a *frame* plus a document text: the frame is
     the template text a prompt builder puts before and after the document
     text, derived once by running the builders on a sentinel document.
-    The oracle keeps one map from document text to its document entry,
-    keyed on the corpus's own strings, and the few frames of the template
-    and label set; it holds no prompt.  Index memory is therefore
-    O(corpus), not O(corpus x (2 labels + 2)) as a map from every buildable
-    prompt would be.  An entry builds its gold's label groups and its
-    struct and aug answers on first use, once, so construction builds no
-    answer and a run builds only the answers its modes read.  A mention
-    prompt is recognised as a count prompt plus the tail that
-    ``templates.build_mention_prompt`` adds, read back by
-    ``templates.read_mention_prompt``.  When two pairs share a document
+    The oracle keeps one map from document text to its pair, keyed on the
+    corpus's own strings, and the few frames of the template and label
+    set; it holds no prompt.  Index memory is therefore O(corpus), not
+    O(corpus x (2 labels + 2)) as a map from every buildable prompt would
+    be.  Construction groups each gold by label but builds no struct or
+    aug answer.  The first request that reads an answer of a format builds
+    that format's answers for every document, in one loop, so a run builds
+    only the formats its modes read, and a format costs what it would cost
+    at construction.  A mention prompt is recognised as a count prompt
+    plus the tail that ``templates.build_mention_prompt`` adds, read back
+    by ``templates.read_mention_prompt``.  When two pairs share a document
     text, the later one answers.  A gold mention whose label is not in
     ``labels`` is a ``CorpusError`` at construction.
 
     Answers are a pure function of the request, and the instance is safe
-    for concurrent use.
+    for concurrent use: a lock makes the first build of a format's answers
+    the only one.
     """
 
     def __init__(
@@ -182,15 +155,19 @@ class OracleBackend(CompletionBackend):
         self._seed = seed
 
         t = self._t
-        known = frozenset(labels)
-        # document text -> _Entry; a later pair with the same text replaces an
+        # document text -> _Pair; a later pair with the same text replaces an
         # earlier one
-        self._texts: Dict[str, _Entry] = {}
+        self._texts: Dict[str, _Pair] = {}
         for position, (doc, gold) in enumerate(pairs):
-            for label, _ in gold.mentions:
-                if label not in known:
-                    raise CorpusError(f"unknown label: {label!r}")
-            self._texts[doc.text] = _Entry(position, doc, gold, labels)
+            by_label = gold.by_label(labels)
+            if sum(map(len, by_label.values())) < len(gold.mentions):
+                # by_label leaves out a mention whose label is not in labels
+                for label, _ in gold.mentions:
+                    labels.rank(label)  # raises CorpusError("unknown label: ...")
+            self._texts[doc.text] = (position, doc, gold, by_label)
+        # "struct" or "aug" -> each document's answer by corpus position
+        self._autoreg: Dict[str, Dict[int, Optional[str]]] = {}
+        self._autoreg_lock = threading.Lock()
 
         # the builders lay out each frame around a sentinel document text
         by_prefix: Dict[str, Dict[str, _Frame]] = {}
@@ -279,20 +256,43 @@ class OracleBackend(CompletionBackend):
                     f"{prompt[-120:]!r}"
                 )
             return self._mention_answer(*mention)
-        (_, kind, arg), entry = found
-        doc = entry.doc
+        (_, kind, arg), (position, doc, gold, by_label) = found
         if kind == "count":
-            return self._count_answer(doc, arg, entry.by_label[arg])
+            return self._count_answer(doc, arg, by_label[arg])
         if kind == "onestep":
-            return self._serialized_answer(emit_onestep(entry.gold, arg), doc.id,
-                                           f"onestep/{arg}")
-        output = entry.struct if arg == "struct" else entry.aug
+            return self._serialized_answer(emit_onestep(gold, arg), doc.id, f"onestep/{arg}")
+        answers = self._autoreg.get(arg)
+        if answers is None:
+            answers = self._build_autoreg(arg)
+        output = answers[position]
         if output is None:
             raise UnknownPromptError(f"augmented answer unbuildable for document {doc.id}")
         return self._serialized_answer(output, doc.id, "autoreg")
 
-    def _lookup(self, prompt: str, end: int) -> Optional[Tuple[_Frame, _Entry]]:
-        """The frame and document entry whose prompt is ``prompt[:end]``, or None.
+    def _build_autoreg(self, fmt: str) -> Dict[int, Optional[str]]:
+        """Every document's ``fmt`` answer by corpus position, built once.
+
+        An aug answer is None when a mention is not verbatim in the text.
+        """
+        with self._autoreg_lock:
+            answers = self._autoreg.get(fmt)
+            if answers is not None:
+                return answers  # another thread built them while this one waited
+            labels = self._labels
+            answers = {}
+            for position, doc, gold, by_label in self._texts.values():
+                if fmt == "struct":
+                    answers[position] = emit_struct_groups(by_label, labels)
+                    continue
+                try:
+                    answers[position] = emit_aug(doc, gold, labels)
+                except TemplateError:
+                    answers[position] = None
+            self._autoreg[fmt] = answers
+            return answers
+
+    def _lookup(self, prompt: str, end: int) -> Optional[Tuple[_Frame, _Pair]]:
+        """The frame and pair whose prompt is ``prompt[:end]``, or None.
 
         When several frames split the prompt into a known document text,
         the one a document later in the corpus built wins, then the one
@@ -314,14 +314,13 @@ class OracleBackend(CompletionBackend):
                     frame = by_suffix.get(prompt[text_end:end])
                     if frame is None:
                         continue
-                    entry = texts.get(prompt[prefix_len:text_end])
-                    if entry is None:
+                    pair = texts.get(prompt[prefix_len:text_end])
+                    if pair is None:
                         continue
                     if self._unambiguous:
-                        return frame, entry
-                    if best is None or (entry.position, frame[0]) > (best[1].position,
-                                                                     best[0][0]):
-                        best = frame, entry
+                        return frame, pair
+                    if best is None or (pair[0], frame[0]) > (best[1][0], best[0][0]):
+                        best = frame, pair
             if self._exclusive_prefixes:
                 break  # no other prefix can begin this prompt
         return best
@@ -333,8 +332,8 @@ class OracleBackend(CompletionBackend):
         found = self._lookup(prompt, read[0]) if read else None
         if found is None or found[0][1] != "count":
             return None
-        (_, _, label), entry = found
-        return entry.doc, entry.gold, label, read[1], entry.by_label[label]
+        (_, _, label), (_, doc, gold, by_label) = found
+        return doc, gold, label, read[1], by_label[label]
 
     def _count_answer(
         self, doc: Document, label: str, mentions: List[Mention]

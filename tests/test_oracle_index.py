@@ -356,13 +356,14 @@ class TestIndexSize:
         tracemalloc.start()
         try:
             oracle = OracleBackend(pairs, labels, template)
-            # every label group, struct answer and aug answer built
+            # every struct answer and aug answer built
             for prompt in autoreg:
                 oracle.generate(CompletionRequest(prompt))
             grown, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(entry.aug is not None for entry in oracle._texts.values())
+        assert oracle._autoreg.keys() == {"struct", "aug"}
+        assert None not in oracle._autoreg["aug"].values()
         assert grown < 2 * text_bytes
 
     def test_holds_no_prompt(self, labels, template):
@@ -371,7 +372,7 @@ class TestIndexSize:
         prompts = _every_prompt(pairs, labels, template)
         _answer_all(oracle, prompts)
         # every string the oracle reaches, through containers and the
-        # attributes of every object, its document entries among them
+        # attributes of every object, its struct and aug answers among them
         held, seen, todo = set(), set(), [oracle]
         while todo:
             value = todo.pop()
@@ -388,14 +389,15 @@ class TestIndexSize:
                     todo.extend(value)
                 elif hasattr(value, "__dict__"):
                     todo.extend(vars(value).values())
-        entries = list(oracle._texts.values())
-        assert all({"by_label", "struct", "aug"} <= vars(entry).keys() for entry in entries)
-        assert {entry.aug for entry in entries} <= held
+        assert oracle._autoreg.keys() == {"struct", "aug"}
+        assert set(oracle._autoreg["aug"].values()) <= held
         assert held and not held & set(prompts)
 
 
 class TestFirstUse:
-    """Label groups and struct and aug answers are built on first use, once."""
+    """Construction builds no struct or aug answer; the first request that
+    reads one of a format builds that format's answers for every document,
+    once."""
 
     @pytest.fixture
     def calls(self, monkeypatch) -> Dict[str, int]:
@@ -415,17 +417,18 @@ class TestFirstUse:
 
     def test_construction_builds_no_answer(self, calls, labels, template):
         pairs = make_corpus(10, labels, seed=2)
+        n = len(pairs)
         oracle = OracleBackend(pairs, labels, template)
-        assert calls == {"emit_aug": 0, "emit_struct_groups": 0, "by_label": 0}
-        doc = pairs[3][0]
-        for _ in range(2):
-            oracle.generate(CompletionRequest(build_autoreg_prompt(doc, "aug", labels, template)))
-        assert calls == {"emit_aug": 1, "emit_struct_groups": 0, "by_label": 0}
-        for _ in range(2):
+        assert calls == {"emit_aug": 0, "emit_struct_groups": 0, "by_label": n}
+        for i in (3, 3, 7):
             oracle.generate(CompletionRequest(
-                build_autoreg_prompt(doc, "struct", labels, template)))
-            oracle.generate(CompletionRequest(build_count_prompt(doc, "LOC", template)))
-        assert calls == {"emit_aug": 1, "emit_struct_groups": 1, "by_label": 1}
+                build_autoreg_prompt(pairs[i][0], "aug", labels, template)))
+        assert calls == {"emit_aug": n, "emit_struct_groups": 0, "by_label": n}
+        for i in (3, 7):
+            oracle.generate(CompletionRequest(
+                build_autoreg_prompt(pairs[i][0], "struct", labels, template)))
+            oracle.generate(CompletionRequest(build_count_prompt(pairs[i][0], "LOC", template)))
+        assert calls == {"emit_aug": n, "emit_struct_groups": n, "by_label": n}
 
     def test_pair_and_onestep_build_no_answer(self, calls, labels, template):
         pairs = make_corpus(10, labels, seed=2)
@@ -436,7 +439,7 @@ class TestFirstUse:
         assert calls == {"emit_aug": 0, "emit_struct_groups": 0, "by_label": len(pairs)}
 
     @pytest.mark.parametrize("setup", sorted(SETUPS))
-    def test_concurrent_first_use_gives_the_single_thread_answers(self, setup):
+    def test_concurrent_first_use_gives_the_single_thread_answers(self, calls, setup):
         t, labels = SETUPS[setup]
         pairs = make_corpus(6, LABEL_NAMES, seed=9)
         prompts = [[build_autoreg_prompt(doc, fmt, labels, t) for fmt in ("struct", "aug")]
@@ -464,6 +467,10 @@ class TestFirstUse:
                 assert results == [answers[i % 2:] + answers[:i % 2] for i in range(8)]
         finally:
             sys.setswitchinterval(interval)
+        # each oracle, the single-thread one and one per document, built
+        # each format once, however many threads asked for it at once
+        oracles = 1 + len(pairs)
+        assert calls["emit_aug"] == calls["emit_struct_groups"] == oracles * len(pairs)
 
 
 class TestUnknownLabel:
