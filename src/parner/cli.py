@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import os
+import statistics
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -194,9 +195,9 @@ _OPTIONS: Tuple[_Option, ...] = (
             "policy for the same surface under several labels"),
     _Option("parallelism", dict.fromkeys(_RUNS, 4), _POSITIVE, "documents decoded at once"),
     _Option("repeats", dict.fromkeys(_RUNS, 1), _POSITIVE,
-            "decodes per document, whose latencies are averaged; the oracle's latency is "
-            "the same on every repeat, so HTTP runs pass more to average a measured "
-            "wall clock"),
+            "passes over the corpus; each document's latency is its mean over the passes. "
+            "The oracle's latency is the same on every pass, so HTTP runs pass more to "
+            "average a measured wall clock"),
     _Option("seed", dict.fromkeys(_RUNS, 0), _integer(-math.inf, "an integer"),
             "seed of the oracle's error injection"),
     _Option("max_new_tokens", dict.fromkeys(_RUNS, 512), _POSITIVE,
@@ -393,14 +394,21 @@ def _load_run(options: Dict):
     """Load what every mode of a decode or bench run shares.
 
     The backend settings are checked first, then labels, template, corpus
-    and backend are loaded once; the yielded ``decode(mode)`` decodes the
-    corpus in one mode and de-duplicates it.  The backend is closed when
-    the ``with`` block ends, however it ends.
+    and backend are loaded once; a corpus with no documents left is refused
+    before the backend is built.  The yielded ``decode(mode)`` decodes the
+    corpus in one mode ``--repeats`` times and de-duplicates the first pass.
+    It returns that pass's outcomes, each document's latency in every pass,
+    the run's latency stats with each document's mean over the passes, and
+    the predictions.  The backend is closed when the ``with`` block ends,
+    however it ends.
     """
     settings = _backend_settings(options)
     labels = _load_labels(options)
     template = _load_template(options)
     pairs, dropped = _load_corpus(options, labels)
+    if not pairs:
+        raise ConfigError(f"the corpus has no documents to decode "
+                          f"({len(dropped)} dropped by --max-mentions)")
     try:
         backend = _make_backend(options, settings, pairs, labels, template)
     except ValueError as exc:  # a bad backend setting or HTTP route
@@ -408,18 +416,24 @@ def _load_run(options: Dict):
     docs = [doc for doc, _ in pairs]
 
     def decode(mode: str):
-        outcomes = run_corpus(
-            docs, labels, backend, template, mode,
-            parallelism=options["parallelism"],
-            repeats=options["repeats"],
-            max_new_tokens=options["max_new_tokens"],
-        )
+        def one_pass():
+            return run_corpus(docs, labels, backend, template, mode,
+                              parallelism=options["parallelism"],
+                              max_new_tokens=options["max_new_tokens"])
+
+        outcomes = one_pass()
+        latencies = [[outcome.example_latency_ms] for outcome in outcomes]
+        for _ in range(1, options["repeats"]):  # later passes keep only their latencies
+            for per_pass, outcome in zip(latencies, one_pass()):
+                per_pass.append(outcome.example_latency_ms)
+        mean = statistics.fmean(map(statistics.fmean, latencies))
+        stats = dataclasses.replace(latency_stats(outcomes), mean_example_latency_ms=mean)
         predictions = [
             (doc, GoldAnnotation(doc_id=doc.id, mentions=deduplicate(
                 outcome.raw_mentions, labels, options["dedup"])))
             for doc, outcome in zip(docs, outcomes)
         ]
-        return outcomes, predictions
+        return outcomes, latencies, stats, predictions
 
     try:
         yield labels, pairs, dropped, decode
@@ -427,11 +441,13 @@ def _load_run(options: Dict):
         backend.close()
 
 
-def _outcome_row(outcome) -> Dict:
+def _outcome_row(outcome, latencies: List[float]) -> Dict:
+    """One document's row of ``outcomes.jsonl``: its first pass, with its
+    latency in every pass (null after one) and their mean."""
     return {
         "id": outcome.doc_id,
-        "example_latency_ms": outcome.example_latency_ms,
-        "repeat_latencies": outcome.repeat_latencies,
+        "example_latency_ms": statistics.fmean(latencies),
+        "repeat_latencies": latencies if len(latencies) > 1 else None,
         "step1_batch_size": outcome.step1_batch_size,
         "step2_batch_size": outcome.step2_batch_size,
         "sequences": len(outcome.traces),
@@ -442,12 +458,12 @@ def _outcome_row(outcome) -> Dict:
 
 def _cmd_decode(options: Dict) -> int:
     with _load_run(options) as (_, _, dropped, decode):
-        outcomes, predictions = decode(options["mode"])
+        outcomes, latencies, stats, predictions = decode(options["mode"])
     out_dir = options["out"]
 
     _write(out_dir, "predictions.jsonl", emit_spans_json(predictions))
-    _write_jsonl(out_dir, "outcomes.jsonl", [_outcome_row(o) for o in outcomes])
-    stats = latency_stats(outcomes)
+    _write_jsonl(out_dir, "outcomes.jsonl",
+                 [_outcome_row(o, per_pass) for o, per_pass in zip(outcomes, latencies)])
     total_defects = sum(len(o.defects) for o in outcomes)
     metrics = {
         "latency": dataclasses.asdict(stats),
@@ -490,8 +506,7 @@ def _cmd_bench(options: Dict) -> int:
     with _load_run(options) as (labels, pairs, _, decode):
         gold = {doc.id: ann.mentions for doc, ann in pairs}
         for mode in modes:
-            outcomes, predictions = decode(mode)
-            per_mode_stats[mode] = latency_stats(outcomes)
+            outcomes, _, per_mode_stats[mode], predictions = decode(mode)
             pred = {doc.id: ann.mentions for doc, ann in predictions}
             per_mode_f1[mode] = micro_f1(pred, gold, labels).f1
             total_defects += sum(len(o.defects) for o in outcomes)
@@ -518,7 +533,7 @@ def _cmd_bench(options: Dict) -> int:
               f"mean tokens/sequence {stats.mean_generated_tokens_per_sequence:.2f}, "
               f"f1 {per_mode_f1[mode]:.4f}")
     for name, factor in speedups.items():
-        print(f"speedup {name}: {factor:.2f}x")
+        print(f"speedup {name}: " + ("n/a" if factor is None else f"{factor:.2f}x"))
     return _defect_exit(total_defects, options["max_defects"])
 
 

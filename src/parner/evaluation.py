@@ -132,10 +132,11 @@ def latency_stats(outcomes: Iterable[DecodeOutcome]) -> LatencyStats:
     )
 
 
-def speedup(baseline: LatencyStats, ours: LatencyStats) -> float:
-    """How many times faster than the baseline this run decoded documents."""
+def speedup(baseline: LatencyStats, ours: LatencyStats) -> Optional[float]:
+    """How many times faster than the baseline this run decoded documents;
+    None when this run's mean latency is zero, which leaves it undefined."""
     if ours.mean_example_latency_ms == 0:
-        raise EvalError("cannot compute speedup against zero mean latency")
+        return None
     return baseline.mean_example_latency_ms / ours.mean_example_latency_ms
 
 
@@ -149,7 +150,7 @@ def _table(title: str, head: Sequence[str], rows: Iterable[Sequence[object]]) ->
 def emit_report(
     evaluation: Optional[EvalReport] = None,
     latency: Optional[Mapping[str, LatencyStats]] = None,
-    speedups: Optional[Mapping[str, float]] = None,
+    speedups: Optional[Mapping[str, Optional[float]]] = None,
     f1: Optional[Mapping[str, float]] = None,
 ) -> str:
     """Render the given report sections as markdown tables, in a fixed order."""
@@ -168,7 +169,8 @@ def emit_report(
         ])
     if speedups is not None:
         lines += _table("Speedup", ("comparison", "factor"),
-                        [(name, f"{factor:.2f}") for name, factor in speedups.items()])
+                        [(name, "n/a" if factor is None else f"{factor:.2f}")
+                         for name, factor in speedups.items()])
     if f1 is not None:
         lines += _table("Micro F1", ("run", "f1"),
                         [(name, f"{score:.4f}") for name, score in f1.items()])

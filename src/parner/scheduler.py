@@ -39,9 +39,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import statistics
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
     Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union,
@@ -113,9 +111,12 @@ class ScoredMention(NamedTuple):
     seq_id: str
 
 
-@dataclass
-class DecodeOutcome:
-    """Everything one document's decode produced, before de-duplication."""
+class DecodeOutcome(NamedTuple):
+    """Everything one decode of one document produced, before de-duplication.
+
+    ``example_latency_ms`` is the max over ``traces``' latencies, 0.0 when
+    no sequence came back.
+    """
 
     doc_id: str
     raw_mentions: List[ScoredMention]
@@ -123,8 +124,7 @@ class DecodeOutcome:
     example_latency_ms: float
     step1_batch_size: int
     step2_batch_size: int
-    defects: List[str] = field(default_factory=list)
-    repeat_latencies: Optional[List[float]] = None
+    defects: List[str]
 
 
 def span_probability(
@@ -214,7 +214,8 @@ def decode_document(
     ("autoreg-*").  In the pair modes an empty completion counts as zero
     and the label gets no step two.  A count request may generate no more
     tokens than the count answer of ``t.max_count``; every other request
-    gets ``max_new_tokens``.  Requests that are not batched run on
+    gets ``max_new_tokens``.  A mention the budget cut short is kept and
+    also recorded as a defect.  Requests that are not batched run on
     ``pool`` when one is given, and one at a time without it.  The aug and
     struct formats expose no per-mention token spans, so their mentions
     score probability 1.0 and de-duplication falls back to the label-order
@@ -311,6 +312,8 @@ def decode_document(
             for index in range(1, count + 1)
         ]
         for label, index, result, seq_id in issue("mention", step2):
+            if result.stop_reason == "length":
+                defects.append(f"mention cut by the token budget for label {label} index {index}")
             parsed = parse_mention(result, t)
             if parsed.text:
                 mentions.append(ScoredMention(
@@ -319,15 +322,9 @@ def decode_document(
             else:
                 defects.append(f"empty mention for label {label} index {index}")
 
-    return DecodeOutcome(
-        doc_id=doc.id,
-        raw_mentions=mentions,
-        traces=traces,
-        example_latency_ms=max((tr.latency_ms for tr in traces), default=0.0),
-        step1_batch_size=len(step1),
-        step2_batch_size=len(step2),
-        defects=defects,
-    )
+    return DecodeOutcome(doc.id, mentions, traces,
+                         max((tr.latency_ms for tr in traces), default=0.0),
+                         len(step1), len(step2), defects)
 
 
 def run_corpus(
@@ -337,7 +334,6 @@ def run_corpus(
     t: PromptTemplate,
     mode: str,
     parallelism: int = 4,
-    repeats: int = 1,
     max_new_tokens: int = 512,
 ) -> List[DecodeOutcome]:
     """Decode a corpus with at most ``parallelism`` documents in flight.
@@ -354,32 +350,18 @@ def run_corpus(
     backend, or for one document in a mode that issues one call per step
     (autoreg, or "pair-batch" on a backend that batches).
     Output order always equals input order regardless of completion
-    order.  With ``repeats`` > 1 each document is decoded
-    that many times and the reported example latency is the mean; mentions
-    and traces come from the first run (deterministic backends reproduce
-    them exactly anyway).
+    order.  Each document is decoded once.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     if not docs:
         return []
 
-    def decode_with_repeats(doc: Document, pool: Optional[Executor]) -> DecodeOutcome:
-        runs = [
-            decode_document(doc, labels, backend, t, mode, max_new_tokens=max_new_tokens,
-                            pool=pool)
-            for _ in range(repeats)
-        ]
-        outcome = runs[0]
-        if repeats > 1:
-            latencies = [r.example_latency_ms for r in runs]
-            outcome.repeat_latencies = latencies
-            outcome.example_latency_ms = statistics.fmean(latencies)
-        return outcome
+    def decode(doc: Document, pool: Optional[Executor]) -> DecodeOutcome:
+        return decode_document(doc, labels, backend, t, mode, max_new_tokens=max_new_tokens,
+                               pool=pool)
 
     strands = min(parallelism, len(docs))
     workers = max(parallelism, backend.max_in_flight)
@@ -387,7 +369,7 @@ def run_corpus(
     # backend's pair-batch issue one call per step, so they submit none
     fans_out = workers > strands and not (mode.startswith("autoreg-") or _batched(backend, mode))
     if strands <= 1 and not fans_out:
-        return [decode_with_repeats(doc, None) for doc in docs]
+        return [decode(doc, None) for doc in docs]
     todo = collections.deque(enumerate(docs))
     outcomes: Dict[int, DecodeOutcome] = {}
 
@@ -398,7 +380,7 @@ def run_corpus(
             except IndexError:
                 return
             try:
-                outcomes[i] = decode_with_repeats(doc, pool if fans_out else None)
+                outcomes[i] = decode(doc, pool if fans_out else None)
             except BaseException:
                 todo.clear()  # the other strands start no new document
                 raise

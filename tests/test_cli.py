@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -18,7 +19,7 @@ import pytest
 
 import parner
 from parner import cli
-from parner.backends import CompletionRequest, HttpBackend, OracleBackend
+from parner.backends import CompletionRequest, CompletionResult, HttpBackend, OracleBackend
 from parner.cli import main
 from parner.corpus import Document, GoldAnnotation, Mention, emit_spans_json, parse_spans_json
 from parner.evaluation import micro_f1
@@ -634,6 +635,20 @@ class TestBench:
         assert code == 0
         assert len(built) == 1
 
+    def test_zero_latency_speedups_are_null(self, tmp_path, corpus_path, capsys):
+        # CostModel accepts ms_per_token 0, so every latency is 0 and no speedup is defined
+        out = tmp_path / "out"
+        assert main(["bench", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--modes", "pair-multi,autoreg-struct", "--backend-config",
+                     write_json(tmp_path, "backend.json", {"ms_per_token": 0}),
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        assert payload["speedup"] == {"autoreg-struct/pair-multi": None}
+        markdown = (out / "bench.md").read_text(encoding="utf-8")
+        assert "| autoreg-struct/pair-multi | n/a |" in markdown
+        assert "speedup autoreg-struct/pair-multi: n/a\n" in capsys.readouterr().out
+        assert (out / "resolved_config.json").exists()
+
     def test_baseline_must_be_benched(self, tmp_path, corpus_path, capsys):
         code = main(["bench", "--corpus", corpus_path, "--labels", LABELS_ARG,
                      "--modes", "pair-multi", "--baseline", "autoreg-struct",
@@ -665,6 +680,84 @@ def test_one_repeat_by_default(tmp_path, corpus_path, command):
     assert main(args) == 0
     snapshot = json.loads((out / "resolved_config.json").read_text(encoding="utf-8"))
     assert snapshot["repeats"] == 1
+
+
+class _PassOracle(OracleBackend):
+    """An oracle for runs of one request per document: on pass k (from 0)
+    over the corpus each answer comes 10 * k ms later, and after pass 0 it
+    is an unreadable "?"."""
+
+    def __init__(self, pairs, *args, **kwargs):
+        super().__init__(pairs, *args, **kwargs)
+        self._documents = len(pairs)
+        self._calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        with self._lock:
+            k, self._calls = self._calls // self._documents, self._calls + 1
+        result = super().generate(request)
+        return result if k == 0 else CompletionResult(("?",), (), "?", "eos",
+                                                      result.latency_ms + 10.0 * k)
+
+
+class TestRepeats:
+    """``--repeats`` runs whole passes over the corpus; only the first is kept,
+    and each document's latency is its mean over the passes."""
+
+    def _decode(self, tmp_path, corpus_path, repeats: int):
+        out = tmp_path / f"repeats-{repeats}"
+        assert main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--mode", "autoreg-struct", "--repeats", str(repeats),
+                     "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in
+                (out / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()]
+        metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        return rows, metrics, (out / "predictions.jsonl").read_text(encoding="utf-8")
+
+    def test_latency_is_mean_over_passes(self, tmp_path, corpus_path, monkeypatch):
+        monkeypatch.setattr(cli, "OracleBackend", _PassOracle)
+        once, _, once_predictions = self._decode(tmp_path, corpus_path, 1)
+        rows, metrics, predictions = self._decode(tmp_path, corpus_path, 3)
+        assert predictions == once_predictions
+        assert all(first["repeat_latencies"] is None for first in once)
+        for first, row in zip(once, rows):
+            latency = first["example_latency_ms"]
+            assert row["repeat_latencies"] == [latency, latency + 10.0, latency + 20.0]
+            assert row["example_latency_ms"] == statistics.fmean(row["repeat_latencies"])
+            # mentions, traces and defects are pass 1's
+            assert row["defects"] == first["defects"] == []
+            assert {key: row[key] for key in ("sequences", "generated_tokens")} == \
+                {key: first[key] for key in ("sequences", "generated_tokens")}
+        assert metrics["total_defects"] == 0
+        assert metrics["latency"]["mean_example_latency_ms"] == \
+            statistics.fmean(row["example_latency_ms"] for row in rows)
+
+
+class TestEmptyCorpus:
+    @pytest.mark.parametrize("command", ["decode", "bench"])
+    @pytest.mark.parametrize("empty", ["empty-file", "max-mentions-0"])
+    def test_refused_before_the_backend_is_built(self, tmp_path, corpus_path, capsys,
+                                                 monkeypatch, command, empty):
+        def no_backend(*args, **kwargs):
+            raise AssertionError("no backend expected")
+
+        monkeypatch.setattr(cli, "_make_backend", no_backend)
+        out = tmp_path / "out"
+        corpus, extra, dropped = ((write_corpus(tmp_path, [], "empty.jsonl"), [], 0)
+                                  if empty == "empty-file"
+                                  else (corpus_path, ["--max-mentions", "0"], 12))
+        assert main([command, "--corpus", corpus, "--labels", LABELS_ARG, *extra,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"parner: error: the corpus has no documents to "
+                                           f"decode ({dropped} dropped by --max-mentions)\n")
+        assert not out.exists()
+
+    def test_reformat_writes_an_empty_corpus(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["reformat", "--corpus", write_corpus(tmp_path, []), "--labels", LABELS_ARG,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "stats.json").read_text(encoding="utf-8"))["documents"] == 0
 
 
 class _OracleHandler(BaseHTTPRequestHandler):
@@ -780,6 +873,26 @@ class TestHttpEndToEnd:
             assert len(outcome["defects"]) == 4
             assert all(reason in defect for defect in outcome["defects"])
             assert main(args + ["--max-defects", "4"]) == 0
+
+    def test_bench_with_every_request_failed(self, tmp_path, labels, capsys, monkeypatch):
+        for key in list(os.environ):
+            if key.lower().endswith("_proxy"):
+                monkeypatch.delenv(key)
+        with socket.socket() as listener:  # a port no server listens on once closed
+            listener.bind(("127.0.0.1", 0))
+            port = listener.getsockname()[1]
+        corpus = write_corpus(tmp_path, make_corpus(2, labels, seed=8))
+        backend_config = write_json(tmp_path, "backend.json", {
+            "url": f"http://127.0.0.1:{port}/v1/completions", "max_retries": 0})
+        out = tmp_path / "out"
+        assert main(["bench", "--corpus", corpus, "--labels", LABELS_ARG, "--backend", "http",
+                     "--backend-config", backend_config, "--modes", "pair-multi,autoreg-struct",
+                     "--out", str(out)]) == 2
+        assert "defects: 10 (threshold 0)" in capsys.readouterr().err
+        payload = json.loads((out / "bench.json").read_text(encoding="utf-8"))
+        assert payload["speedup"] == {"autoreg-struct/pair-multi": None}
+        assert payload["modes"]["pair-multi"]["latency"]["mean_example_latency_ms"] == 0.0
+        assert (out / "bench.md").exists() and (out / "resolved_config.json").exists()
 
     @pytest.mark.parametrize("config, message", [
         ({"max_in_flight": 0}, "max_retries >= 0, got 0 and 2"),

@@ -117,7 +117,7 @@ def _outcome(doc_id: str, latency: float, token_counts) -> DecodeOutcome:
     return DecodeOutcome(
         doc_id=doc_id, raw_mentions=[], traces=traces,
         example_latency_ms=latency, step1_batch_size=len(token_counts),
-        step2_batch_size=0,
+        step2_batch_size=0, defects=[],
     )
 
 
@@ -147,8 +147,8 @@ class TestLatencyStats:
 
     def test_speedup_zero_denominator(self):
         zero = LatencyStats(0.0, 0.0, 1, 1, 0)
-        with pytest.raises(EvalError):
-            speedup(zero, zero)
+        assert speedup(zero, zero) is None
+        assert speedup(zero, LatencyStats(2.0, 0.0, 1, 1, 0)) == 0.0
 
 
 class TestEmitReport:

@@ -402,8 +402,6 @@ class TestRunCorpus:
             run_corpus([], labels, ScriptedBackend([]), template, "warp")
         with pytest.raises(ValueError):
             run_corpus([], labels, ScriptedBackend([]), template, "pair-multi", parallelism=0)
-        with pytest.raises(ValueError):
-            run_corpus([], labels, ScriptedBackend([]), template, "pair-multi", repeats=0)
 
     def test_empty_corpus(self, labels, template):
         assert run_corpus([], labels, ScriptedBackend([]), template, "pair-multi") == []
@@ -427,42 +425,79 @@ class TestRunCorpus:
         assert run_corpus([], labels, backend, template, mode, parallelism=parallelism) == []
 
 
-class _LatencySequenceBackend(CompletionBackend):
-    """Returns the same completion with a latency that advances per call."""
+class _VaryingLatencyBackend(CompletionBackend):
+    """Answers as ``inner`` does, each answer with a latency of its own: the
+    n-th (from 0, batch members included) takes ``n % 7 * 1.5`` ms."""
 
-    def __init__(self, text: str, latencies):
-        self._text = text
-        self._latencies = list(latencies)
+    def __init__(self, inner: OracleBackend):
+        self._inner = inner
         self._calls = 0
         self._lock = threading.Lock()
 
-    def generate(self, request: CompletionRequest) -> CompletionResult:
+    def _timed(self, result: CompletionResult) -> CompletionResult:
         with self._lock:
-            latency = self._latencies[self._calls % len(self._latencies)]
-            self._calls += 1
-        return CompletionResult(
-            tokens=(self._text,), token_logprobs=(0.0,), text=self._text,
-            stop_reason="eos", latency_ms=latency,
-        )
+            n, self._calls = self._calls, self._calls + 1
+        return result._replace(latency_ms=n % 7 * 1.5)
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        return self._timed(self._inner.generate(request))
+
+    def generate_batch(self, requests):
+        return [self._timed(result) for result in self._inner.generate_batch(requests)]
 
 
-class TestRepeats:
-    def test_latency_is_mean_over_repeats(self, labels, template):
-        doc = Document(id="x", text="whatever")
-        backend = _LatencySequenceBackend("((PER): (NULL), (MISC): (NULL), (LOC): (NULL), (ORG): (NULL))<eos>",
-                                          [30.0, 34.0, 32.0])
-        outcomes = run_corpus([doc], labels, backend, template, "autoreg-struct",
-                              parallelism=1, repeats=3)
-        outcome = outcomes[0]
-        assert outcome.repeat_latencies == [30.0, 34.0, 32.0]
-        assert outcome.example_latency_ms == pytest.approx(32.0)
-        assert outcome.raw_mentions == []  # mentions come from the first run
+class TestExampleLatency:
+    """A decode outcome is one decode: its latency is the max over its own traces."""
 
-    def test_single_repeat_has_no_repeat_list(self, labels, template):
-        doc = Document(id="x", text="whatever")
-        backend = _LatencySequenceBackend("(( PER", [30.0])
-        outcome = run_corpus([doc], labels, backend, template, "autoreg-struct")[0]
-        assert outcome.repeat_latencies is None
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_max_over_traces(self, mode, parallelism, labels, template):
+        pairs = make_corpus(6, labels, seed=3)
+        backend = _VaryingLatencyBackend(OracleBackend(pairs, labels, template))
+        outcomes = run_corpus([doc for doc, _ in pairs], labels, backend, template, mode,
+                              parallelism=parallelism)
+        assert len({tr.latency_ms for outcome in outcomes for tr in outcome.traces}) > 1
+        for outcome in outcomes:
+            assert outcome.traces
+            assert outcome.example_latency_ms == max(tr.latency_ms for tr in outcome.traces)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_without_traces(self, mode, cuttitta, labels, template):
+        [outcome] = run_corpus([cuttitta[0]], labels, ScriptedBackend([]), template, mode)
+        assert outcome.traces == [] and outcome.defects
+        assert outcome.example_latency_ms == 0.0
+
+
+class TestCutMentions:
+    """A mention the token budget cuts is kept, and is a defect; nothing else cut is."""
+
+    def test_cut_mention_is_a_defect_and_kept(self, template):
+        labels = LabelSet(["PER", "LOC"])
+        pairs = make_corpus(5, labels, seed=1)
+        docs = [doc for doc, _ in pairs]
+        oracle = OracleBackend(pairs, labels, template)
+        for mode in ("pair-multi", "pair-batch"):
+            for outcome in run_corpus(docs, labels, oracle, template, mode, max_new_tokens=1):
+                cut = [tr for tr in outcome.traces
+                       if tr.kind == "mention" and tr.result.stop_reason == "length"]
+                assert outcome.defects == [
+                    f"mention cut by the token budget for label {tr.label} index "
+                    f"{tr.mention_index}" for tr in cut]
+                assert len(outcome.raw_mentions) == len(cut)
+        [first] = run_corpus(docs[:1], labels, oracle, template, "pair-multi", max_new_tokens=1)
+        assert pairs[0][1].mentions[0] == Mention("LOC", "Taces Diwox")
+        assert (first.raw_mentions[0].label, first.raw_mentions[0].text) == ("LOC", "Taces")
+        assert first.defects[0] == "mention cut by the token budget for label LOC index 1"
+
+    @pytest.mark.parametrize("mode", ["onestep", "autoreg-aug", "autoreg-struct"])
+    def test_other_cut_answers_unchanged(self, mode, template):
+        labels = LabelSet(["PER", "LOC"])
+        pairs = make_corpus(5, labels, seed=1)
+        oracle = OracleBackend(pairs, labels, template)
+        for outcome in run_corpus([doc for doc, _ in pairs], labels, oracle, template, mode,
+                                  max_new_tokens=1):
+            assert all(tr.result.stop_reason == "length" for tr in outcome.traces)
+            assert not any("cut by the token budget" in d for d in outcome.defects)
 
 
 class TestCostAccounting:
