@@ -41,7 +41,7 @@ from parner.templates import (
     count_answer,
     emit_aug,
     emit_onestep,
-    emit_struct_groups,
+    emit_struct,
     read_mention_prompt,
 )
 
@@ -124,15 +124,19 @@ class OracleBackend(CompletionBackend):
     corpus's own strings, and the few frames of the template and label
     set; it holds no prompt.  Index memory is therefore O(corpus), not
     O(corpus x (2 labels + 2)) as a map from every buildable prompt would
-    be.  Construction groups each gold by label but builds no struct or
-    aug answer.  The first request that reads an answer of a format builds
-    that format's answers for every document, in one loop, so a run builds
-    only the formats its modes read, and a format costs what it would cost
-    at construction.  A mention prompt is recognised as a count prompt
-    plus the tail that ``templates.build_mention_prompt`` adds, read back
-    by ``templates.read_mention_prompt``.  When two pairs share a document
-    text, the later one answers.  A gold mention whose label is not in
-    ``labels`` is a ``CorpusError`` at construction.
+    be.  Construction groups each gold by label, once, with
+    ``GoldAnnotation.by_label``; count, mention, onestep and struct answers
+    are all read from those groups.  It builds no struct or aug answer.
+    The first request that reads an answer of a format builds that
+    format's answers for every document, in one loop, so a run builds only
+    the formats its modes read, and a format costs what it would cost at
+    construction.  A mention prompt is recognised as a count prompt plus
+    the tail that ``templates.build_mention_prompt`` adds, read back by
+    ``templates.read_mention_prompt``.  That reading is tried only when the
+    whole prompt is no count, onestep or autoreg prompt, so a prompt that
+    is both gets the other prompt's answer.  When two pairs share a
+    document text, the later one answers.  A gold mention whose label is
+    not in ``labels`` is a ``CorpusError`` at construction.
 
     Answers are a pure function of the request, and the instance is safe
     for concurrent use: a lock makes the first build of a format's answers
@@ -247,20 +251,25 @@ class OracleBackend(CompletionBackend):
 
     def _full_answer(self, prompt: str) -> Tuple[List[str], _Logprobs]:
         """The unlimited answer's tokens, and the logprobs of its first n tokens."""
+        index = None
         found = self._lookup(prompt, len(prompt))
-        if found is None:
-            mention = self._match_mention_prompt(prompt)
-            if mention is None:
+        if found is None:  # then a mention prompt: a count prompt and a tail
+            read = read_mention_prompt(prompt, self._t)
+            if read is not None:
+                count_end, index = read
+                found = self._lookup(prompt, count_end)
+            if found is None or found[0][1] != "count":
                 raise UnknownPromptError(
                     f"prompt does not match any document/label in the oracle corpus: "
                     f"{prompt[-120:]!r}"
                 )
-            return self._mention_answer(*mention)
         (_, kind, arg), (position, doc, gold, by_label) = found
+        if index is not None:
+            return self._mention_answer(doc, gold, arg, index, by_label[arg])
         if kind == "count":
             return self._count_answer(doc, arg, by_label[arg])
         if kind == "onestep":
-            return self._serialized_answer(emit_onestep(gold, arg), doc.id, f"onestep/{arg}")
+            return self._serialized_answer(emit_onestep(by_label[arg]), doc.id, f"onestep/{arg}")
         answers = self._autoreg.get(arg)
         if answers is None:
             answers = self._build_autoreg(arg)
@@ -282,7 +291,7 @@ class OracleBackend(CompletionBackend):
             answers = {}
             for position, doc, gold, by_label in self._texts.values():
                 if fmt == "struct":
-                    answers[position] = emit_struct_groups(by_label, labels)
+                    answers[position] = emit_struct(by_label, labels)
                     continue
                 try:
                     answers[position] = emit_aug(doc, gold, labels)
@@ -324,16 +333,6 @@ class OracleBackend(CompletionBackend):
             if self._exclusive_prefixes:
                 break  # no other prefix can begin this prompt
         return best
-
-    def _match_mention_prompt(
-        self, prompt: str
-    ) -> Optional[Tuple[Document, GoldAnnotation, str, int, List[Mention]]]:
-        read = read_mention_prompt(prompt, self._t)
-        found = self._lookup(prompt, read[0]) if read else None
-        if found is None or found[0][1] != "count":
-            return None
-        (_, _, label), (_, doc, gold, by_label) = found
-        return doc, gold, label, read[1], by_label[label]
 
     def _count_answer(
         self, doc: Document, label: str, mentions: List[Mention]

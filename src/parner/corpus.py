@@ -61,11 +61,14 @@ class GoldAnnotation:
     doc_id: str
     mentions: List[Mention] = field(default_factory=list)
 
-    def for_label(self, label: str) -> List[Mention]:
-        return [m for m in self.mentions if m.label == label]
-
     def by_label(self, labels: Iterable[str]) -> Dict[str, List[Mention]]:
-        """``for_label`` of each of ``labels``, from one pass over the mentions."""
+        """Each of ``labels``, in their order, mapped to its mentions in gold
+        order, from one pass over the mentions.
+
+        This is the one per-label view of gold: every pair, onestep and
+        struct answer is built from it.  A label with no mentions maps to an
+        empty list; a mention whose label is not in ``labels`` is left out.
+        """
         groups: Dict[str, List[Mention]] = {label: [] for label in labels}
         for m in self.mentions:
             if m.label in groups:

@@ -89,8 +89,7 @@ def generate_pair_examples(
     is sum over labels of max(1, m).
     """
     examples: List[TrainingExample] = []
-    for label in labels:
-        mentions = gold.for_label(label)
+    for label, mentions in gold.by_label(labels).items():
         common = dict(input=build_count_prompt(doc, labels.surface(label), t), format="pair",
                       doc_id=doc.id, label=label, mention_count=len(mentions))
         if not mentions:
@@ -121,7 +120,8 @@ def generate_baseline_examples(
             doing corpus-level generation should skip and report such docs.
     """
     if fmt in ("aug", "struct"):
-        output = emit_aug(doc, gold, labels) if fmt == "aug" else emit_struct(gold, labels)
+        output = (emit_aug(doc, gold, labels) if fmt == "aug"
+                  else emit_struct(gold.by_label(labels), labels))
         return [TrainingExample(
             input=build_autoreg_prompt(doc, fmt, labels, t),
             output=output,
@@ -133,13 +133,13 @@ def generate_baseline_examples(
         return [
             TrainingExample(
                 input=build_onestep_prompt(doc, labels.surface(label), t),
-                output=emit_onestep(gold, label),
+                output=emit_onestep(mentions),
                 format="onestep",
                 doc_id=doc.id,
                 label=label,
-                mention_count=len(gold.for_label(label)),
+                mention_count=len(mentions),
             )
-            for label in labels
+            for label, mentions in gold.by_label(labels).items()
         ]
     raise TemplateError(f"unknown training format: {fmt!r}")
 

@@ -41,7 +41,6 @@ __all__ = [
     "parse_count",
     "parse_mention",
     "emit_struct",
-    "emit_struct_groups",
     "parse_structured",
     "emit_aug",
     "parse_augmented",
@@ -328,19 +327,15 @@ def parse_mention(completion: Completion, t: PromptTemplate) -> ParsedMention:
 _NULL_BODY = "NULL"
 
 
-def emit_struct(gold: GoldAnnotation, labels: LabelSet) -> str:
-    """Serialize gold mentions as a parenthesized per-label annotation.
+def emit_struct(groups: Dict[str, List[Mention]], labels: LabelSet) -> str:
+    """Serialize gold mentions, as ``GoldAnnotation.by_label(labels)``
+    groups them, as a parenthesized per-label annotation.
 
-    Labels appear in label-set order; a label with no mentions gets the
-    NULL body.  Example::
+    Labels appear in the order of ``groups``, which ``by_label`` gives in
+    label-set order; a label with no mentions gets the NULL body.  Example::
 
         ((PER): (Cuttitta), (MISC): (1995 World Cup), (LOC): (Italy, England), (ORG): (NULL))
     """
-    return emit_struct_groups(gold.by_label(labels), labels)
-
-
-def emit_struct_groups(groups: Dict[str, List[Mention]], labels: LabelSet) -> str:
-    """:func:`emit_struct` of the mentions that ``GoldAnnotation.by_label`` grouped."""
     parts = []
     for label, mentions in groups.items():
         body = ", ".join([m.text for m in mentions]) if mentions else _NULL_BODY
@@ -517,9 +512,10 @@ def parse_augmented(text: str, labels: LabelSet) -> Tuple[List[Mention], List[st
 _QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 
-def emit_onestep(gold: GoldAnnotation, label: str) -> str:
-    """JSON list of one label's mention surfaces, in gold order."""
-    return json.dumps([m.text for m in gold.for_label(label)], ensure_ascii=False)
+def emit_onestep(mentions: Sequence[Mention]) -> str:
+    """JSON list of the surfaces of ``mentions``, one label's group of
+    ``GoldAnnotation.by_label``, in gold order."""
+    return json.dumps([m.text for m in mentions], ensure_ascii=False)
 
 
 def parse_onestep(completion: Completion, t: PromptTemplate) -> Tuple[List[ParsedMention], List[str]]:

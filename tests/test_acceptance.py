@@ -239,15 +239,16 @@ def test_criterion_09_round_trips_for_all_formats(labels, template):
                 recovered.append(Mention(ex.label, rest[len(marker):]))
             assert mention_multiset(recovered) == expected, f"pair on {doc.id}"
 
-            struct_mentions, defects = parse_structured(emit_struct(gold, labels), labels)
+            struct_mentions, defects = parse_structured(
+                emit_struct(gold.by_label(labels), labels), labels)
             assert defects == [] and mention_multiset(struct_mentions) == expected
 
             aug_mentions, defects = parse_augmented(emit_aug(doc, gold, labels), labels)
             assert defects == [] and mention_multiset(aug_mentions) == expected
 
             onestep = []
-            for label in labels:
-                text = emit_onestep(gold, label)
+            for label, mentions in gold.by_label(labels).items():
+                text = emit_onestep(mentions)
                 parsed, defects = parse_onestep(completion(text, tokens=[text]), template)
                 assert defects == []
                 onestep.extend(Mention(label, m.text) for m in parsed)

@@ -371,11 +371,11 @@ class TestOracleBackend:
     def _transcript(self, oracle, corpus, labels, template):
         lines = []
         for doc, gold in corpus:
-            for label in labels:
+            for label, mentions in gold.by_label(labels).items():
                 count_prompt = build_count_prompt(doc, labels.surface(label), template)
                 r = oracle.generate(CompletionRequest(prompt=count_prompt))
                 lines.append((count_prompt, r.tokens, r.token_logprobs))
-                m = len(gold.for_label(label))
+                m = len(mentions)
                 for index in range(1, m + 1):
                     p = build_mention_prompt(count_prompt, m, index, template)
                     r = oracle.generate(CompletionRequest(prompt=p))
@@ -476,9 +476,9 @@ class TestOracleLogprobs:
              [(True, ("d0", "MISC", "mention", 2, 0)), (False, ("d0", "MISC", "mention-eos", 2))],
              2),
             (build_onestep_prompt(doc, "LOC", template),
-             serialized(emit_onestep(gold, "LOC"), "onestep/LOC"), 1),
+             serialized(emit_onestep(gold.by_label(labels)["LOC"]), "onestep/LOC"), 1),
             (build_autoreg_prompt(doc, "struct", labels, template),
-             serialized(emit_struct(gold, labels), "autoreg"), 1),
+             serialized(emit_struct(gold.by_label(labels), labels), "autoreg"), 1),
             (build_autoreg_prompt(doc, "aug", labels, template),
              serialized(emit_aug(doc, gold, labels), "autoreg"), 1),
         ]
@@ -529,8 +529,8 @@ class TestOracleDecisionDraws:
                                errors=ErrorInjection(p_count=p))
         seen = set()
         for doc, gold in corpus:
-            for label in labels:
-                gold_m = len(gold.for_label(label))
+            for label, mentions in gold.by_label(labels).items():
+                gold_m = len(mentions)
                 delta = 0
                 if _reference_unit("count?", doc.id, label) < p:
                     up = gold_m == 0 or _reference_unit("count+-", doc.id, label) < 0.5
@@ -547,8 +547,7 @@ class TestOracleDecisionDraws:
                                errors=ErrorInjection(p_index=p))
         picks, swapped = set(), set()
         for doc, gold in corpus:
-            for label in labels:
-                mentions = gold.for_label(label)
+            for label, mentions in gold.by_label(labels).items():
                 candidates = [m.text for m in gold.mentions if m.label != label]
                 count_prompt = build_count_prompt(doc, label, template)
                 for index, mention in enumerate(mentions, start=1):

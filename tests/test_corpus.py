@@ -328,16 +328,18 @@ class TestHelpers:
             ("LOC", "England"): 1,
         })
 
-    def test_for_label_preserves_order(self, cuttitta):
+    def test_by_label_preserves_order(self, cuttitta):
         _, gold = cuttitta
-        assert [m.text for m in gold.for_label("LOC")] == ["Italy", "England"]
-        assert gold.for_label("ORG") == []
+        groups = gold.by_label(["LOC", "ORG"])
+        assert [m.text for m in groups["LOC"]] == ["Italy", "England"]
+        assert groups["ORG"] == []
 
-    def test_by_label_groups_as_for_label(self, cuttitta):
+    def test_by_label_groups_as_a_filter(self, cuttitta):
         _, gold = cuttitta
         groups = gold.by_label(["ORG", "LOC", "PER"])
         assert list(groups) == ["ORG", "LOC", "PER"]
-        assert all(groups[label] == gold.for_label(label) for label in groups)
+        assert all(groups[label] == [m for m in gold.mentions if m.label == label]
+                   for label in groups)
 
     def test_filter_max_mentions(self, cuttitta):
         doc, gold = cuttitta

@@ -145,8 +145,8 @@ class TestRecognition:
                             + t.mention_marker.replace("{n}", index_text))
 
 
-def _count_tokens(gold: GoldAnnotation, label: str, t: PromptTemplate) -> Tuple[str, ...]:
-    m = len(gold.for_label(label))
+def _count_tokens(mentions: List[Mention], t: PromptTemplate) -> Tuple[str, ...]:
+    m = len(mentions)
     return tuple(str(m)) + (t.count_terminator,) if m else (t.eos_literal,)
 
 
@@ -191,14 +191,15 @@ class TestAgainstAPromptMap:
         oracle = OracleBackend(pairs, labels, t)
         expected: Dict[str, tuple] = {}
         for doc, gold in pairs:
-            for label in labels:
+            groups = gold.by_label(labels)
+            for label, mentions in groups.items():
                 surface = labels.surface(label)
                 expected[build_count_prompt(doc, surface, t)] = (
-                    "count", _count_tokens(gold, label, t))
+                    "count", _count_tokens(mentions, t))
                 expected[build_onestep_prompt(doc, surface, t)] = (
-                    "text", emit_onestep(gold, label) + t.eos_literal)
+                    "text", emit_onestep(mentions) + t.eos_literal)
             expected[build_autoreg_prompt(doc, "struct", labels, t)] = (
-                "text", emit_struct(gold, labels) + t.eos_literal)
+                "text", emit_struct(groups, labels) + t.eos_literal)
             try:
                 aug = ("text", emit_aug(doc, gold, labels) + t.eos_literal)
             except TemplateError:
@@ -300,6 +301,21 @@ class TestTieBreaks:
         result = oracle.generate(CompletionRequest(prompt=prompt))
         assert result.text == '["l"]<eos>'
 
+    @pytest.mark.parametrize("b_later", [True, False], ids=["b-later", "b-earlier"])
+    def test_whole_prompt_beats_mention_reading(self, b_later):
+        # one prompt is a's PER mention 1 prompt and b's PER onestep prompt:
+        # the whole-prompt reading answers, wherever b is in the corpus
+        t = PromptTemplate(text_header="<entity>PER<text>")
+        labels = LabelSet(["PER", "LOC"])
+        a = Document("a", "Bob met Ann .")
+        b = Document("b", a.text + "\nentity type:\nPER\n<num>\n1\n<mention 1>")
+        pairs = [(a, GoldAnnotation("a", [Mention("PER", "Bob")])),
+                 (b, GoldAnnotation("b", [Mention("LOC", "Ann")]))]
+        oracle = OracleBackend(pairs if b_later else pairs[::-1], labels, t)
+        prompt = build_mention_prompt(build_count_prompt(a, "PER", t), 1, 1, t)
+        assert prompt == build_onestep_prompt(b, "PER", t)
+        assert oracle.generate(CompletionRequest(prompt=prompt)).text == "[]<eos>"
+
 
 class TestPrebuiltAnswers:
     """The struct and aug answers, built on first use, are the emitters' own."""
@@ -319,7 +335,7 @@ class TestPrebuiltAnswers:
         for doc, gold in pairs:
             struct = oracle.generate(CompletionRequest(
                 build_autoreg_prompt(doc, "struct", labels, t), 10 ** 6))
-            assert struct.text == emit_struct(gold, labels) + t.eos_literal
+            assert struct.text == emit_struct(gold.by_label(labels), labels) + t.eos_literal
             aug_prompt = build_autoreg_prompt(doc, "aug", labels, t)
             if doc.id == "lost":
                 with pytest.raises(TemplateError):
@@ -401,7 +417,7 @@ class TestFirstUse:
 
     @pytest.fixture
     def calls(self, monkeypatch) -> Dict[str, int]:
-        calls = {"emit_aug": 0, "emit_struct_groups": 0, "by_label": 0}
+        calls = {"emit_aug": 0, "emit_struct": 0, "by_label": 0}
 
         def counted(name, function):
             def wrapper(*args):
@@ -409,7 +425,7 @@ class TestFirstUse:
                 return function(*args)
             return wrapper
 
-        for name in ("emit_aug", "emit_struct_groups"):
+        for name in ("emit_aug", "emit_struct"):
             monkeypatch.setattr(oracle_module, name, counted(name, getattr(oracle_module, name)))
         monkeypatch.setattr(GoldAnnotation, "by_label",
                             counted("by_label", GoldAnnotation.by_label))
@@ -419,16 +435,16 @@ class TestFirstUse:
         pairs = make_corpus(10, labels, seed=2)
         n = len(pairs)
         oracle = OracleBackend(pairs, labels, template)
-        assert calls == {"emit_aug": 0, "emit_struct_groups": 0, "by_label": n}
+        assert calls == {"emit_aug": 0, "emit_struct": 0, "by_label": n}
         for i in (3, 3, 7):
             oracle.generate(CompletionRequest(
                 build_autoreg_prompt(pairs[i][0], "aug", labels, template)))
-        assert calls == {"emit_aug": n, "emit_struct_groups": 0, "by_label": n}
+        assert calls == {"emit_aug": n, "emit_struct": 0, "by_label": n}
         for i in (3, 7):
             oracle.generate(CompletionRequest(
                 build_autoreg_prompt(pairs[i][0], "struct", labels, template)))
             oracle.generate(CompletionRequest(build_count_prompt(pairs[i][0], "LOC", template)))
-        assert calls == {"emit_aug": n, "emit_struct_groups": n, "by_label": n}
+        assert calls == {"emit_aug": n, "emit_struct": n, "by_label": n}
 
     def test_pair_and_onestep_build_no_answer(self, calls, labels, template):
         pairs = make_corpus(10, labels, seed=2)
@@ -436,7 +452,7 @@ class TestFirstUse:
         for mode in ("pair-batch", "onestep"):
             run_corpus([doc for doc, _ in pairs], labels, oracle, template, mode,
                        parallelism=1)
-        assert calls == {"emit_aug": 0, "emit_struct_groups": 0, "by_label": len(pairs)}
+        assert calls == {"emit_aug": 0, "emit_struct": 0, "by_label": len(pairs)}
 
     @pytest.mark.parametrize("setup", sorted(SETUPS))
     def test_concurrent_first_use_gives_the_single_thread_answers(self, calls, setup):
@@ -470,7 +486,7 @@ class TestFirstUse:
         # each oracle, the single-thread one and one per document, built
         # each format once, however many threads asked for it at once
         oracles = 1 + len(pairs)
-        assert calls["emit_aug"] == calls["emit_struct_groups"] == oracles * len(pairs)
+        assert calls["emit_aug"] == calls["emit_struct"] == oracles * len(pairs)
 
 
 class TestUnknownLabel:

@@ -587,7 +587,7 @@ class TestFailurePaths:
     def test_one_count_failing_without_batches_loses_only_its_label(
             self, mode, labels, template):
         pairs = make_corpus(10, labels, seed=4)
-        doc, gold = next((d, g) for d, g in pairs if g.for_label("ORG"))
+        doc, gold = next((d, g) for d, g in pairs if g.by_label(["ORG"])["ORG"])
         oracle = OracleBackend(pairs, labels, template)
         backend = _CountDownBackend(oracle, build_count_prompt(doc, "ORG", template))
         outcome = run_corpus([doc], labels, backend, template, mode, parallelism=1)[0]

@@ -287,20 +287,20 @@ class TestParseMention:
 class TestStructFormat:
     def test_emit_worked_example(self, labels, cuttitta):
         _, gold = cuttitta
-        assert emit_struct(gold, labels) == (
+        assert emit_struct(gold.by_label(labels), labels) == (
             "((PER): (Cuttitta), (MISC): (1995 World Cup), "
             "(LOC): (Italy, England), (ORG): (NULL))"
         )
 
     def test_emit_all_empty(self, labels):
         gold = GoldAnnotation(doc_id="x", mentions=[])
-        assert emit_struct(gold, labels) == (
+        assert emit_struct(gold.by_label(labels), labels) == (
             "((PER): (NULL), (MISC): (NULL), (LOC): (NULL), (ORG): (NULL))"
         )
 
     def test_parse_worked_example(self, labels, cuttitta):
         _, gold = cuttitta
-        mentions, defects = parse_structured(emit_struct(gold, labels), labels)
+        mentions, defects = parse_structured(emit_struct(gold.by_label(labels), labels), labels)
         assert defects == []
         assert mentions == gold.mentions  # label-set order happens to match here
 
@@ -358,7 +358,7 @@ class TestStructFormat:
     def test_header_that_occurs_again_later_stays_in_the_body(self, labels):
         # the body of a group that is not the last holds a later label's header
         gold = GoldAnnotation("x", [Mention("PER", "a), x(LOC): (b"), Mention("LOC", "c")])
-        mentions, defects = parse_structured(emit_struct(gold, labels), labels)
+        mentions, defects = parse_structured(emit_struct(gold.by_label(labels), labels), labels)
         assert defects == []
         assert mentions == [Mention("PER", "a)"), Mention("PER", "x(LOC): (b"),
                             Mention("LOC", "c")]
@@ -381,7 +381,7 @@ class TestStructFormat:
     def test_header_that_occurs_earlier_stays_in_the_body(self, names, label, surface):
         ls = LabelSet(names)
         mentions, defects = parse_structured(
-            emit_struct(GoldAnnotation("x", [Mention(label, surface)]), ls), ls)
+            emit_struct(GoldAnnotation("x", [Mention(label, surface)]).by_label(ls), ls), ls)
         assert defects == []
         assert mentions == [Mention(label, part) for part in surface.split(", ")]
 
@@ -394,14 +394,15 @@ class TestStructFormat:
         # emit_struct writes every header before the last body, so the last
         # body never starts a group of its own, whatever the surfaces hold
         gold = GoldAnnotation("x", [Mention(label, surface) for label, surface in pairs])
-        _, defects = parse_structured(emit_struct(gold, _PROP_LABELS), _PROP_LABELS)
+        _, defects = parse_structured(
+            emit_struct(gold.by_label(_PROP_LABELS), _PROP_LABELS), _PROP_LABELS)
         assert not any(d.startswith(("text outside any label group",
                                      "unterminated mention body")) for d in defects)
 
     def test_surface_map_round_trip(self):
         ls = LabelSet(["LOC", "PER"], surface_map={"LOC": "地点", "PER": "名称"})
         gold = GoldAnnotation(doc_id="x", mentions=[Mention("LOC", "孟买")])
-        text = emit_struct(gold, ls)
+        text = emit_struct(gold.by_label(ls), ls)
         assert text == "((地点): (孟买), (名称): (NULL))"
         mentions, defects = parse_structured(text, ls)
         assert defects == [] and mentions == gold.mentions
@@ -464,12 +465,13 @@ class TestAugFormat:
 class TestOnestepFormat:
     def test_emit_list(self, cuttitta):
         _, gold = cuttitta
-        assert emit_onestep(gold, "LOC") == '["Italy", "England"]'
-        assert emit_onestep(gold, "ORG") == "[]"
+        groups = gold.by_label(["LOC", "ORG"])
+        assert emit_onestep(groups["LOC"]) == '["Italy", "England"]'
+        assert emit_onestep(groups["ORG"]) == "[]"
 
     def test_emit_preserves_unicode(self):
         gold = GoldAnnotation(doc_id="x", mentions=[Mention("LOC", "孟买")])
-        assert emit_onestep(gold, "LOC") == '["孟买"]'
+        assert emit_onestep(gold.mentions) == '["孟买"]'
 
     def test_parse_spans_cover_surfaces(self, template):
         text = '["Italy", "England"]'
@@ -603,7 +605,8 @@ class TestRoundTripProperties:
     @settings(max_examples=150)
     def test_struct_round_trip_multiset(self, pair):
         doc, gold = pair
-        mentions, defects = parse_structured(emit_struct(gold, _PROP_LABELS), _PROP_LABELS)
+        mentions, defects = parse_structured(
+            emit_struct(gold.by_label(_PROP_LABELS), _PROP_LABELS), _PROP_LABELS)
         assert defects == []
         assert mention_multiset(mentions) == mention_multiset(gold.mentions)
 
@@ -620,8 +623,8 @@ class TestRoundTripProperties:
     def test_onestep_round_trip_multiset(self, pair):
         _, gold = pair
         recovered = []
-        for label in _PROP_LABELS:
-            text = emit_onestep(gold, label)
+        for label, label_mentions in gold.by_label(_PROP_LABELS).items():
+            text = emit_onestep(label_mentions)
             c = completion(text, tokens=[text] if text else [])
             mentions, defects = parse_onestep(c, _PROP_TEMPLATE)
             assert defects == []
