@@ -203,8 +203,11 @@ def parse_bio(
 
     Each nonblank line holds a token and its tag (first and last whitespace
     columns; extra middle columns are ignored).  Blank lines separate
-    documents.  Tokens are joined with ``joiner`` to form document and
-    mention text; pass "" for unspaced scripts.
+    documents, and so does a line whose first column is ``-DOCSTART-``,
+    CoNLL-2003's article separator, which is no token of any document.
+    Document ids are positions among the documents read.  Tokens are
+    joined with ``joiner`` to form document and mention text; pass "" for
+    unspaced scripts.
 
     Raises:
         CorpusError: on malformed lines or tags, or tags whose label is not
@@ -241,6 +244,9 @@ def parse_bio(
             flush(lineno - 1)
             continue
         fields = line.split()
+        if fields[0] == "-DOCSTART-":
+            flush(lineno - 1)
+            continue
         if len(fields) < 2:
             raise CorpusError(f"line {lineno}: expected token and tag columns: {raw!r}")
         if not tokens:

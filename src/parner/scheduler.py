@@ -214,8 +214,9 @@ def decode_document(
     ("autoreg-*").  In the pair modes an empty completion counts as zero
     and the label gets no step two.  A count request may generate no more
     tokens than the count answer of ``t.max_count``; every other request
-    gets ``max_new_tokens``.  A mention the budget cut short is kept and
-    also recorded as a defect.  Requests that are not batched run on
+    gets ``max_new_tokens``.  A mention, list or autoreg answer the budget
+    cut short is parsed as far as it goes and also recorded as a defect,
+    ahead of its parse defects.  Requests that are not batched run on
     ``pool`` when one is given, and one at a time without it.  The aug and
     struct formats expose no per-mention token spans, so their mentions
     score probability 1.0 and de-duplication falls back to the label-order
@@ -265,6 +266,12 @@ def decode_document(
             upstream = max((traces[position].latency_ms for position in waits), default=0.0)
             traces.append(SequenceTrace(seq_id, label, kind, index, req, result,
                                         upstream + result.latency_ms))
+            # a count is exempt: a model trained on pair examples writes on
+            # past its count, and parse_count reads only up to the terminator
+            if kind != "count" and result.stop_reason == "length":
+                defects.append(f"{kind} cut by the token budget"
+                               + (f" for label {label}" if label is not None else "")
+                               + (f" index {index}" if index is not None else ""))
             yield label, index, result, seq_id
 
     # the list, struct and aug parsers drop an empty surface and record
@@ -312,8 +319,6 @@ def decode_document(
             for index in range(1, count + 1)
         ]
         for label, index, result, seq_id in issue("mention", step2):
-            if result.stop_reason == "length":
-                defects.append(f"mention cut by the token budget for label {label} index {index}")
             parsed = parse_mention(result, t)
             if parsed.text:
                 mentions.append(ScoredMention(

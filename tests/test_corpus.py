@@ -223,6 +223,31 @@ class TestParseBio:
     def test_empty_input(self, labels):
         assert parse_bio("", labels) == []
 
+    def test_docstart_lines_separate_documents(self, labels):
+        # CoNLL-2003: two articles, three sentences; one separator is bare
+        text = (
+            "-DOCSTART- -X- -X- O\n"
+            "\n"
+            "EU NNP B-NP B-ORG\n"
+            "rejects VBZ B-VP O\n"
+            "German JJ B-NP B-MISC\n"
+            "call NN I-NP O\n"
+            ". . O O\n"
+            "\n"
+            "Peter NNP B-NP B-PER\n"
+            "Blackburn NNP I-NP I-PER\n"
+            "-DOCSTART-\n"
+            "BRUSSELS NNP B-NP B-LOC\n"
+            "1996-08-22 CD I-NP O\n"
+        )
+        pairs = parse_bio(text, labels)
+        assert [(doc.id, doc.text, gold.doc_id, gold.mentions) for doc, gold in pairs] == [
+            ("0", "EU rejects German call .", "0",
+             [Mention("ORG", "EU"), Mention("MISC", "German")]),
+            ("1", "Peter Blackburn", "1", [Mention("PER", "Peter Blackburn")]),
+            ("2", "BRUSSELS 1996-08-22", "2", [Mention("LOC", "BRUSSELS")]),
+        ]
+
     def test_dangling_i_error_policy_propagates(self, labels):
         with pytest.raises(CorpusError):
             parse_bio("Paris I-LOC\n", labels, malformed="error")

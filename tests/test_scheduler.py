@@ -31,7 +31,14 @@ from parner.scheduler import (
     span_probability,
 )
 from parner.synthetic import make_corpus
-from parner.templates import PromptTemplate, build_count_prompt
+from parner.templates import (
+    PromptTemplate,
+    build_count_prompt,
+    parse_augmented,
+    parse_onestep,
+    parse_structured,
+    visible_text,
+)
 from conftest import (
     ScriptedBackend,
     TRACE_COUNTS,
@@ -293,7 +300,7 @@ class TestLongDocumentDigests:
 
     The documents are as long as the benchmark's (40-80 fillers between
     mentions), so at a budget of 512 some aug answers are cut for length,
-    and at 3 every answer but the shortest is.
+    and at 3 every answer but the shortest is; each cut answer is a defect.
     """
 
     DIGESTS = {
@@ -302,11 +309,11 @@ class TestLongDocumentDigests:
         ("pair-batch", 512): "49bba800b43c1707",
         ("pair-batch", 3): "49bba800b43c1707",
         ("onestep", 512): "2cd564fe4839136f",
-        ("onestep", 3): "3b15fd3e66d77538",
-        ("autoreg-aug", 512): "180b6167e5b5c6e2",
-        ("autoreg-aug", 3): "fb26a51c3a7129f2",
+        ("onestep", 3): "9d823720c2d3d12c",
+        ("autoreg-aug", 512): "b90d5ba96706cecb",
+        ("autoreg-aug", 3): "f00157ad5a061517",
         ("autoreg-struct", 512): "ec6476eddeedcb07",
-        ("autoreg-struct", 3): "1fbcfe11b104fda9",
+        ("autoreg-struct", 3): "df071a5eef9760b4",
     }
 
     @pytest.fixture(scope="class")
@@ -469,7 +476,9 @@ class TestExampleLatency:
 
 
 class TestCutMentions:
-    """A mention the token budget cuts is kept, and is a defect; nothing else cut is."""
+    """A mention, list or autoreg answer the token budget cuts is parsed as
+    far as it goes, and is a defect ahead of its parse defects; a cut count
+    is no defect."""
 
     def test_cut_mention_is_a_defect_and_kept(self, template):
         labels = LabelSet(["PER", "LOC"])
@@ -489,15 +498,51 @@ class TestCutMentions:
         assert (first.raw_mentions[0].label, first.raw_mentions[0].text) == ("LOC", "Taces")
         assert first.defects[0] == "mention cut by the token budget for label LOC index 1"
 
-    @pytest.mark.parametrize("mode", ["onestep", "autoreg-aug", "autoreg-struct"])
-    def test_other_cut_answers_unchanged(self, mode, template):
+    @pytest.mark.parametrize("mode, budget", [
+        ("onestep", 1), ("onestep", 4), ("autoreg-aug", 1), ("autoreg-aug", 20),
+        ("autoreg-struct", 1), ("autoreg-struct", 8)])
+    def test_cut_answer_is_a_defect_ahead_of_its_parse_defects(self, mode, budget, template):
         labels = LabelSet(["PER", "LOC"])
         pairs = make_corpus(5, labels, seed=1)
         oracle = OracleBackend(pairs, labels, template)
-        for outcome in run_corpus([doc for doc, _ in pairs], labels, oracle, template, mode,
-                                  max_new_tokens=1):
-            assert all(tr.result.stop_reason == "length" for tr in outcome.traces)
-            assert not any("cut by the token budget" in d for d in outcome.defects)
+        outcomes = run_corpus([doc for doc, _ in pairs], labels, oracle, template, mode,
+                              max_new_tokens=budget)
+        cut = 0
+        for outcome in outcomes:
+            expected = []
+            for tr in outcome.traces:
+                if tr.result.stop_reason == "length":
+                    cut += 1
+                    expected.append(f"{tr.kind} cut by the token budget"
+                                    + (f" for label {tr.label}" if tr.label else ""))
+                if mode == "onestep":
+                    _, parse_defects = parse_onestep(tr.result, template)
+                    expected.extend(f"label {tr.label}: {d}" for d in parse_defects)
+                else:
+                    parser = parse_augmented if mode == "autoreg-aug" else parse_structured
+                    expected.extend(parser(visible_text(tr.result, template), labels)[1])
+            assert outcome.defects == expected
+        traces = sum(len(o.traces) for o in outcomes)
+        assert cut == traces if budget == 1 else 0 < cut < traces
+        if budget == 1:
+            assert outcomes[0].defects[0] == (
+                "onestep cut by the token budget for label PER" if mode == "onestep"
+                else "autoreg cut by the token budget")
+
+    def test_count_filling_its_budget_is_no_defect(self, template):
+        labels = LabelSet(["PER", "LOC"])
+        pairs = make_corpus(5, labels, seed=1)
+        oracle = OracleBackend(pairs, labels, template)
+        docs = [doc for doc, _ in pairs]
+        for outcome, (_, gold) in zip(
+                run_corpus(docs, labels, oracle, template, "pair-multi", max_new_tokens=1),
+                pairs):
+            counts = [tr for tr in outcome.traces if tr.kind == "count"]
+            # a count of 1 or more is cut before its terminator, and still reads right
+            assert [tr.result.stop_reason for tr in counts] == [
+                "length" if mentions else "eos" for mentions in gold.by_label(labels).values()]
+            assert sum(tr.kind == "mention" for tr in outcome.traces) == len(gold.mentions)
+            assert not any(d.startswith("count") for d in outcome.defects)
 
 
 class TestCostAccounting:
