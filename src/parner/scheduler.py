@@ -15,20 +15,21 @@ traces in every mode.  Only mention and onestep requests ask
 for token logprobs: theirs score mentions for de-duplication, while counts
 and autoreg answers (aug and struct mentions score 1.0) never read them.
 
-``run_corpus`` runs at most ``parallelism`` documents at once, on one
-thread pool that also carries their requests.  A run uses at most
-``max(parallelism, backend.max_in_flight)`` threads, the calling thread
-included (``HttpBackend(max_in_flight=...)``; in-process backends count
-1).  Each document is decoded on one thread, a strand, and its requests
-go only to workers no strand holds.  So with ``HttpBackend`` one
-document's requests fan out even at parallelism 1, while with an
-in-process backend they fan out only when the corpus has fewer documents
-than ``parallelism``; otherwise every request runs on the thread that
-decodes its document, and at parallelism 1 the scheduler starts no
-thread.  A thread waiting for its items runs every one no worker has
-started yet, so it never waits on a queued item.  This pool is the only
-one: a batch goes to the backend as one call, and every other request is
-an item of the pool.
+``run_corpus`` runs at most ``parallelism`` documents at once, on
+``min(parallelism, len(docs))`` strands: each decodes one document after
+another, and the calling thread is always one of them.  The other
+strands run on a pool of their own.  A document's requests go to a
+second pool, of ``max(parallelism, backend.max_in_flight)`` threads less
+the strands (``HttpBackend(max_in_flight=...)``; in-process backends
+count 1), so a run uses at most that many threads, the calling thread
+included.  With ``HttpBackend`` one document's requests therefore fan
+out even at parallelism 1, while with an in-process backend they fan out
+only when the corpus has fewer documents than ``parallelism``.  Autoreg,
+and "pair-batch" on a backend that batches, issue one call per step and
+get no request pool.  A pool of no threads is not made, so at
+parallelism 1 with an in-process backend the scheduler starts no thread.
+A strand waiting for its requests runs every one no request thread has
+started yet, so it never waits on a queued one.
 
 Parsing or backend failures for one sequence degrade to defect records; a
 document never hard-fails.
@@ -37,6 +38,7 @@ document never hard-fails.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import math
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -165,8 +167,7 @@ def _run_all(pool: Optional[Executor], fn: Callable[[_T], _R], items: Sequence[_
     The calling thread counts as one of the workers: it takes back every
     item no worker has started yet (a successful ``cancel()``) and runs it
     here, so it only ever waits for items already running on another
-    thread.  A worker of ``pool`` may therefore call this for nested items
-    without deadlock, no thread is started beyond the pool's own (a pool of
+    thread.  No thread is started beyond the pool's own (a pool of
     ``n - 1`` threads gives ``n`` workers with the caller), and a single
     item never leaves the calling thread.
     """
@@ -186,6 +187,19 @@ def _batched(backend: CompletionBackend, mode: str) -> bool:
     """Whether ``mode`` issues each step as one ``generate_batch`` call: only
     "pair-batch", and only on a backend that batches."""
     return mode == "pair-batch" and hasattr(backend, "generate_batch")
+
+
+def _pool(threads: int) -> contextlib.AbstractContextManager[Optional[Executor]]:
+    """A pool of ``threads`` threads, or no pool for 0, which
+    ``ThreadPoolExecutor`` rejects."""
+    return ThreadPoolExecutor(threads) if threads else contextlib.nullcontext()
+
+
+def _subject(label: Optional[str], index: Optional[int]) -> str:
+    """What a defect appends to name its sequence: `` for label L``, plus
+    `` index i`` for a mention."""
+    return ("" if label is None else f" for label {label}" if index is None
+            else f" for label {label} index {index}")
 
 
 def _call(backend: CompletionBackend, request: CompletionRequest) -> _CallOutcome:
@@ -214,13 +228,13 @@ def decode_document(
     ("autoreg-*").  In the pair modes an empty completion counts as zero
     and the label gets no step two.  A count request may generate no more
     tokens than the count answer of ``t.max_count``; every other request
-    gets ``max_new_tokens``.  A mention, list or autoreg answer the budget
-    cut short is parsed as far as it goes and also recorded as a defect,
-    ahead of its parse defects.  Requests that are not batched run on
-    ``pool`` when one is given, and one at a time without it.  The aug and
-    struct formats expose no per-mention token spans, so their mentions
-    score probability 1.0 and de-duplication falls back to the label-order
-    tie-break.
+    gets ``max_new_tokens``.  An answer the budget cut short is parsed as
+    far as it goes and also recorded as a defect, ahead of its parse
+    defects; a count is cut short only before its terminator.  Requests
+    that are not batched run on ``pool`` when one is given, and one at a
+    time without it.  The aug and struct formats expose no per-mention
+    token spans, so their mentions score probability 1.0 and
+    de-duplication falls back to the label-order tie-break.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
@@ -257,21 +271,19 @@ def decode_document(
             results = _run_all(pool, functools.partial(_call, backend), requests)
         for (label, index, _, waits), req, result in zip(planned, requests, results):
             if isinstance(result, BackendError):
-                subject = (f" for {label} index {index}" if index is not None
-                           else f" for label {label}" if label is not None else "")
-                defects.append(f"{kind} request failed{subject}: {result}")
+                defects.append(f"{kind} request failed{_subject(label, index)}: {result}")
                 continue
             seq_id = (f"{doc.id}/{label}/{kind}{index or ''}" if label is not None
                       else f"{doc.id}/{kind}")
             upstream = max((traces[position].latency_ms for position in waits), default=0.0)
             traces.append(SequenceTrace(seq_id, label, kind, index, req, result,
                                         upstream + result.latency_ms))
-            # a count is exempt: a model trained on pair examples writes on
-            # past its count, and parse_count reads only up to the terminator
-            if kind != "count" and result.stop_reason == "length":
-                defects.append(f"{kind} cut by the token budget"
-                               + (f" for label {label}" if label is not None else "")
-                               + (f" index {index}" if index is not None else ""))
+            # a count whose terminator arrived is exempt: a model trained on
+            # pair examples writes on past its count, and parse_count reads
+            # only up to the terminator
+            if result.stop_reason == "length" and (
+                    kind != "count" or t.count_terminator not in visible_text(result, t)):
+                defects.append(f"{kind} cut by the token budget{_subject(label, index)}")
             yield label, index, result, seq_id
 
     # the list, struct and aug parsers drop an empty surface and record
@@ -344,18 +356,19 @@ def run_corpus(
     """Decode a corpus with at most ``parallelism`` documents in flight.
 
     Documents run on ``min(parallelism, len(docs))`` strands, each decoding
-    one document after another; the calling thread is one of them.  One
-    pool serves the other strands and, nested, their requests.  The run
-    uses at most ``max(parallelism, backend.max_in_flight)`` threads, the
-    caller included.  A document's requests are submitted only when that
-    bound leaves workers no strand holds (``HttpBackend``'s bound, even at
-    parallelism 1); otherwise each strand issues its own requests on its
-    own thread, as at parallelism 1.  No pool is made when nothing would be
-    submitted to it: for no documents, at parallelism 1 with an in-process
-    backend, or for one document in a mode that issues one call per step
-    (autoreg, or "pair-batch" on a backend that batches).
-    Output order always equals input order regardless of completion
-    order.  Each document is decoded once.
+    one document after another: the calling thread and a pool of the other
+    strands.  Their requests go to a request pool of
+    ``max(parallelism, backend.max_in_flight)`` threads less the strands,
+    none in autoreg and in "pair-batch" on a backend that batches, which
+    issue one call per step.  So the run uses at most that many threads,
+    the caller included, and with the default in-process bound of 1 each
+    strand issues its own requests unless the corpus has fewer documents
+    than ``parallelism``.  A pool of no threads is not made: a run starts
+    no thread at parallelism 1 with an in-process backend, nor for one
+    document in autoreg or batched "pair-batch".  A document that raises
+    stops the run, and no strand starts another document.  Output order
+    always equals input order regardless of completion order.  Each
+    document is decoded once.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
@@ -364,17 +377,10 @@ def run_corpus(
     if not docs:
         return []
 
-    def decode(doc: Document, pool: Optional[Executor]) -> DecodeOutcome:
-        return decode_document(doc, labels, backend, t, mode, max_new_tokens=max_new_tokens,
-                               pool=pool)
-
     strands = min(parallelism, len(docs))
-    workers = max(parallelism, backend.max_in_flight)
-    # requests go only to workers no strand holds; autoreg and a batching
-    # backend's pair-batch issue one call per step, so they submit none
-    fans_out = workers > strands and not (mode.startswith("autoreg-") or _batched(backend, mode))
-    if strands <= 1 and not fans_out:
-        return [decode(doc, None) for doc in docs]
+    # autoreg and a batching backend's pair-batch issue one call per step
+    request_threads = (0 if mode.startswith("autoreg-") or _batched(backend, mode)
+                       else max(parallelism, backend.max_in_flight) - strands)
     todo = collections.deque(enumerate(docs))
     outcomes: Dict[int, DecodeOutcome] = {}
 
@@ -385,12 +391,13 @@ def run_corpus(
             except IndexError:
                 return
             try:
-                outcomes[i] = decode(doc, pool if fans_out else None)
+                outcomes[i] = decode_document(doc, labels, backend, t, mode,
+                                              max_new_tokens=max_new_tokens, pool=request_pool)
             except BaseException:
                 todo.clear()  # the other strands start no new document
                 raise
 
-    # the calling thread is the last worker: it runs a strand and takes back requests
-    with ThreadPoolExecutor(max_workers=(workers if fans_out else strands) - 1) as pool:
-        _run_all(pool, strand, range(strands))
+    # the request pool is entered first, so it outlives every strand that sends to it
+    with _pool(request_threads) as request_pool, _pool(strands - 1) as strand_pool:
+        _run_all(strand_pool, strand, range(strands))
     return [outcomes[i] for i in range(len(docs))]

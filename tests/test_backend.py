@@ -825,7 +825,7 @@ class TestHttpBackend:
         with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
             outcome = run_corpus([doc], labels, backend, template, "pair-multi")[0]
         assert len(outcome.defects) == 1
-        assert outcome.defects[0].startswith("mention request failed for LOC index 1: ")
+        assert outcome.defects[0].startswith("mention request failed for label LOC index 1: ")
         assert "token_logprobs must hold no NaN or +inf, got nan" in outcome.defects[0]
         assert [m.label for m in outcome.raw_mentions] == ["PER", "MISC", "ORG"]
         assert all(m.text == "Italy" for m in outcome.raw_mentions)

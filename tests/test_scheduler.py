@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from typing import Optional
 
 import pytest
 
@@ -476,9 +477,9 @@ class TestExampleLatency:
 
 
 class TestCutMentions:
-    """A mention, list or autoreg answer the token budget cuts is parsed as
-    far as it goes, and is a defect ahead of its parse defects; a cut count
-    is no defect."""
+    """An answer the token budget cuts is parsed as far as it goes, and is a
+    defect ahead of its parse defects; a count whose terminator arrived is
+    no defect."""
 
     def test_cut_mention_is_a_defect_and_kept(self, template):
         labels = LabelSet(["PER", "LOC"])
@@ -489,14 +490,14 @@ class TestCutMentions:
             for outcome in run_corpus(docs, labels, oracle, template, mode, max_new_tokens=1):
                 cut = [tr for tr in outcome.traces
                        if tr.kind == "mention" and tr.result.stop_reason == "length"]
-                assert outcome.defects == [
+                assert [d for d in outcome.defects if not d.startswith("count ")] == [
                     f"mention cut by the token budget for label {tr.label} index "
                     f"{tr.mention_index}" for tr in cut]
                 assert len(outcome.raw_mentions) == len(cut)
         [first] = run_corpus(docs[:1], labels, oracle, template, "pair-multi", max_new_tokens=1)
         assert pairs[0][1].mentions[0] == Mention("LOC", "Taces Diwox")
         assert (first.raw_mentions[0].label, first.raw_mentions[0].text) == ("LOC", "Taces")
-        assert first.defects[0] == "mention cut by the token budget for label LOC index 1"
+        assert "mention cut by the token budget for label LOC index 1" in first.defects
 
     @pytest.mark.parametrize("mode, budget", [
         ("onestep", 1), ("onestep", 4), ("autoreg-aug", 1), ("autoreg-aug", 20),
@@ -529,20 +530,43 @@ class TestCutMentions:
                 "onestep cut by the token budget for label PER" if mode == "onestep"
                 else "autoreg cut by the token budget")
 
-    def test_count_filling_its_budget_is_no_defect(self, template):
+    @pytest.mark.parametrize("max_new_tokens, read", [(1, 1), (2, 12), (512, 12)])
+    def test_count_cut_before_its_terminator_is_a_defect(self, max_new_tokens, read, template):
         labels = LabelSet(["PER", "LOC"])
-        pairs = make_corpus(5, labels, seed=1)
-        oracle = OracleBackend(pairs, labels, template)
-        docs = [doc for doc, _ in pairs]
-        for outcome, (_, gold) in zip(
-                run_corpus(docs, labels, oracle, template, "pair-multi", max_new_tokens=1),
-                pairs):
-            counts = [tr for tr in outcome.traces if tr.kind == "count"]
-            # a count of 1 or more is cut before its terminator, and still reads right
-            assert [tr.result.stop_reason for tr in counts] == [
-                "length" if mentions else "eos" for mentions in gold.by_label(labels).values()]
-            assert sum(tr.kind == "mention" for tr in outcome.traces) == len(gold.mentions)
-            assert not any(d.startswith("count") for d in outcome.defects)
+        names = [f"Ann{c}" for c in "BCDEFGHIJKLM"]
+        doc = Document(id="d", text=" and ".join(names) + " met .")
+        gold = GoldAnnotation(doc_id="d", mentions=[Mention("PER", n) for n in names])
+        [outcome] = run_corpus([doc], labels, OracleBackend([(doc, gold)], labels, template),
+                               template, "pair-multi", max_new_tokens=max_new_tokens)
+        # the cut count is still read as far as it goes
+        assert sum(tr.kind == "mention" for tr in outcome.traces) == read
+        cut = "count cut by the token budget for label PER"
+        assert [d for d in outcome.defects if d.startswith("count ")] == (
+            [cut] if max_new_tokens < 3 else [])
+        if max_new_tokens < 3:
+            assert outcome.defects[0] == cut
+
+    def test_count_filling_its_budget_is_no_defect(self, labels, template):
+        """Under ``max_count`` 9 a count gets two tokens, so a count of 3 is
+        cut before its end-of-sequence, after its terminator."""
+        from parner.templates import build_mention_prompt
+        t = PromptTemplate(max_count=9)
+        doc = Document(id="x", text="Ann , Bob and Cid met .")
+        entries = []
+        for label in labels:
+            prompt = build_count_prompt(doc, labels.surface(label), t)
+            if label == "PER":
+                entries.append({"prompt": prompt, "tokens": ["3", "\n", "<eos>"]})
+                entries.extend({"prompt": build_mention_prompt(prompt, 3, i, t),
+                                "tokens": [name, "<eos>"]}
+                               for i, name in enumerate(["Ann", "Bob", "Cid"], 1))
+            else:
+                entries.append({"prompt": prompt, "tokens": ["<eos>"]})
+        [outcome] = run_corpus([doc], labels, ScriptedBackend(entries), t, "pair-multi")
+        [count] = [tr for tr in outcome.traces if tr.kind == "count" and tr.label == "PER"]
+        assert (count.result.text, count.result.stop_reason) == ("3\n", "length")
+        assert [m.text for m in outcome.raw_mentions] == ["Ann", "Bob", "Cid"]
+        assert outcome.defects == []
 
 
 class TestCostAccounting:
@@ -759,9 +783,10 @@ class _BrokenBackend(CompletionBackend):
 
 
 class TestSharedPool:
-    """Documents and their requests share one pool; with the calling thread
-    a run has ``max(parallelism, backend.max_in_flight)`` workers, and
-    requests go only to workers no document holds."""
+    """Documents run on strands, the calling thread one of them, and their
+    requests on a second pool; a run has at most
+    ``max(parallelism, backend.max_in_flight)`` threads, and requests go
+    only to threads no document holds."""
 
     def test_threads_bounded_by_parallelism(self, labels, template):
         pairs = make_corpus(40, labels, seed=4)
@@ -908,3 +933,70 @@ class TestSharedPool:
         assert (backend.off_thread > 0) is (max_in_flight > 8)
         # the run's own thread is one of its max(parallelism, max_in_flight) workers
         assert backend.peak - before <= max(8, max_in_flight)
+
+
+class _SlowWideBackend(CompletionBackend):
+    """Declares eight calls in flight, sleeps 3 ms per call and records the
+    threads that call it; raises a non-backend error, as a bug would, on
+    every request for the document ``broken``, if given."""
+
+    max_in_flight = 8
+
+    def __init__(self, inner: CompletionBackend, broken: Optional[Document] = None):
+        self._inner = inner
+        self._broken = broken
+        self.threads = set()
+
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        self.threads.add(threading.get_ident())
+        if self._broken is not None and self._broken.text in request.prompt:
+            raise ValueError("bug")
+        time.sleep(0.003)
+        return self._inner.generate(request)
+
+
+def _record_decoding_threads(monkeypatch):
+    """(doc id, thread) of every document ``run_corpus`` starts, in order."""
+    decode, started = scheduler.decode_document, []
+
+    def recording(doc, *args, **kwargs):
+        started.append((doc.id, threading.get_ident()))
+        return decode(doc, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "decode_document", recording)
+    return started
+
+
+class TestThreadModel:
+    """``min(parallelism, len(docs))`` strands, the calling thread always one
+    of them; every other thread ``max_in_flight`` allows sends requests."""
+
+    @pytest.mark.parametrize("mode", ["pair-multi", "onestep"])
+    def test_calling_thread_is_a_strand_and_every_thread_sends(
+            self, monkeypatch, mode, labels, template):
+        pairs = make_corpus(20, labels, seed=4)
+        docs = [doc for doc, _ in pairs]
+        backend = _SlowWideBackend(OracleBackend(pairs, labels, template))
+        started = _record_decoding_threads(monkeypatch)
+        run_corpus(docs, labels, backend, template, mode, parallelism=4)
+        assert sorted(doc_id for doc_id, _ in started) == sorted(doc.id for doc in docs)
+        assert threading.get_ident() in {thread for _, thread in started}
+        assert len(backend.threads) == 8
+
+    @pytest.mark.parametrize("max_in_flight", [1, 8])
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_a_failing_document_starts_no_later_one(
+            self, monkeypatch, parallelism, max_in_flight, labels, template):
+        pairs = make_corpus(20, labels, seed=4)
+        docs = [doc for doc, _ in pairs]
+        broken = 5
+        backend = _SlowWideBackend(OracleBackend(pairs, labels, template), docs[broken])
+        backend.max_in_flight = max_in_flight
+        started = _record_decoding_threads(monkeypatch)
+        with pytest.raises(ValueError, match="bug"):
+            run_corpus(docs, labels, backend, template, "pair-multi", parallelism=parallelism)
+        # documents are taken in order; besides the broken one, only the
+        # parallelism - 1 that may be in flight beside it have started
+        assert sorted(doc_id for doc_id, _ in started) == sorted(
+            doc.id for doc in docs[:len(started)])
+        assert broken < len(started) <= broken + parallelism
