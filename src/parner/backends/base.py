@@ -19,7 +19,7 @@ __all__ = [
     "simple_tokenize",
 ]
 
-STOP_REASONS = ("eos", "stop_string", "length")
+STOP_REASONS = ("eos", "length")
 
 
 class BackendError(RuntimeError):
@@ -37,7 +37,6 @@ class UnknownPromptError(BackendError):
 class _RequestFields(NamedTuple):
     prompt: str
     max_new_tokens: int
-    stop: Tuple[str, ...]
     want_logprobs: bool
 
 
@@ -47,20 +46,30 @@ class CompletionRequest(_RequestFields):
     ``want_logprobs`` asks for one logprob per generated token.  The
     scheduler sets it only on mention and onestep requests, whose token
     probabilities score mentions for de-duplication; counts and autoreg
-    answers are never scored, so their results carry no logprobs.
+    answers are never scored, so their results carry no logprobs.  A
+    request carries no stop strings: a completion ends at its end of
+    sequence or at ``max_new_tokens``.
+
+    ``stop`` is no field.  It is a keyword that must be empty, kept only
+    because ``perfbench/stub_server.py`` passes ``stop=()`` when it builds
+    a request from a body without a ``"stop"`` key; it goes with that
+    argument.
 
     An immutable named tuple whose every construction path (the
-    constructor, ``_make``, ``_replace``, pickle and copy) runs the check:
-    a ``max_new_tokens`` below 1 raises ``ValueError``.
+    constructor, ``_make``, ``_replace``, pickle and copy) runs the checks:
+    a ``max_new_tokens`` below 1, or a non-empty ``stop``, raises
+    ``ValueError``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, prompt: str, max_new_tokens: int = 512, stop: Tuple[str, ...] = (),
-                want_logprobs: bool = True) -> "CompletionRequest":
+    def __new__(cls, prompt: str, max_new_tokens: int = 512, want_logprobs: bool = True, *,
+                stop: Tuple[str, ...] = ()) -> "CompletionRequest":
         if max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
-        return tuple.__new__(cls, (prompt, max_new_tokens, stop, want_logprobs))
+        if stop:
+            raise ValueError(f"stop strings are not supported, got {stop!r}")
+        return tuple.__new__(cls, (prompt, max_new_tokens, want_logprobs))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "CompletionRequest":
@@ -114,10 +123,6 @@ class CompletionResult(_ResultFields):
     def _make(cls, iterable: Iterable) -> "CompletionResult":
         return cls(*iterable)
 
-    @property
-    def generated_token_count(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -170,7 +175,10 @@ class CompletionBackend:
     accounts for a batch as one: ``OracleBackend`` does, charging every
     member the batch-size penalty.  "pair-batch" then issues each step as
     one such call; on a backend without one (``HttpBackend``) its
-    requests fan out on the run's request pool like "pair-multi"'s.
+    requests fan out on the run's request pool like "pair-multi"'s.  A
+    ``BackendError`` from ``generate_batch`` fails each member of the
+    batch: the scheduler records it once per request, as it records a
+    failed ``generate`` call.
     """
 
     max_in_flight: int = 1
@@ -185,30 +193,15 @@ class CompletionBackend:
 def apply_request_limits(
     tokens: List[str], request: CompletionRequest
 ) -> Tuple[List[str], str, str]:
-    """Apply stop strings and the token budget to a would-be completion.
+    """Cut a would-be completion to the request's ``max_new_tokens``.
 
-    Stop strings are honored at their first occurrence in the concatenated
-    text (a token straddling the cut is kept truncated, preserving
-    text/token alignment), then ``max_new_tokens`` caps the length.
-    Returns (tokens, text, stop_reason).  The kept tokens are always a
-    prefix of ``tokens``, the last one possibly truncated, so their
-    logprobs are the first ``len(tokens)`` of the full list.  Without a
-    non-empty stop string the text is joined once, from the kept tokens.
+    Returns (tokens, text, stop_reason): the first ``max_new_tokens``
+    tokens, their text and ``"length"`` when the completion is longer,
+    else all of them and ``"eos"``.  The kept tokens are always a prefix of
+    ``tokens``, so their logprobs are the first ``len(tokens)`` of the full
+    list.
     """
     reason = "eos"
-    if any(request.stop):
-        text = "".join(tokens)
-        cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)
-        if cut >= 0:
-            kept: List[str] = []
-            pos = 0
-            for tok in tokens:
-                if pos >= cut:
-                    break
-                kept.append(tok if pos + len(tok) <= cut else tok[: cut - pos])
-                pos += len(tok)
-            tokens = kept
-            reason = "stop_string"
     if len(tokens) > request.max_new_tokens:
         tokens = tokens[: request.max_new_tokens]
         reason = "length"

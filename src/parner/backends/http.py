@@ -49,7 +49,8 @@ __all__ = ["HttpBackend", "TOKEN_ENV_VAR"]
 # bearer token is taken from the environment, never from config files
 TOKEN_ENV_VAR = "PARNER_HTTP_TOKEN"
 
-_FINISH_TO_STOP_REASON = {"eos": "eos", "stop": "stop_string", "length": "length"}
+# parner sends no stop strings, so a server's "stop" is its end of sequence
+_FINISH_TO_STOP_REASON = {"eos": "eos", "stop": "eos", "length": "length"}
 # the JSON types a logprob may have: a bool is no number here
 _NUMBERS = (int, float)
 
@@ -477,12 +478,14 @@ class HttpBackend(CompletionBackend):
     Request body::
 
         {"prompt": ..., "max_tokens": ..., "temperature": 0,
-         "stop": [...], "logprobs": ..., "echo": false}
+         "logprobs": ..., "echo": false}
 
     ``temperature`` is always 0, because the two-step protocol decodes
     greedily.  ``max_tokens`` is the request's ``max_new_tokens``; the
     scheduler caps it for a count request at the length of the largest
-    count's answer (4 tokens under the default template).
+    count's answer (4 tokens under the default template).  No stop
+    strings are sent, so a ``finish_reason`` of ``"stop"`` reads as
+    ``"eos"``: such a server stops only at its end of sequence.
 
     Expected response fields: ``text``, ``tokens`` (a list concatenating
     to ``text``), ``token_logprobs`` (a list, required when logprobs were
@@ -572,7 +575,6 @@ class HttpBackend(CompletionBackend):
             "prompt": request.prompt,
             "max_tokens": request.max_new_tokens,
             "temperature": 0,
-            "stop": list(request.stop),
             "logprobs": request.want_logprobs,
             "echo": False,
         }

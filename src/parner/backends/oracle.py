@@ -106,7 +106,7 @@ class OracleBackend(CompletionBackend):
     for faithful answers and 0.61 for injected errors, each with a seeded
     jitter of +-0.02, so every logprob is finite.  They are computed
     only when the request sets ``want_logprobs``, and only for the tokens
-    that stop strings and ``max_new_tokens`` keep.
+    that ``max_new_tokens`` keeps.
 
     Every draw is the SHA-256 of the seed and the draw's identity, their
     parts joined by the unit separator U+001F, with the digest's first 8

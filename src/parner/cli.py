@@ -451,7 +451,7 @@ def _outcome_row(outcome, latencies: List[float]) -> Dict:
         "step1_batch_size": outcome.step1_batch_size,
         "step2_batch_size": outcome.step2_batch_size,
         "sequences": len(outcome.traces),
-        "generated_tokens": sum(tr.result.generated_token_count for tr in outcome.traces),
+        "generated_tokens": sum(len(tr.result.tokens) for tr in outcome.traces),
         "defects": list(outcome.defects),
     }
 

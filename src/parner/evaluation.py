@@ -122,7 +122,7 @@ def latency_stats(outcomes: Iterable[DecodeOutcome]) -> LatencyStats:
     if not outcomes:
         raise EvalError("no decode outcomes to aggregate")
     sequences = sum(len(o.traces) for o in outcomes)
-    tokens = sum(tr.result.generated_token_count for o in outcomes for tr in o.traces)
+    tokens = sum(len(tr.result.tokens) for o in outcomes for tr in o.traces)
     return LatencyStats(
         mean_example_latency_ms=statistics.fmean(o.example_latency_ms for o in outcomes),
         mean_generated_tokens_per_sequence=tokens / sequences if sequences else 0.0,

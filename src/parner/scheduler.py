@@ -32,7 +32,9 @@ A strand waiting for its requests runs every one no request thread has
 started yet, so it never waits on a queued one.
 
 Parsing or backend failures for one sequence degrade to defect records; a
-document never hard-fails.
+document never hard-fails.  A failed backend call is one defect per
+sequence it lost, in every mode: a ``generate_batch`` call that raises
+fails each request of its batch.
 """
 
 from __future__ import annotations
@@ -247,8 +249,9 @@ def decode_document(
     ) -> Iterator[Tuple[Optional[str], Optional[int], CompletionResult, str]]:
         """Issue one step and yield each traced result in request order.
 
-        Failures become defects here; the caller parses each result before
-        the next is traced, so defects keep request order across kinds.  A
+        Failures become defects here, one per failed request, also when
+        a whole batch failed; the caller parses each result before the
+        next is traced, so defects keep request order across kinds.  A
         trace's latency is its own plus the longest of those it waits for.
         """
         if not planned:  # no call at all, not even an empty batch a backend may reject
@@ -257,16 +260,15 @@ def decode_document(
         budget = (min(max_new_tokens, len(count_answer(t.max_count, t))) if kind == "count"
                   else max_new_tokens)
         # records are built positionally: binding keywords costs about as
-        # much again as the tuple (prompt, max_new_tokens, stop, want_logprobs)
+        # much again as the tuple (prompt, max_new_tokens, want_logprobs)
         want_logprobs = kind in _SCORED_KINDS
-        requests = [CompletionRequest(prompt, budget, (), want_logprobs)
+        requests = [CompletionRequest(prompt, budget, want_logprobs)
                     for _, _, prompt, _ in planned]
         if _batched(backend, mode):
             try:
                 results: Sequence[_CallOutcome] = backend.generate_batch(requests)
-            except BackendError as exc:
-                defects.append(f"{kind} batch failed: {exc}")
-                return
+            except BackendError as exc:  # a failed batch fails each of its sequences
+                results = [exc] * len(requests)
         else:
             results = _run_all(pool, functools.partial(_call, backend), requests)
         for (label, index, _, waits), req, result in zip(planned, requests, results):

@@ -39,7 +39,7 @@ from parner.backends import (
 )
 from parner.backends import http as http_module
 from parner.backends import oracle as oracle_module
-from parner.backends.base import apply_request_limits
+from parner.backends.base import STOP_REASONS, apply_request_limits
 from parner.backends.http import TOKEN_ENV_VAR, HttpBackend
 from parner.corpus import Document, GoldAnnotation, Mention
 from parner.scheduler import ScoredMention, SequenceTrace, run_corpus
@@ -63,6 +63,16 @@ class TestRequestAndResult:
         with pytest.raises(ValueError):
             CompletionRequest(prompt="x", max_new_tokens=0)
 
+    def test_request_carries_no_stop_strings(self):
+        assert CompletionRequest._fields == ("prompt", "max_new_tokens", "want_logprobs")
+        assert STOP_REASONS == ("eos", "length")
+        assert CompletionRequest("p", stop=()) == CompletionRequest("p")
+        for stop in [("",), ["\n"]]:
+            with pytest.raises(ValueError, match="stop strings are not supported"):
+                CompletionRequest("p", stop=stop)
+        with pytest.raises(TypeError):
+            CompletionRequest("p", 4, False, ("\n",))
+
     def test_result_alignment_enforced(self):
         with pytest.raises(ValueError):
             CompletionResult(
@@ -81,13 +91,6 @@ class TestRequestAndResult:
                 tokens=("It", "aly"), token_logprobs=(-0.1, -0.2), text="Italy!",
                 stop_reason="eos", latency_ms=0.0,
             )
-
-    def test_generated_token_count(self):
-        r = CompletionResult(
-            tokens=("a", "b"), token_logprobs=(), text="ab",
-            stop_reason="eos", latency_ms=0.0,
-        )
-        assert r.generated_token_count == 2
 
     @pytest.mark.parametrize("logprobs, bad", [
         ((math.nan, -0.1), "nan"), ((-0.1, math.inf), "inf"),
@@ -122,7 +125,7 @@ class TestRequestAndResult:
         with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
             request._replace(max_new_tokens=0)
         with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
-            CompletionRequest._make(["p", 0, (), True])
+            CompletionRequest._make(["p", 0, True])
         with pytest.raises(ValueError, match="latency_ms must be finite and >= 0"):
             result._replace(latency_ms=-5.0)
         with pytest.raises(ValueError, match="unknown stop_reason"):
@@ -134,7 +137,7 @@ class TestRequestAndResult:
         lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy,
     ], ids=["pickle", "copy", "deepcopy"])
     def test_pickle_and_copy_run_the_checks(self, copy_of):
-        request = CompletionRequest("p", max_new_tokens=3, stop=("\n",), want_logprobs=False)
+        request = CompletionRequest("p", max_new_tokens=3, want_logprobs=False)
         result = CompletionResult(tokens=("a", "b"), token_logprobs=(-0.1, 0.5), text="ab",
                                   stop_reason="length", latency_ms=2.5)
         for record in (request, result):
@@ -142,7 +145,7 @@ class TestRequestAndResult:
             assert again == record and type(again) is type(record)
         # records built around the constructor are refused when rebuilt
         with pytest.raises(ValueError, match="max_new_tokens must be >= 1"):
-            copy_of(tuple.__new__(CompletionRequest, ("p", 0, (), True)))
+            copy_of(tuple.__new__(CompletionRequest, ("p", 0, True)))
         with pytest.raises(ValueError, match="latency_ms must be finite and >= 0"):
             copy_of(tuple.__new__(CompletionResult, (("a",), (), "a", "eos", -5.0)))
 
@@ -162,67 +165,31 @@ class TestRequestAndResult:
             record.extra = 1
 
 
-def _reference_request_limits(tokens, request):
-    """``apply_request_limits`` as it was before its no-stop-string fast path."""
-    text = "".join(tokens)
-    reason = "eos"
-    cut = min((i for i in (text.find(s) for s in request.stop if s) if i >= 0), default=-1)
-    if cut >= 0:
-        kept = []
-        pos = 0
-        for tok in tokens:
-            if pos >= cut:
-                break
-            kept.append(tok if pos + len(tok) <= cut else tok[: cut - pos])
-            pos += len(tok)
-        tokens, text = kept, text[:cut]
-        reason = "stop_string"
-    if len(tokens) > request.max_new_tokens:
-        tokens = tokens[: request.max_new_tokens]
-        text = "".join(tokens)
-        reason = "length"
-    return tokens, text, reason
-
-
 @st.composite
 def _limited_requests(draw):
-    """Tokens (some empty, some of several characters), a budget from 1 to
-    n + 2, and stop strings: none, the empty one, or ones cut from the text,
-    which may start or end inside a token."""
+    """Tokens (some empty, some of several characters) and a budget from 1
+    to n + 2."""
     tokens = draw(st.lists(st.text("ab<>\n ", max_size=4), max_size=8))
-    text = "".join(tokens)
-    budget = draw(st.integers(1, len(tokens) + 2))
-    start = draw(st.integers(0, len(text)))
-    inside = text[start:draw(st.integers(start, len(text)))]
-    stop = draw(st.lists(st.sampled_from(["", inside, "b<", "\n"]) | st.text("ab<", max_size=2),
-                         max_size=3))
-    return tokens, CompletionRequest("p", max_new_tokens=budget, stop=tuple(stop))
+    return tokens, CompletionRequest("p", max_new_tokens=draw(st.integers(1, len(tokens) + 2)))
 
 
 class TestRequestLimits:
     @given(_limited_requests())
     @settings(max_examples=400)
-    def test_matches_reference(self, case):
+    def test_keeps_the_tokens_within_budget(self, case):
         tokens, request = case
         before = list(tokens)
-        assert apply_request_limits(tokens, request) == _reference_request_limits(before, request)
+        kept = before[:request.max_new_tokens]
+        reason = "length" if len(before) > request.max_new_tokens else "eos"
+        assert apply_request_limits(tokens, request) == (kept, "".join(kept), reason)
         assert tokens == before
 
-    @pytest.mark.parametrize("stop", [(), ("",), ("", "")])
-    def test_no_stop_string_cuts_only_over_budget(self, stop):
+    def test_cuts_only_over_budget(self):
         tokens = ["Ital", "y", "<eos>"]
         for budget, kept, reason in [(3, tokens, "eos"), (4, tokens, "eos"),
                                      (2, tokens[:2], "length")]:
-            request = CompletionRequest("p", max_new_tokens=budget, stop=stop)
+            request = CompletionRequest("p", max_new_tokens=budget)
             assert apply_request_limits(tokens, request) == (kept, "".join(kept), reason)
-
-    @pytest.mark.parametrize("tokens, stop, budget, kept, reason", [
-        (["ab", "cd", "ef"], ("bc",), 512, ["a"], "stop_string"),
-        (["ab", "cd", "ef"], (), 2, ["ab", "cd"], "length"),
-    ], ids=["stop-string-straddles-token", "budget-2-of-3"])
-    def test_cuts(self, tokens, stop, budget, kept, reason):
-        request = CompletionRequest("p", max_new_tokens=budget, stop=stop)
-        assert apply_request_limits(tokens, request) == (kept, "".join(kept), reason)
 
 
 class TestSimpleTokenize:
@@ -417,12 +384,12 @@ class TestOracleBackend:
         assert single.latency_ms == pytest.approx(20.0)
         assert batched[0].latency_ms == pytest.approx(20.0 * 1.15)
 
-    def test_stop_and_length_limits_respected(self, oracle_corpus, labels, template):
+    def test_length_limit_respected(self, oracle_corpus, labels, template):
         oracle = OracleBackend(oracle_corpus, labels, template)
         doc = oracle_corpus[0][0]
         prompt = build_count_prompt(doc, "LOC", template)
-        stopped = oracle.generate(CompletionRequest(prompt=prompt, stop=("\n",)))
-        assert stopped.text == "2" and stopped.stop_reason == "stop_string"
+        full = oracle.generate(CompletionRequest(prompt=prompt))
+        assert full.text == "2\n" and full.stop_reason == "eos"
         capped = oracle.generate(CompletionRequest(prompt=prompt, max_new_tokens=1))
         assert capped.tokens == ("2",) and capped.stop_reason == "length"
 
@@ -741,8 +708,26 @@ class TestHttpBackend:
         payload = stub_server.calls[0]["payload"]
         assert payload == {
             "prompt": "p", "max_tokens": 64, "temperature": 0,
-            "stop": [], "logprobs": True, "echo": False,
+            "logprobs": True, "echo": False,
         }
+
+    @pytest.mark.parametrize("want_logprobs", [True, False])
+    def test_body_rebuilds_as_the_served_benchmark_reads_it(self, stub_server, want_logprobs):
+        # perfbench/stub_server.py builds each request from the body exactly so
+        sent = CompletionRequest("Köln", max_new_tokens=9, want_logprobs=want_logprobs)
+        with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
+            backend.generate(sent)
+        body = stub_server.calls[0]["payload"]
+        assert set(body) == {"prompt", "max_tokens", "temperature", "logprobs", "echo"}
+        rebuilt = CompletionRequest(
+            prompt=body["prompt"],
+            max_new_tokens=int(body["max_tokens"]),
+            stop=tuple(body.get("stop", ())),
+            want_logprobs=bool(body.get("logprobs", True)),
+        )
+        assert rebuilt == sent and type(rebuilt) is CompletionRequest
+        with pytest.raises(ValueError, match="stop strings are not supported"):
+            CompletionRequest("p", stop=("\n",))
 
     def test_retries_5xx_then_succeeds(self, stub_server, monkeypatch):
         sleeps = []
@@ -988,12 +973,13 @@ class TestHttpBackend:
                          for payload in payloads)
         assert budgets == [(False, max_new_tokens)] * 4 + [(True, count_budget)] * 4
 
-    def test_stop_finish_maps_to_stop_string(self, stub_server):
+    def test_stop_finish_maps_to_eos(self, stub_server):
+        # parner sends no stop strings, so a server stops only at its end of sequence
         body = dict(_OK_BODY, finish_reason="stop")
         stub_server.behavior = lambda payload, n: (200, body)
         backend = HttpBackend(_url(stub_server))
         result = backend.generate(CompletionRequest(prompt="p"))
-        assert result.stop_reason == "stop_string"
+        assert result.stop_reason == "eos"
 
     def test_bearer_token_from_environment(self, stub_server, monkeypatch):
         monkeypatch.setenv(TOKEN_ENV_VAR, "sekrit")
@@ -1152,7 +1138,7 @@ class TestKeepAliveTransport:
             monkeypatch.setenv("HTTP_PROXY", f"http://al%20ice:s3cret@{host}:{port}")
             url, receiver = _INVALID_URL, proxy_server
         with contextlib.closing(HttpBackend(url)) as backend:
-            backend.generate(CompletionRequest(prompt="Köln", max_new_tokens=9, stop=("\n",)))
+            backend.generate(CompletionRequest(prompt="Köln", max_new_tokens=9))
         with requests.Session() as stock:
             assert isinstance(stock.get_adapter(url), requests.adapters.HTTPAdapter)
             stock.post(url, json=receiver.calls[0]["payload"], timeout=60.0)

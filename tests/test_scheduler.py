@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import math
+import pathlib
 import sys
 import threading
 import time
@@ -638,9 +640,11 @@ class TestFailurePaths:
         doc = Document(id="x", text="some text")
         outcome = run_corpus([doc], labels, _DownBackend(), template, mode,
                              parallelism=parallelism)[0]
+        # a failed batch fails each of its sequences, as failed calls do
+        per_count = [f"count request failed for label {label}: down" for label in labels]
         expected = {
-            "pair-multi": [f"count request failed for label {label}: down" for label in labels],
-            "pair-batch": ["count batch failed: down"],
+            "pair-multi": per_count,
+            "pair-batch": per_count,
             "onestep": [f"onestep request failed for label {label}: down" for label in labels],
             "autoreg-aug": ["autoreg request failed: down"],
             "autoreg-struct": ["autoreg request failed: down"],
@@ -669,7 +673,12 @@ class TestFailurePaths:
         oracle = OracleBackend([(doc, gold)], labels, template)
         outcome = decode_document(doc, labels, _MentionBatchDownBackend(oracle), template,
                                   "pair-batch")
-        assert outcome.defects == ["mention batch failed: down"]
+        assert outcome.defects == [
+            "mention request failed for label PER index 1: down",
+            "mention request failed for label MISC index 1: down",
+            "mention request failed for label LOC index 1: down",
+            "mention request failed for label LOC index 2: down",
+        ]
         assert [tr.seq_id for tr in outcome.traces] == [
             f"d0/{label}/count" for label in labels]
         assert outcome.raw_mentions == []
@@ -1000,3 +1009,51 @@ class TestThreadModel:
         assert sorted(doc_id for doc_id, _ in started) == sorted(
             doc.id for doc in docs[:len(started)])
         assert broken < len(started) <= broken + parallelism
+
+
+def _benchmark_tracing():
+    """``perfbench/tracing.py`` from the checkout, loaded as it stands."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# every name on parner.scheduler that the benchmark's tracer rebinds
+_TRACED_NAMES = (
+    "ThreadPoolExecutor", "decode_document",
+    "build_count_prompt", "build_mention_prompt", "build_autoreg_prompt", "build_onestep_prompt",
+    "parse_count", "parse_mention", "parse_onestep", "parse_structured", "parse_augmented",
+    "visible_text",
+)
+
+
+class TestBenchmarkTracer:
+    """The benchmark's traced runs rebind scheduler names; a scheduler that
+    drops or bypasses one of them fails here as well as in the harness."""
+
+    # at max_in_flight 4 the strands hand requests to a request pool, whose
+    # threads must carry the decode's span
+    @pytest.mark.parametrize("max_in_flight", [1, 4])
+    def test_instrument_sees_every_layer_and_restores_the_scheduler(
+            self, max_in_flight, labels, template):
+        tracing = _benchmark_tracing()
+        pairs = make_corpus(3, labels, seed=1)
+        docs = [doc for doc, _ in pairs]
+        tracer = tracing.Tracer()
+        backend = tracing.ProbeBackend(OracleBackend(pairs, labels, template), tracer, "oracle")
+        backend.max_in_flight = max_in_flight
+        before = {name: getattr(scheduler, name) for name in _TRACED_NAMES}
+        with tracing.instrument(tracer):
+            assert all(getattr(scheduler, name) is not before[name] for name in _TRACED_NAMES)
+            run_corpus(docs, labels, backend, template, "pair-multi", parallelism=2)
+        assert all(getattr(scheduler, name) is before[name] for name in _TRACED_NAMES)
+        decodes = [span for span in tracer.spans if span[0] == "scheduler.decode"]
+        calls = [span for span in tracer.spans if span[0] == "oracle.generate"]
+        names = Counter(span[0] for span in tracer.spans)
+        assert len(decodes) == len(docs)
+        assert len(calls) == backend.attempted > 0
+        assert names["templates.build"] > 0 and names["templates.parse"] > 0
+        # each call, on whichever thread, names the decode it was made for
+        assert {span[5] for span in calls} == {span[3] for span in decodes}
