@@ -492,9 +492,11 @@ class HttpBackend(CompletionBackend):
     requested), ``finish_reason``.  Transport failures, 5xx and 429
     responses are retried, ``max_retries`` times at most, after 0.25 s,
     doubling each time; a 429 whose ``Retry-After`` is a non-negative
-    number of seconds waits that long instead.  A response that breaks the
-    ``CompletionResult`` contract is a ``TransportError``, and so is a body
-    that is not valid UTF-8 JSON.  ``latency_ms`` is wall-clock
+    number of seconds waits that long instead.  No wait lasts longer than
+    ``timeout_s``, so a server that keeps rate-limiting fails the request
+    instead of holding a ``max_in_flight`` slot for hours.  A response that
+    breaks the ``CompletionResult`` contract is a ``TransportError``, and so
+    is a body that is not valid UTF-8 JSON.  ``latency_ms`` is wall-clock
     measured around the successful call.  A ``max_in_flight`` below 1, a
     ``max_retries`` below 0, or a ``timeout_s`` that is not a finite number
     above 0 raises ``ValueError``.
@@ -587,8 +589,8 @@ class HttpBackend(CompletionBackend):
         retry_after: Optional[float] = None
         for attempt in range(self._max_retries + 1):
             if attempt:
-                time.sleep(_BACKOFF_S * 2 ** (attempt - 1) if retry_after is None
-                           else retry_after)
+                time.sleep(min(self._timeout_s, _BACKOFF_S * 2 ** (attempt - 1)
+                               if retry_after is None else retry_after))
                 retry_after = None
             start = time.perf_counter()
             try:

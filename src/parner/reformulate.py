@@ -179,8 +179,7 @@ def reformulate_corpus(
 
 
 def _length_summary(lengths: List[int]) -> Dict[str, float]:
-    if not lengths:
-        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0}
+    """Mean, median, 95th percentile and maximum of a non-empty list."""
     ordered = sorted(lengths)
     p95 = ordered[min(len(ordered) - 1, int(0.95 * (len(ordered) - 1) + 0.5))]
     return {

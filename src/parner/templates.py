@@ -71,7 +71,7 @@ class Completion(Protocol):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """All literal strings that frame prompts and completions.
+    """The settable strings that frame the two-step prompts and completions.
 
     Defaults reproduce the English two-step layout::
 
@@ -83,9 +83,7 @@ class PromptTemplate:
 
     ``mention_marker`` must contain exactly one ``{n}`` placeholder for the
     1-based mention index.  Every other field but ``max_count``, an integer
-    of at least 1, must be a string too.  The autoregressive/one-step headers below the
-    divider frame the baseline formats; they are fixture strings of this
-    implementation, not part of the two-step protocol itself.
+    of at least 1, must be a string too.
 
     Both numbers of a mention prompt are read back from the right, so no
     digit may touch them: ``count_marker`` and ``count_terminator`` are
@@ -104,12 +102,6 @@ class PromptTemplate:
     mention_marker: str = "<mention {n}>"
     eos_literal: str = "<eos>"
     max_count: int = 100
-    # baseline (single-sequence) framing
-    label_list_header: str = "\nentity types:\n"
-    aug_answer_header: str = "\nannotated text:\n"
-    struct_answer_header: str = "\nannotation:\n"
-    onestep_entity_marker: str = "<entity>"
-    onestep_text_marker: str = "<text>"
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -221,21 +213,31 @@ def read_mention_prompt(prompt: str, t: PromptTemplate) -> Optional[Tuple[int, i
     return (count_start, n) if n <= int(count) else None
 
 
+# ---------------------------------------------------------------------------
+# Baseline prompts: fixed framing; aug and struct start with text_header
+# ---------------------------------------------------------------------------
+
+_LABEL_LIST_HEADER = "\nentity types:\n"
+_ANSWER_HEADERS = {"aug": "\nannotated text:\n", "struct": "\nannotation:\n"}
+_ONESTEP_ENTITY_MARKER = "<entity>"
+_ONESTEP_TEXT_MARKER = "<text>"
+
+
 def build_autoreg_prompt(doc: Document, fmt: str, labels: LabelSet, t: PromptTemplate) -> str:
     """Single-sequence baseline prompt for the aug or struct format."""
-    if fmt == "aug":
-        answer_header = t.aug_answer_header
-    elif fmt == "struct":
-        answer_header = t.struct_answer_header
-    else:
+    answer_header = _ANSWER_HEADERS.get(fmt)
+    if answer_header is None:
         raise TemplateError(f"unknown autoregressive format: {fmt!r}")
     label_list = ", ".join(labels.surface(l) for l in labels)
-    return t.text_header + doc.text + t.label_list_header + label_list + answer_header
+    return t.text_header + doc.text + _LABEL_LIST_HEADER + label_list + answer_header
 
 
 def build_onestep_prompt(doc: Document, label_surface: str, t: PromptTemplate) -> str:
-    """Per-label prompt whose answer is a JSON list of mention surfaces."""
-    return t.onestep_entity_marker + label_surface + t.onestep_text_marker + doc.text
+    """Per-label prompt whose answer is a JSON list of mention surfaces.
+
+    Its framing is fixed: ``t`` is taken so that every builder is called alike.
+    """
+    return _ONESTEP_ENTITY_MARKER + label_surface + _ONESTEP_TEXT_MARKER + doc.text
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import pickle
 import re
 import select
@@ -1010,6 +1011,25 @@ class TestHttpBackend:
         assert sleeps == [waited]
         assert len(stub_server.calls) == 2
 
+    def test_retry_after_wait_is_cut_to_the_timeout(self, stub_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        stub_server.behavior = lambda payload, n: (429, {}) if n == 1 else (200, _OK_BODY)
+        stub_server.response_headers = lambda n: {"Retry-After": "3600"} if n == 1 else {}
+        with _client(stub_server, timeout_s=5.0) as backend:
+            assert backend.generate(CompletionRequest(prompt="p")).text == "Italy<eos>"
+        assert sleeps == [5.0]
+
+    def test_backoff_is_cut_to_the_timeout(self, stub_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        monkeypatch.setattr(http_module, "_BACKOFF_S", 3.0)
+        stub_server.behavior = lambda payload, n: (503, {})
+        with _client(stub_server, timeout_s=5.0, max_retries=3) as backend:
+            with pytest.raises(TransportError, match="after 4 attempts: server error 503"):
+                backend.generate(CompletionRequest(prompt="p"))
+        assert sleeps == [3.0, 5.0, 5.0]  # not 6 and 12
+
     def test_429_retries_exhausted(self, stub_server, monkeypatch):
         monkeypatch.setattr(time, "sleep", lambda s: None)
         stub_server.behavior = lambda payload, n: (429, {})
@@ -1413,6 +1433,65 @@ class TestKeepAliveTransport:
             assert data.startswith(b"POST /v1/completions HTTP/1.1\r\n")
             assert data.endswith(b"\r\n\r\n" + call["body"])
 
+    @pytest.mark.parametrize("drop_idle", [False, True], ids=["kept", "dropped"])
+    def test_idle_check_without_poll(self, stub_server, monkeypatch, drop_idle):
+        # where select has no poll, select.select tells a dropped connection
+        monkeypatch.delattr(select, "poll", raising=False)
+        stub_server.drop_idle = drop_idle
+        with _client(stub_server, max_retries=0) as backend:
+            for i in range(3):
+                assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+                if drop_idle:
+                    _wait_for(lambda: stub_server.closed == i + 1)
+        assert stub_server.accepted == (3 if drop_idle else 1)
+
+    def test_host_field_drops_an_ipv6_zone(self):
+        url = http_module.urlsplit("http://[fe80::1%25eth0]:8080/v1")
+        assert http_module._host_field(url, absolute=False) == b"[fe80::1]:8080"
+
+    @pytest.mark.usefixtures("clean_env")
+    def test_connect_timeout_is_retried_then_fails(self, monkeypatch):
+        attempts = []
+
+        def create_connection(address, *args, **kwargs):
+            attempts.append(address)
+            raise socket.timeout("timed out")
+
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        monkeypatch.setattr(time, "sleep", lambda s: None)
+        with contextlib.closing(HttpBackend("http://127.0.0.1:9/v1/completions",
+                                            max_retries=2)) as backend:
+            with pytest.raises(TransportError, match="after 3 attempts: transport failure: "
+                                                     ".*timed out"):
+                backend.generate(CompletionRequest(prompt="p"))
+            assert not backend._adapter._idle
+        assert attempts == [("127.0.0.1", 9)] * 3
+
+    def test_interrupt_while_sending_closes_the_connection(self, stub_server, monkeypatch):
+        class Interrupted(BaseException):
+            pass
+
+        class InterruptedSocket(socket.socket):
+            def sendall(self, data, *args):
+                raise Interrupted()
+
+        def create_connection(address, timeout, *args):
+            sock = real(address, timeout, *args)
+            created.append(InterruptedSocket(sock.family, sock.type, sock.proto,
+                                             fileno=sock.detach()))
+            created[-1].settimeout(timeout)
+            return created[-1]
+
+        real, created = socket.create_connection, []
+        monkeypatch.setattr(socket, "create_connection", create_connection)
+        with _client(stub_server) as backend:
+            with pytest.raises(Interrupted):
+                backend.generate(CompletionRequest(prompt="p"))
+            assert not backend._adapter._idle
+        assert len(created) == 1 and created[0].fileno() == -1
+        _wait_for(lambda: stub_server.closed == 1)
+        assert stub_server.calls == []
+
 
 _INVALID_URL = "http://completion.invalid/v1/completions"
 
@@ -1643,6 +1722,20 @@ class TestHttps:
         with _https_stub(tls_files) as server:
             with contextlib.closing(HttpBackend(_https_url(server), max_retries=0)) as backend:
                 for i in range(3):
+                    assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
+            assert server.accepted == 1
+
+    def test_ca_directory_is_read_as_capath(self, tls_files, monkeypatch, tmp_path):
+        # OpenSSL looks a CA up in a directory by its subject hash, as
+        # c_rehash names it: SHA-1 of the canonical subject, CN=ca here
+        rdn = b"\x31\x0b\x30\x09\x06\x03\x55\x04\x03\x0c\x02ca"
+        subject_hash = int.from_bytes(hashlib.sha1(rdn).digest()[:4], "little")
+        (tmp_path / f"{subject_hash:08x}.0").write_bytes(
+            pathlib.Path(tls_files["ca"]).read_bytes())
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path))
+        with _https_stub(tls_files) as server:
+            with contextlib.closing(HttpBackend(_https_url(server), max_retries=0)) as backend:
+                for i in range(2):
                     assert backend.generate(CompletionRequest(prompt=f"p{i}")).text == "Italy<eos>"
             assert server.accepted == 1
 

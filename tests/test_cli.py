@@ -337,6 +337,19 @@ class TestDecode:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["label_list_header", "aug_answer_header",
+                                       "struct_answer_header", "onestep_entity_marker",
+                                       "onestep_text_marker"])
+    def test_baseline_framing_is_no_template_field(self, tmp_path, corpus_path, capsys, field):
+        template = write_json(tmp_path, "template.json", {"preset": "chinese", field: "x"})
+        out = tmp_path / "out"
+        code = main(["decode", "--corpus", corpus_path, "--labels", LABELS_ARG,
+                     "--template", template, "--out", str(out)])
+        assert code == 1
+        assert (f"parner: error: unknown template fields: ['{field}']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, what", [
         ("--config", "--config"), ("--template", "template file"),
         ("--backend-config", "backend config"),

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parner import templates
 from parner.backends import (CompletionRequest, CompletionResult, OracleBackend,
                              UnknownPromptError)
 from parner.backends import oracle as oracle_module
@@ -48,12 +49,16 @@ SETUPS = {
 }
 # occurs in no template, label surface or generated text
 ALIEN = "☃"
+# the baseline prompts' framing, which no template sets
+FIXED_FRAMING = [templates._LABEL_LIST_HEADER, *templates._ANSWER_HEADERS.values(),
+                 templates._ONESTEP_ENTITY_MARKER, templates._ONESTEP_TEXT_MARKER]
 
 
 def _template_pieces(t: PromptTemplate, labels: LabelSet) -> List[str]:
-    """Every string field of the template, every label surface, and mention markers."""
+    """Every string field of the template, the fixed framing, every label
+    surface, and mention markers."""
     fields = [getattr(t, f.name) for f in dataclasses.fields(t) if f.name != "max_count"]
-    return fields + [labels.surface(l) for l in labels] + [
+    return fields + FIXED_FRAMING + [labels.surface(l) for l in labels] + [
         "<mention 3>", mention_marker(3, t), "3" + t.count_terminator]
 
 
@@ -152,30 +157,45 @@ def _count_tokens(mentions: List[Mention], t: PromptTemplate) -> Tuple[str, ...]
 
 @st.composite
 def tiny_worlds(draw):
-    """A template, label surfaces and texts over a four-letter alphabet, so
-    that one prompt often splits into frame + text in more than one way."""
+    """A template, label surfaces and texts over a four-letter alphabet and
+    the fixed framing, so that one prompt often splits into frame + text in
+    more than one way, also between frames of different kinds."""
     word = st.text("ab#\n", max_size=3)
-    t = PromptTemplate(
-        text_header=draw(word), entity_header=draw(word), count_marker=draw(word) or "#",
-        count_terminator=draw(st.sampled_from(["\n", "#", "a"])),
-        mention_marker=draw(word) + "{n}" + draw(word),
-        label_list_header=draw(word), aug_answer_header=draw(word),
-        struct_answer_header=draw(word), onestep_entity_marker=draw(word),
-        onestep_text_marker=draw(word))
     names = LABEL_NAMES[:draw(st.integers(1, 3))]
     surfaces = draw(st.lists(st.text("ab#\n", min_size=1, max_size=3), min_size=len(names),
                              max_size=len(names), unique=True))
     labels = LabelSet(names, dict(zip(names, surfaces)))
+    # the framing that no template sets: each onestep prompt's head and
+    # each autoreg prompt's tail
+    empty, bare = Document("", ""), PromptTemplate(text_header="")
+    fixed = [build_onestep_prompt(empty, surface, bare) for surface in surfaces]
+    fixed += [build_autoreg_prompt(empty, fmt, labels, bare) for fmt in ("struct", "aug")]
+    framed = word | st.sampled_from(fixed)
+    t = PromptTemplate(
+        text_header=draw(framed), entity_header=draw(framed), count_marker=draw(framed) or "#",
+        count_terminator=draw(st.sampled_from(["\n", "#", "a"])),
+        mention_marker=draw(word) + "{n}" + draw(word))
+    # (head, tail) of every prompt's frame
+    sentinel = Document("", ALIEN)
+    frames = st.sampled_from(
+        [build(sentinel, surface, t).split(ALIEN)
+         for surface in surfaces for build in (build_count_prompt, build_onestep_prompt)]
+        + [build_autoreg_prompt(sentinel, fmt, labels, t).split(ALIEN)
+           for fmt in ("struct", "aug")])
     texts: List[str] = []
     for _ in range(draw(st.integers(1, 5))):
-        text = draw(word)
-        if texts and draw(st.booleans()):  # extend another text, as a frame might
+        text = draw(framed)
+        if texts and draw(st.booleans()):  # extend another text, by a word or as a frame does
             other = draw(st.sampled_from(texts))
-            text = draw(st.sampled_from([other + text, text + other]))
+            head, tail = draw(frames)
+            text = draw(st.sampled_from([other + text, text + other, head + other,
+                                         other + tail]))
         texts.append(text)
     pairs = []
     for i, text in enumerate(texts):
-        mentions = [Mention(names[k % len(names)], text[:k + 1]) for k in range(len(text))]
+        # at most 16, so that no answer outgrows the default token budget
+        mentions = [Mention(names[k % len(names)], text[:k + 1])
+                    for k in range(min(len(text), 16))]
         pairs.append((Document(f"d{i}", text), GoldAnnotation(f"d{i}", mentions)))
     return t, labels, pairs
 
@@ -292,12 +312,12 @@ class TestTieBreaks:
         assert result.text == ("2\n" if later == "x" else "3\n")
 
     def test_later_prompt_of_one_document_answers(self, labels):
-        t = PromptTemplate(text_header="", entity_header="", count_marker="#",
-                           onestep_entity_marker="#", onestep_text_marker="")
-        doc, gold = Document("d0", "#"), GoldAnnotation("d0", [Mention("LOC", "l")])
+        t = PromptTemplate(text_header="", entity_header="<entity>", count_marker="<text>")
+        doc = Document("d0", "<entity>a<text>")
+        gold = GoldAnnotation("d0", [Mention("LOC", "l")])
         oracle = OracleBackend([(doc, gold)], labels, t)
         prompt = build_count_prompt(doc, "a", t)
-        assert prompt == build_onestep_prompt(doc, "a", t) == "#a#"
+        assert prompt == build_onestep_prompt(doc, "a", t) == "<entity>a<text>" * 2
         result = oracle.generate(CompletionRequest(prompt=prompt))
         assert result.text == '["l"]<eos>'
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -95,6 +96,17 @@ class TestPromptConstruction:
         assert prompt.endswith("<数量>(<num>)\n")
         p1 = build_mention_prompt(prompt, 2, 1, t)
         assert p1 == prompt + "2\n<第1文段>"
+        # the baseline prompts' framing is fixed: only the text header changes
+        assert build_onestep_prompt(doc, "地点", t) == "<entity>地点<text>印度在孟买的比赛"
+        assert build_autoreg_prompt(doc, "struct", ls, t) == (
+            "文本(text):\n印度在孟买的比赛\nentity types:\n地点\nannotation:\n")
+
+    def test_only_the_pair_protocol_is_settable(self):
+        assert [f.name for f in dataclasses.fields(PromptTemplate)] == [
+            "text_header", "entity_header", "count_marker", "count_terminator",
+            "mention_marker", "eos_literal", "max_count"]
+        with pytest.raises(TypeError):
+            PromptTemplate(aug_answer_header="x")
 
     def test_template_validation(self):
         with pytest.raises(TemplateError):
