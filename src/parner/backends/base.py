@@ -163,19 +163,15 @@ class CompletionBackend:
     request (plus any configured seed), never of call order.
 
     ``max_in_flight`` is how many ``generate`` calls the backend serves at
-    once.  A ``run_corpus`` run decodes its documents on at most
-    ``parallelism`` strands, its calling thread one of them, and sends
-    their requests to a request pool of ``max(parallelism,
-    max_in_flight)`` threads less the strands; so with ``max_in_flight``
-    above ``parallelism`` one document's requests can be in flight
-    together.  In-process backends are bound by the interpreter and leave
-    it at 1.
+    once; ``run_corpus`` sizes its thread pool from it, as its docstring
+    states.  In-process backends are bound by the interpreter and leave it
+    at 1.
 
     A backend defines ``generate_batch(requests)`` only when it serves or
     accounts for a batch as one: ``OracleBackend`` does, charging every
     member the batch-size penalty.  "pair-batch" then issues each step as
     one such call; on a backend without one (``HttpBackend``) its
-    requests fan out on the run's request pool like "pair-multi"'s.  A
+    requests fan out on the run's pool like "pair-multi"'s.  A
     ``BackendError`` from ``generate_batch`` fails each member of the
     batch: the scheduler records it once per request, as it records a
     failed ``generate`` call.

@@ -15,21 +15,10 @@ traces in every mode.  Only mention and onestep requests ask
 for token logprobs: theirs score mentions for de-duplication, while counts
 and autoreg answers (aug and struct mentions score 1.0) never read them.
 
-``run_corpus`` runs at most ``parallelism`` documents at once, on
-``min(parallelism, len(docs))`` strands: each decodes one document after
-another, and the calling thread is always one of them.  The other
-strands run on a pool of their own.  A document's requests go to a
-second pool, of ``max(parallelism, backend.max_in_flight)`` threads less
-the strands (``HttpBackend(max_in_flight=...)``; in-process backends
-count 1), so a run uses at most that many threads, the calling thread
-included.  With ``HttpBackend`` one document's requests therefore fan
-out even at parallelism 1, while with an in-process backend they fan out
-only when the corpus has fewer documents than ``parallelism``.  Autoreg,
-and "pair-batch" on a backend that batches, issue one call per step and
-get no request pool.  A pool of no threads is not made, so at
-parallelism 1 with an in-process backend the scheduler starts no thread.
-A strand waiting for its requests runs every one no request thread has
-started yet, so it never waits on a queued one.
+A backend's ``max_in_flight`` is how many calls it serves at once
+(``HttpBackend(max_in_flight=...)``; in-process backends count 1).
+``run_corpus`` runs at most ``parallelism`` documents at once on one
+thread pool per run, sized from both; its docstring states how.
 
 Parsing or backend failures for one sequence degrade to defect records; a
 document never hard-fails.  A failed backend call is one defect per
@@ -166,19 +155,20 @@ _SCORED_KINDS = ("mention", "onestep")
 def _run_all(pool: Optional[Executor], fn: Callable[[_T], _R], items: Sequence[_T]) -> List[_R]:
     """``fn`` over ``items`` in order, shared with ``pool``'s workers if given.
 
-    The calling thread counts as one of the workers: it takes back every
-    item no worker has started yet (a successful ``cancel()``) and runs it
-    here, so it only ever waits for items already running on another
-    thread.  No thread is started beyond the pool's own (a pool of
-    ``n - 1`` threads gives ``n`` workers with the caller), and a single
-    item never leaves the calling thread.
+    The calling thread counts as one of the workers: it runs the first item
+    itself, then takes back every item no worker has started yet (a
+    successful ``cancel()``) and runs it here, so it only ever waits for
+    items already running on another thread.  No thread is started beyond
+    the pool's own (a pool of ``n - 1`` threads gives ``n`` workers with the
+    caller), and a single item never leaves the calling thread.
     """
     if pool is None or len(items) <= 1:
         return [fn(item) for item in items]
-    futures = [pool.submit(fn, item) for item in items]
+    futures = [pool.submit(fn, item) for item in items[1:]]
     try:
-        done = {i: fn(item) for i, (f, item) in enumerate(zip(futures, items)) if f.cancel()}
-        return [done[i] if i in done else f.result() for i, f in enumerate(futures)]
+        first = fn(items[0])
+        done = {f: fn(item) for f, item in zip(futures, items[1:]) if f.cancel()}
+        return [first] + [done[f] if f in done else f.result() for f in futures]
     except BaseException:
         for f in futures:  # as ``Executor.map`` does: queued items never start
             f.cancel()
@@ -189,12 +179,6 @@ def _batched(backend: CompletionBackend, mode: str) -> bool:
     """Whether ``mode`` issues each step as one ``generate_batch`` call: only
     "pair-batch", and only on a backend that batches."""
     return mode == "pair-batch" and hasattr(backend, "generate_batch")
-
-
-def _pool(threads: int) -> contextlib.AbstractContextManager[Optional[Executor]]:
-    """A pool of ``threads`` threads, or no pool for 0, which
-    ``ThreadPoolExecutor`` rejects."""
-    return ThreadPoolExecutor(threads) if threads else contextlib.nullcontext()
 
 
 def _subject(label: Optional[str], index: Optional[int]) -> str:
@@ -358,19 +342,23 @@ def run_corpus(
     """Decode a corpus with at most ``parallelism`` documents in flight.
 
     Documents run on ``min(parallelism, len(docs))`` strands, each decoding
-    one document after another: the calling thread and a pool of the other
-    strands.  Their requests go to a request pool of
-    ``max(parallelism, backend.max_in_flight)`` threads less the strands,
-    none in autoreg and in "pair-batch" on a backend that batches, which
-    issue one call per step.  So the run uses at most that many threads,
-    the caller included, and with the default in-process bound of 1 each
-    strand issues its own requests unless the corpus has fewer documents
-    than ``parallelism``.  A pool of no threads is not made: a run starts
-    no thread at parallelism 1 with an in-process backend, nor for one
-    document in autoreg or batched "pair-batch".  A document that raises
-    stops the run, and no strand starts another document.  Output order
-    always equals input order regardless of completion order.  Each
-    document is decoded once.
+    one document after another, and the calling thread is always one of
+    them.  A run makes at most one pool, of ``W - 1`` threads: ``W`` is
+    ``max(parallelism, backend.max_in_flight)``, or the strand count in
+    autoreg and in "pair-batch" on a backend that batches, which issue one
+    call per step.  The other strands run on that pool, and when ``W``
+    exceeds the strands their documents' requests go to it too, to the
+    threads no strand holds.  So a run uses at most ``W`` threads, the
+    caller included: with ``HttpBackend`` one document's requests fan out
+    even at parallelism 1, and with an in-process backend only when the
+    corpus has fewer documents than ``parallelism``.  A pool of no threads
+    is not made: a run starts no thread at parallelism 1 with an
+    in-process backend, nor for one document in autoreg or batched
+    "pair-batch".  A strand waiting for its requests runs every one no
+    other thread has started yet, so it never waits on a queued one.  A
+    document that raises stops the run, and no strand starts another
+    document.  Output order always equals input order regardless of
+    completion order.  Each document is decoded once.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
@@ -381,12 +369,12 @@ def run_corpus(
 
     strands = min(parallelism, len(docs))
     # autoreg and a batching backend's pair-batch issue one call per step
-    request_threads = (0 if mode.startswith("autoreg-") or _batched(backend, mode)
-                       else max(parallelism, backend.max_in_flight) - strands)
+    threads = (strands if mode.startswith("autoreg-") or _batched(backend, mode)
+               else max(parallelism, backend.max_in_flight))
     todo = collections.deque(enumerate(docs))
     outcomes: Dict[int, DecodeOutcome] = {}
 
-    def strand(_: int) -> None:
+    def strand(request_pool: Optional[Executor]) -> None:
         while True:
             try:
                 i, doc = todo.popleft()
@@ -399,7 +387,9 @@ def run_corpus(
                 todo.clear()  # the other strands start no new document
                 raise
 
-    # the request pool is entered first, so it outlives every strand that sends to it
-    with _pool(request_threads) as request_pool, _pool(strands - 1) as strand_pool:
-        _run_all(strand_pool, strand, range(strands))
+    # ThreadPoolExecutor rejects a pool of no threads
+    with (ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext()) as pool:
+        # each strand sends its requests to the pool only if the pool has
+        # threads no strand holds
+        _run_all(pool, strand, [pool if threads > strands else None] * strands)
     return [outcomes[i] for i in range(len(docs))]

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import pytest
@@ -791,11 +792,55 @@ class _BrokenBackend(CompletionBackend):
         raise ValueError("bug")
 
 
+class _StartingPool(ThreadPoolExecutor):
+    """A pool whose ``submit`` returns only once a worker has started the
+    item, as a pool of idle workers may do before the submitter moves on."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        started = threading.Event()
+
+        def run():
+            started.set()
+            return fn(*args, **kwargs)
+
+        future = super().submit(run)
+        assert started.wait(timeout=10)
+        return future
+
+
 class TestSharedPool:
     """Documents run on strands, the calling thread one of them, and their
-    requests on a second pool; a run has at most
+    requests on the same pool's other threads; a run has at most
     ``max(parallelism, backend.max_in_flight)`` threads, and requests go
     only to threads no document holds."""
+
+    def test_one_pool_per_run(self, monkeypatch, labels, template):
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "ThreadPoolExecutor", RecordingPool)
+        pairs = make_corpus(40, labels, seed=4)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template),
+                                         max_in_flight=6)
+        run_corpus([doc for doc, _ in pairs], labels, backend, template, "pair-multi",
+                   parallelism=2)
+        # two strands, the caller one of them, and four request threads
+        assert sizes == [5]
+
+    def test_calling_thread_runs_the_first_item_beside_idle_workers(self):
+        threads = {}
+
+        def record(item):
+            threads[item] = threading.get_ident()
+            return item * 10
+
+        with _StartingPool(3) as pool:
+            assert scheduler._run_all(pool, record, [0, 1, 2]) == [0, 10, 20]
+        assert threads[0] == threading.get_ident()
 
     def test_threads_bounded_by_parallelism(self, labels, template):
         pairs = make_corpus(40, labels, seed=4)
@@ -977,8 +1022,9 @@ def _record_decoding_threads(monkeypatch):
 
 
 class TestThreadModel:
-    """``min(parallelism, len(docs))`` strands, the calling thread always one
-    of them; every other thread ``max_in_flight`` allows sends requests."""
+    """``min(parallelism, len(docs))`` strands on one pool, the calling
+    thread always one of them; every thread ``max_in_flight`` allows sends
+    requests."""
 
     @pytest.mark.parametrize("mode", ["pair-multi", "onestep"])
     def test_calling_thread_is_a_strand_and_every_thread_sends(
@@ -1033,8 +1079,8 @@ class TestBenchmarkTracer:
     """The benchmark's traced runs rebind scheduler names; a scheduler that
     drops or bypasses one of them fails here as well as in the harness."""
 
-    # at max_in_flight 4 the strands hand requests to a request pool, whose
-    # threads must carry the decode's span
+    # at max_in_flight 4 the strands hand requests to the pool's threads that
+    # no strand holds, and those must carry the decode's span
     @pytest.mark.parametrize("max_in_flight", [1, 4])
     def test_instrument_sees_every_layer_and_restores_the_scheduler(
             self, max_in_flight, labels, template):
