@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import email.message
 import gzip
 import http.client
@@ -24,7 +25,6 @@ from urllib.parse import urlsplit
 
 import requests
 from requests.adapters import BaseAdapter
-from requests.auth import _basic_auth_str
 from requests.cookies import extract_cookies_to_jar
 from requests.structures import CaseInsensitiveDict
 from requests.utils import (
@@ -350,7 +350,8 @@ class _KeepAliveAdapter(BaseAdapter):
             self._address = (proxy_url.hostname, proxy_url.port or 80)
             username, password = get_auth_from_url(proxy)
             if username:
-                self._proxy_auth["Proxy-Authorization"] = _basic_auth_str(username, password)
+                token = base64.b64encode(f"{username}:{password}".encode("latin-1")).decode()
+                self._proxy_auth["Proxy-Authorization"] = f"Basic {token}"
         self._proxied = bool(proxy)
         self._absolute = self._proxied and scheme == "http"  # else HTTPS through CONNECT
         self._context = _tls_context(verify, cert) if scheme == "https" else None

@@ -1170,6 +1170,16 @@ class TestKeepAliveTransport:
             assert ours["headers"]["Proxy-Authorization"] == expected
             assert stub_server.calls == []
 
+    @pytest.mark.usefixtures("clean_env")
+    def test_latin1_proxy_password_encodes_as_requests_does(self, proxy_server, monkeypatch):
+        host, port = proxy_server.server_address
+        monkeypatch.setenv("HTTP_PROXY", f"http://al%20ice:s%C3%A9cr%C3%AAt@{host}:{port}")
+        with contextlib.closing(HttpBackend(_INVALID_URL)) as backend:
+            backend.generate(CompletionRequest(prompt="p"))
+        [call] = proxy_server.calls
+        assert call["headers"]["Proxy-Authorization"] == \
+            requests.auth._basic_auth_str("al ice", "sécrêt")
+
     def test_failures_map_to_requests_exceptions(self, stub_server):
         def slow(payload, n):
             time.sleep(0.5)

@@ -239,6 +239,28 @@ class TestDecode:
             "autoreg request failed: augmented answer unbuildable for document bad"]
         assert main(args + ["--max-defects", "1"]) == 0
 
+    # a cut onestep list is also a parse defect; a cut aug answer parses up
+    # to the cut, and a cut count loses digits, so there every defect is a cut
+    @pytest.mark.parametrize("mode, budget, cut", [
+        ("onestep", 1, "onestep cut by the token budget for label "),
+        ("autoreg-aug", 8, "autoreg cut by the token budget"),
+        ("pair-multi", 1, "count cut by the token budget for label "),
+    ], ids=["onestep", "autoreg-aug", "pair-multi"])
+    def test_cut_answers_trip_defect_threshold(self, tmp_path, labels, capsys,
+                                               mode, budget, cut):
+        out = tmp_path / "out"
+        args = ["decode", "--corpus", write_corpus(tmp_path, make_corpus(5, labels, seed=1)),
+                "--labels", LABELS_ARG, "--mode", mode, "--max-new-tokens", str(budget),
+                "--out", str(out)]
+        assert main(args) == 2
+        assert "(threshold 0)" in capsys.readouterr().err
+        defects = [d for line in (out / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
+                   for d in json.loads(line)["defects"]]
+        assert any(d.startswith(cut) for d in defects)
+        if mode != "onestep":
+            assert all(" cut by the token budget" in d for d in defects)
+        assert main(args + ["--max-defects", "1000"]) == 0
+
     def test_identical_seeds_identical_bytes(self, tmp_path, labels, corpus_path):
         backend_config = write_json(tmp_path, "backend.json",
                                     {"p_count": 0.4, "p_index": 0.4})
