@@ -75,7 +75,7 @@ MODES = ("pair-multi", "pair-batch", "onestep", "autoreg-aug", "autoreg-struct")
 
 
 class SequenceTrace(NamedTuple):
-    """One decoded sequence with its request, result and attributed latency.
+    """One decoded sequence with its result and attributed latency.
 
     For step-two sequences ``latency_ms`` includes the label's step-one
     latency (the mention could not start before its count arrived), so the
@@ -86,7 +86,6 @@ class SequenceTrace(NamedTuple):
     label: Optional[str]
     kind: str  # count | mention | onestep | autoreg
     mention_index: Optional[int]
-    request: CompletionRequest
     result: CompletionResult
     latency_ms: float
 
@@ -255,14 +254,14 @@ def decode_document(
                 results = [exc] * len(requests)
         else:
             results = _run_all(pool, functools.partial(_call, backend), requests)
-        for (label, index, _, waits), req, result in zip(planned, requests, results):
+        for (label, index, _, waits), result in zip(planned, results):
             if isinstance(result, BackendError):
                 defects.append(f"{kind} request failed{_subject(label, index)}: {result}")
                 continue
             seq_id = (f"{doc.id}/{label}/{kind}{index or ''}" if label is not None
                       else f"{doc.id}/{kind}")
             upstream = max((traces[position].latency_ms for position in waits), default=0.0)
-            traces.append(SequenceTrace(seq_id, label, kind, index, req, result,
+            traces.append(SequenceTrace(seq_id, label, kind, index, result,
                                         upstream + result.latency_ms))
             # a count whose terminator arrived is exempt: a model trained on
             # pair examples writes on past its count, and parse_count reads

@@ -20,7 +20,7 @@ import sys
 import threading
 import time
 import zlib
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Optional
 
 import pytest
@@ -57,6 +57,7 @@ from parner.templates import (
     parse_count,
     ParsedMention,
 )
+from helpers import QuietHTTPServer
 
 
 class TestRequestAndResult:
@@ -153,7 +154,7 @@ class TestRequestAndResult:
     @pytest.mark.parametrize("record, field", [
         (CompletionRequest("p"), "max_new_tokens"),
         (CompletionResult(("a",), (), "a", "eos", 0.0), "latency_ms"),
-        (SequenceTrace("d/PER/count", "PER", "count", None, CompletionRequest("p"),
+        (SequenceTrace("d/PER/count", "PER", "count", None,
                        CompletionResult(("a",), (), "a", "eos", 0.0), 0.0), "latency_ms"),
         (ScoredMention("PER", "Bob", 0.5, "d/PER/mention1"), "probability"),
         (ParsedMention("Bob", (0, 0)), "token_span"),
@@ -594,7 +595,7 @@ class _Http10Handler(_StubHandler):
     protocol_version = "HTTP/1.0"
 
 
-class _StubServer(ThreadingHTTPServer):
+class _StubServer(QuietHTTPServer):
     """Counts the connections it accepts and closes."""
 
     daemon_threads = True

@@ -12,7 +12,7 @@ import statistics
 import subprocess
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -25,6 +25,7 @@ from parner.corpus import Document, GoldAnnotation, Mention, emit_spans_json, pa
 from parner.evaluation import micro_f1
 from parner.scheduler import MODES
 from parner.synthetic import make_corpus
+from helpers import QuietHTTPServer
 
 
 def write_corpus(tmp_path, pairs, name="corpus.jsonl"):
@@ -849,7 +850,7 @@ def _oracle_server(pairs, labels, template):
 def _serving(handler, **attributes):
     """A completion server whose ``handler`` reads ``attributes`` off the server;
     yields its URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server = QuietHTTPServer(("127.0.0.1", 0), handler)
     for name, value in attributes.items():
         setattr(server, name, value)
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)

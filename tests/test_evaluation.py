@@ -7,7 +7,6 @@ from collections import Counter
 
 import pytest
 
-from parner.backends import CompletionRequest
 from parner.corpus import LabelSet, Mention
 from parner.evaluation import (
     EvalError,
@@ -112,7 +111,7 @@ def _outcome(doc_id: str, latency: float, token_counts) -> DecodeOutcome:
         c = completion("a" * n, tokens=["a"] * n) if n else completion("", tokens=[])
         traces.append(SequenceTrace(
             seq_id=f"{doc_id}/{i}", label=None, kind="count", mention_index=None,
-            request=CompletionRequest(prompt="p"), result=c, latency_ms=latency,
+            result=c, latency_ms=latency,
         ))
     return DecodeOutcome(
         doc_id=doc_id, raw_mentions=[], traces=traces,

@@ -9,6 +9,7 @@ import pathlib
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -369,17 +370,40 @@ class TestLogprobRequests:
         outcomes = run_corpus([doc for doc, _ in pairs], labels, backend, template, mode,
                               parallelism=1)
         traces = [tr for outcome in outcomes for tr in outcome.traces]
-        assert [tr.request for tr in traces] == backend.requests
+        # one strand and no failed call: the backend saw the traces' requests in order
+        assert len(traces) == len(backend.requests)
         kinds = set()
-        for tr in traces:
+        for tr, request in zip(traces, backend.requests):
             scored = tr.kind in ("mention", "onestep")
             kinds.add((tr.kind, scored))
-            assert tr.request.want_logprobs is scored, tr.seq_id
+            assert request.want_logprobs is scored, tr.seq_id
             assert bool(tr.result.token_logprobs) is scored, tr.seq_id
         expected = {"onestep": {("onestep", True)},
                     "autoreg-aug": {("autoreg", False)},
                     "autoreg-struct": {("autoreg", False)}}
         assert kinds == expected.get(mode, {("count", False), ("mention", True)})
+
+
+class TestOutcomeMemory:
+    """A decode's outcomes hold each sequence's result, not another copy of its document."""
+
+    @pytest.mark.parametrize("mode", ["pair-multi", "pair-batch", "onestep"])
+    def test_outcomes_hold_a_small_multiple_of_the_text(self, mode, labels, template):
+        # autoreg is left out: it sends one prompt per document, and an aug
+        # answer's tokens alone, which CompletionResult must carry, hold about
+        # ten times the text
+        pairs = make_corpus(30, labels, seed=1, fillers_between=(60, 120))
+        docs = [doc for doc, _ in pairs]
+        oracle = OracleBackend(pairs, labels, template)
+        run_corpus(docs, labels, oracle, template, mode)  # the oracle builds its answers lazily
+        tracemalloc.start()
+        try:
+            outcomes = run_corpus(docs, labels, oracle, template, mode)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outcomes) == len(docs)
+        assert held <= 4 * sum(len(doc.text) for doc in docs)
 
 
 class _JitteryBackend(CompletionBackend):
