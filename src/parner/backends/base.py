@@ -38,6 +38,7 @@ class _RequestFields(NamedTuple):
     prompt: str
     max_new_tokens: int
     want_logprobs: bool
+    batch_size: int
 
 
 class CompletionRequest(_RequestFields):
@@ -50,6 +51,12 @@ class CompletionRequest(_RequestFields):
     request carries no stop strings: a completion ends at its end of
     sequence or at ``max_new_tokens``.
 
+    ``batch_size`` is how many sequences are issued in lockstep with this
+    one, itself included: the scheduler sets it to its step's size in
+    "pair-batch" and to 1 in every other mode.  It is pricing, not
+    protocol: ``OracleBackend`` charges ``CostModel.penalty(batch_size)``,
+    and ``HttpBackend`` does not send it.
+
     ``stop`` is no field.  It is a keyword that must be empty, kept only
     because ``perfbench/stub_server.py`` passes ``stop=()`` when it builds
     a request from a body without a ``"stop"`` key; it goes with that
@@ -57,19 +64,21 @@ class CompletionRequest(_RequestFields):
 
     An immutable named tuple whose every construction path (the
     constructor, ``_make``, ``_replace``, pickle and copy) runs the checks:
-    a ``max_new_tokens`` below 1, or a non-empty ``stop``, raises
-    ``ValueError``.
+    a ``max_new_tokens`` or ``batch_size`` below 1, or a non-empty
+    ``stop``, raises ``ValueError``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, prompt: str, max_new_tokens: int = 512, want_logprobs: bool = True, *,
-                stop: Tuple[str, ...] = ()) -> "CompletionRequest":
+    def __new__(cls, prompt: str, max_new_tokens: int = 512, want_logprobs: bool = True,
+                batch_size: int = 1, *, stop: Tuple[str, ...] = ()) -> "CompletionRequest":
         if max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if stop:
             raise ValueError(f"stop strings are not supported, got {stop!r}")
-        return tuple.__new__(cls, (prompt, max_new_tokens, want_logprobs))
+        return tuple.__new__(cls, (prompt, max_new_tokens, want_logprobs, batch_size))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "CompletionRequest":
@@ -166,15 +175,6 @@ class CompletionBackend:
     once; ``run_corpus`` sizes its thread pool from it, as its docstring
     states.  In-process backends are bound by the interpreter and leave it
     at 1.
-
-    A backend defines ``generate_batch(requests)`` only when it serves or
-    accounts for a batch as one: ``OracleBackend`` does, charging every
-    member the batch-size penalty.  "pair-batch" then issues each step as
-    one such call; on a backend without one (``HttpBackend``) its
-    requests fan out on the run's pool like "pair-multi"'s.  A
-    ``BackendError`` from ``generate_batch`` fails each member of the
-    batch: the scheduler records it once per request, as it records a
-    failed ``generate`` call.
     """
 
     max_in_flight: int = 1

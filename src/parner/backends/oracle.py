@@ -20,7 +20,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from parner.backends.base import (
     CompletionBackend,
@@ -106,7 +106,9 @@ class OracleBackend(CompletionBackend):
     for faithful answers and 0.61 for injected errors, each with a seeded
     jitter of +-0.02, so every logprob is finite.  They are computed
     only when the request sets ``want_logprobs``, and only for the tokens
-    that ``max_new_tokens`` keeps.
+    that ``max_new_tokens`` keeps.  A result's latency is the cost model's
+    price of those tokens in a batch of the request's ``batch_size``, so a
+    "pair-batch" member pays the batch-size penalty.
 
     Every draw is the SHA-256 of the seed and the draw's identity, their
     parts joined by the unit separator U+001F, with the digest's first 8
@@ -235,19 +237,12 @@ class OracleBackend(CompletionBackend):
     # -- answers --------------------------------------------------------------
 
     def generate(self, request: CompletionRequest) -> CompletionResult:
-        return self._answer(request, batch_size=1)
-
-    def generate_batch(self, requests: Sequence[CompletionRequest]) -> List[CompletionResult]:
-        """One lockstep batch: every member is charged the batch-size penalty."""
-        return [self._answer(r, batch_size=len(requests)) for r in requests]
-
-    def _answer(self, request: CompletionRequest, batch_size: int) -> CompletionResult:
         tokens, logprobs = self._full_answer(request.prompt)
         tokens, text, reason = apply_request_limits(tokens, request)
         token_logprobs = tuple(logprobs(len(tokens))) if request.want_logprobs else ()
         # positional: binding keywords costs about as much again as the tuple
         return CompletionResult(tuple(tokens), token_logprobs, text, reason,
-                                self._cost.latency_ms(len(tokens), batch_size))
+                                self._cost.latency_ms(len(tokens), request.batch_size))
 
     def _full_answer(self, prompt: str) -> Tuple[List[str], _Logprobs]:
         """The unlimited answer's tokens, and the logprobs of its first n tokens."""

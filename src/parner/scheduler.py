@@ -5,15 +5,16 @@ Every mode decodes a document the same way.  It plans a step of requests
 issues it, then traces and parses each result in request order.  The pair
 modes add a second step: one request per (label, mention index) counted in
 step one, every prompt rebuilt from scratch so backends stay stateless.
-"pair-batch" issues each step as one ``generate_batch`` call on a backend
-that defines one (the oracle, which charges every member the batch-size
-penalty); on any other backend, and in every other mode, each request is
-its own call.  A mention's latency includes its upstream: its label's
-count in "pair-multi", the whole first step's wall in "pair-batch"
-(lockstep batches).  A document's latency is therefore the max over its
-traces in every mode.  Only mention and onestep requests ask
-for token logprobs: theirs score mentions for de-duplication, while counts
-and autoreg answers (aug and struct mentions score 1.0) never read them.
+Every request is its own call.  "pair-batch" sends the same requests as
+"pair-multi" and differs only in data: each request carries its step's
+size as ``batch_size``, which a simulated backend prices (the oracle
+charges the batch-size penalty), and each mention waits for every count,
+so the steps run in lockstep.  A mention's latency includes its upstream:
+its label's count in "pair-multi", the whole first step's wall in
+"pair-batch".  A document's latency is therefore the max over its traces
+in every mode.  Only mention and onestep requests ask for token logprobs:
+theirs score mentions for de-duplication, while counts and autoreg
+answers (aug and struct mentions score 1.0) never read them.
 
 A backend's ``max_in_flight`` is how many calls it serves at once
 (``HttpBackend(max_in_flight=...)``; in-process backends count 1).
@@ -21,9 +22,8 @@ A backend's ``max_in_flight`` is how many calls it serves at once
 thread pool per run, sized from both; its docstring states how.
 
 Parsing or backend failures for one sequence degrade to defect records; a
-document never hard-fails.  A failed backend call is one defect per
-sequence it lost, in every mode: a ``generate_batch`` call that raises
-fails each request of its batch.
+document never hard-fails.  A failed backend call is one defect, for the
+one sequence it lost, in every mode.
 """
 
 from __future__ import annotations
@@ -174,12 +174,6 @@ def _run_all(pool: Optional[Executor], fn: Callable[[_T], _R], items: Sequence[_
         raise
 
 
-def _batched(backend: CompletionBackend, mode: str) -> bool:
-    """Whether ``mode`` issues each step as one ``generate_batch`` call: only
-    "pair-batch", and only on a backend that batches."""
-    return mode == "pair-batch" and hasattr(backend, "generate_batch")
-
-
 def _subject(label: Optional[str], index: Optional[int]) -> str:
     """What a defect appends to name its sequence: `` for label L``, plus
     `` index i`` for a mention."""
@@ -215,11 +209,11 @@ def decode_document(
     tokens than the count answer of ``t.max_count``; every other request
     gets ``max_new_tokens``.  An answer the budget cut short is parsed as
     far as it goes and also recorded as a defect, ahead of its parse
-    defects; a count is cut short only before its terminator.  Requests
-    that are not batched run on ``pool`` when one is given, and one at a
-    time without it.  The aug and struct formats expose no per-mention
-    token spans, so their mentions score probability 1.0 and
-    de-duplication falls back to the label-order tie-break.
+    defects; a count is cut short only before its terminator.  A step's
+    requests run on ``pool`` when one is given, and one at a time without
+    it.  The aug and struct formats expose no per-mention token spans, so
+    their mentions score probability 1.0 and de-duplication falls back to
+    the label-order tie-break.
     """
     if mode not in MODES:
         raise ValueError(f"unknown decode mode: {mode!r} (expected one of {MODES})")
@@ -232,28 +226,21 @@ def decode_document(
     ) -> Iterator[Tuple[Optional[str], Optional[int], CompletionResult, str]]:
         """Issue one step and yield each traced result in request order.
 
-        Failures become defects here, one per failed request, also when
-        a whole batch failed; the caller parses each result before the
-        next is traced, so defects keep request order across kinds.  A
-        trace's latency is its own plus the longest of those it waits for.
+        Failures become defects here, one per failed request; the caller
+        parses each result before the next is traced, so defects keep
+        request order across kinds.  A trace's latency is its own plus the
+        longest of those it waits for.
         """
-        if not planned:  # no call at all, not even an empty batch a backend may reject
-            return
         # no count that parses needs more tokens than the largest one
         budget = (min(max_new_tokens, len(count_answer(t.max_count, t))) if kind == "count"
                   else max_new_tokens)
-        # records are built positionally: binding keywords costs about as
-        # much again as the tuple (prompt, max_new_tokens, want_logprobs)
+        # records are built positionally: binding keywords costs about as much
+        # again as the tuple (prompt, max_new_tokens, want_logprobs, batch_size)
         want_logprobs = kind in _SCORED_KINDS
-        requests = [CompletionRequest(prompt, budget, want_logprobs)
+        batch_size = len(planned) if mode == "pair-batch" else 1
+        requests = [CompletionRequest(prompt, budget, want_logprobs, batch_size)
                     for _, _, prompt, _ in planned]
-        if _batched(backend, mode):
-            try:
-                results: Sequence[_CallOutcome] = backend.generate_batch(requests)
-            except BackendError as exc:  # a failed batch fails each of its sequences
-                results = [exc] * len(requests)
-        else:
-            results = _run_all(pool, functools.partial(_call, backend), requests)
+        results = _run_all(pool, functools.partial(_call, backend), requests)
         for (label, index, _, waits), result in zip(planned, results):
             if isinstance(result, BackendError):
                 defects.append(f"{kind} request failed{_subject(label, index)}: {result}")
@@ -344,17 +331,17 @@ def run_corpus(
     one document after another, and the calling thread is always one of
     them.  A run makes at most one pool, of ``W - 1`` threads: ``W`` is
     ``max(parallelism, backend.max_in_flight)``, or the strand count in
-    autoreg and in "pair-batch" on a backend that batches, which issue one
-    call per step.  The other strands run on that pool, and when ``W``
-    exceeds the strands their documents' requests go to it too, to the
-    threads no strand holds.  So a run uses at most ``W`` threads, the
-    caller included: with ``HttpBackend`` one document's requests fan out
-    even at parallelism 1, and with an in-process backend only when the
-    corpus has fewer documents than ``parallelism``.  A pool of no threads
-    is not made: a run starts no thread at parallelism 1 with an
-    in-process backend, nor for one document in autoreg or batched
-    "pair-batch".  A strand waiting for its requests runs every one no
-    other thread has started yet, so it never waits on a queued one.  A
+    autoreg, which issues one call per step, and on a backend that serves
+    one call at a time (``max_in_flight`` 1, as every in-process backend
+    does).  The other strands run on that pool, and when ``W`` exceeds the
+    strands their documents' requests go to it too, to the threads no
+    strand holds.  So a run uses at most ``W`` threads, the caller
+    included: with ``HttpBackend`` one document's requests fan out even at
+    parallelism 1, and with an in-process backend never.  A pool of no
+    threads is not made: a run starts no thread at parallelism 1 with an
+    in-process backend, nor for one document in autoreg or with an
+    in-process backend.  A strand waiting for its requests runs every one
+    no other thread has started yet, so it never waits on a queued one.  A
     document that raises stops the run, and no strand starts another
     document.  Output order always equals input order regardless of
     completion order.  Each document is decoded once.
@@ -367,8 +354,9 @@ def run_corpus(
         return []
 
     strands = min(parallelism, len(docs))
-    # autoreg and a batching backend's pair-batch issue one call per step
-    threads = (strands if mode.startswith("autoreg-") or _batched(backend, mode)
+    # autoreg issues one call per step, and a backend that serves one call
+    # at a time gains nothing from handing a document's requests off
+    threads = (strands if mode.startswith("autoreg-") or backend.max_in_flight == 1
                else max(parallelism, backend.max_in_flight))
     todo = collections.deque(enumerate(docs))
     outcomes: Dict[int, DecodeOutcome] = {}

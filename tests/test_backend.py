@@ -64,9 +64,12 @@ class TestRequestAndResult:
     def test_request_validation(self):
         with pytest.raises(ValueError):
             CompletionRequest(prompt="x", max_new_tokens=0)
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            CompletionRequest(prompt="x", batch_size=0)
 
     def test_request_carries_no_stop_strings(self):
-        assert CompletionRequest._fields == ("prompt", "max_new_tokens", "want_logprobs")
+        assert CompletionRequest._fields == ("prompt", "max_new_tokens", "want_logprobs",
+                                             "batch_size")
         assert STOP_REASONS == ("eos", "length")
         assert CompletionRequest("p", stop=()) == CompletionRequest("p")
         for stop in [("",), ["\n"]]:
@@ -377,14 +380,13 @@ class TestOracleBackend:
     def test_batch_applies_penalty(self, oracle_corpus, labels, template):
         cost = CostModel(ms_per_token=10.0, fixed_overhead_ms=0.0, batch_penalty_alpha=0.05)
         oracle = OracleBackend(oracle_corpus, labels, template, cost=cost)
-        doc = oracle_corpus[0][0]
-        requests = [CompletionRequest(prompt=build_count_prompt(doc, l, template))
-                    for l in labels]
-        single = oracle.generate(requests[0])
-        batched = oracle.generate_batch(requests)
+        prompt = build_count_prompt(oracle_corpus[0][0], "PER", template)
+        single = oracle.generate(CompletionRequest(prompt))
+        batched = oracle.generate(CompletionRequest(prompt, batch_size=4))
         # PER count "1\n" is 2 tokens: 20ms alone, 20 * 1.15 in a batch of 4
         assert single.latency_ms == pytest.approx(20.0)
-        assert batched[0].latency_ms == pytest.approx(20.0 * 1.15)
+        assert batched.latency_ms == pytest.approx(20.0 * 1.15)
+        assert batched._replace(latency_ms=single.latency_ms) == single
 
     def test_length_limit_respected(self, oracle_corpus, labels, template):
         oracle = OracleBackend(oracle_corpus, labels, template)
@@ -712,6 +714,15 @@ class TestHttpBackend:
             "prompt": "p", "max_tokens": 64, "temperature": 0,
             "logprobs": True, "echo": False,
         }
+
+    def test_batch_size_is_not_sent(self, stub_server):
+        with contextlib.closing(HttpBackend(_url(stub_server))) as backend:
+            for batch_size in (4, 1):
+                backend.generate(CompletionRequest("p", 64, True, batch_size))
+        batched, alone = (call["body"] for call in stub_server.calls)
+        assert batched == alone
+        assert set(json.loads(batched)) == {"prompt", "max_tokens", "temperature", "logprobs",
+                                            "echo"}
 
     @pytest.mark.parametrize("want_logprobs", [True, False])
     def test_body_rebuilds_as_the_served_benchmark_reads_it(self, stub_server, want_logprobs):

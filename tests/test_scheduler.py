@@ -42,6 +42,7 @@ from parner.templates import (
     parse_augmented,
     parse_onestep,
     parse_structured,
+    read_mention_prompt,
     visible_text,
 )
 from conftest import (
@@ -343,7 +344,7 @@ class TestLongDocumentDigests:
 
 
 class _RecordingBackend(CompletionBackend):
-    """Records every request it is sent, singly or in a batch."""
+    """Records every request it is sent."""
 
     def __init__(self, inner: CompletionBackend):
         self._inner = inner
@@ -352,10 +353,6 @@ class _RecordingBackend(CompletionBackend):
     def generate(self, request: CompletionRequest) -> CompletionResult:
         self.requests.append(request)
         return self._inner.generate(request)
-
-    def generate_batch(self, requests):
-        self.requests.extend(requests)
-        return self._inner.generate_batch(requests)
 
 
 class TestLogprobRequests:
@@ -382,6 +379,29 @@ class TestLogprobRequests:
                     "autoreg-aug": {("autoreg", False)},
                     "autoreg-struct": {("autoreg", False)}}
         assert kinds == expected.get(mode, {("count", False), ("mention", True)})
+
+
+class TestBatchSize:
+    """Pair-batch issues its steps as pair-multi does; only the requests'
+    ``batch_size`` says that each step runs in lockstep."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pair_batch_requests_carry_their_steps_size(self, mode, labels, template):
+        pairs = make_corpus(6, labels, seed=4)
+        oracle = OracleBackend(pairs, labels, template, seed=2,
+                               errors=ErrorInjection(p_count=0.3, p_index=0.3))
+        backend = _RecordingBackend(oracle)
+        outcomes = run_corpus([doc for doc, _ in pairs], labels, backend, template, mode,
+                              parallelism=1)
+        sizes = iter(request.batch_size for request in backend.requests)
+        for outcome in outcomes:
+            for step_size in (outcome.step1_batch_size, outcome.step2_batch_size):
+                step = [next(sizes) for _ in range(step_size)]
+                assert step == [step_size if mode == "pair-batch" else 1] * step_size
+        assert next(sizes, None) is None
+        if mode == "pair-batch":
+            assert {o.step1_batch_size for o in outcomes} == {len(labels)}
+            assert len({o.step2_batch_size for o in outcomes}) > 1
 
 
 class TestOutcomeMemory:
@@ -462,7 +482,7 @@ class TestRunCorpus:
 
 class _VaryingLatencyBackend(CompletionBackend):
     """Answers as ``inner`` does, each answer with a latency of its own: the
-    n-th (from 0, batch members included) takes ``n % 7 * 1.5`` ms."""
+    n-th (from 0) takes ``n % 7 * 1.5`` ms."""
 
     def __init__(self, inner: OracleBackend):
         self._inner = inner
@@ -476,9 +496,6 @@ class _VaryingLatencyBackend(CompletionBackend):
 
     def generate(self, request: CompletionRequest) -> CompletionResult:
         return self._timed(self._inner.generate(request))
-
-    def generate_batch(self, requests):
-        return [self._timed(result) for result in self._inner.generate_batch(requests)]
 
 
 class TestExampleLatency:
@@ -620,27 +637,23 @@ class TestCostAccounting:
 
 
 class _DownBackend(CompletionBackend):
-    """Every call fails, batched or not."""
+    """Every call fails."""
 
     def generate(self, request: CompletionRequest) -> CompletionResult:
         raise BackendError("down")
 
-    def generate_batch(self, requests):
-        raise BackendError("down")
 
+class _MentionsDownBackend(CompletionBackend):
+    """Answers counts from an oracle, and fails every mention request."""
 
-class _MentionBatchDownBackend(CompletionBackend):
-    """Answers the first batch (the counts) from an oracle, fails every later one."""
-
-    def __init__(self, inner: CompletionBackend):
+    def __init__(self, inner: CompletionBackend, template: PromptTemplate):
         self._inner = inner
-        self._batches = 0
+        self._template = template
 
-    def generate_batch(self, requests):
-        self._batches += 1
-        if self._batches > 1:
+    def generate(self, request: CompletionRequest) -> CompletionResult:
+        if read_mention_prompt(request.prompt, self._template) is not None:
             raise BackendError("down")
-        return self._inner.generate_batch(requests)
+        return self._inner.generate(request)
 
 
 class _CountDownBackend(CompletionBackend):
@@ -665,7 +678,7 @@ class TestFailurePaths:
         doc = Document(id="x", text="some text")
         outcome = run_corpus([doc], labels, _DownBackend(), template, mode,
                              parallelism=parallelism)[0]
-        # a failed batch fails each of its sequences, as failed calls do
+        # each failed call is one defect, in pair-batch as in every mode
         per_count = [f"count request failed for label {label}: down" for label in labels]
         expected = {
             "pair-multi": per_count,
@@ -696,8 +709,8 @@ class TestFailurePaths:
     def test_mention_batch_failing(self, cuttitta, labels, template):
         doc, gold = cuttitta
         oracle = OracleBackend([(doc, gold)], labels, template)
-        outcome = decode_document(doc, labels, _MentionBatchDownBackend(oracle), template,
-                                  "pair-batch")
+        outcome = decode_document(doc, labels, _MentionsDownBackend(oracle, template),
+                                  template, "pair-batch")
         assert outcome.defects == [
             "mention request failed for label PER index 1: down",
             "mention request failed for label MISC index 1: down",
@@ -748,13 +761,6 @@ class _ThreadCountingBackend(CompletionBackend):
             self.off_thread += doc is None or doc.text not in request.prompt
         time.sleep(0.001)
         return self._inner.generate(request)
-
-
-class _BatchingThreadCountingBackend(_ThreadCountingBackend):
-    """A thread-counting backend that forwards batches to its inner backend."""
-
-    def generate_batch(self, requests):
-        return self._inner.generate_batch(requests)
 
 
 class _ReversedBackend(CompletionBackend):
@@ -924,7 +930,7 @@ class TestSharedPool:
                          parallelism=1)
         assert _decoded(got) == _decoded(serial)
 
-    @pytest.mark.parametrize("mode", ["pair-batch", "autoreg-struct"])
+    @pytest.mark.parametrize("mode", ["autoreg-struct"])
     def test_one_call_per_step_makes_no_pool_for_one_document(
             self, monkeypatch, mode, labels, template):
         def no_pool(*args, **kwargs):
@@ -932,9 +938,21 @@ class TestSharedPool:
 
         monkeypatch.setattr(scheduler, "ThreadPoolExecutor", no_pool)
         pairs = make_corpus(1, labels, seed=4)
-        backend = _BatchingThreadCountingBackend(OracleBackend(pairs, labels, template),
-                                                 max_in_flight=8)
+        backend = _ThreadCountingBackend(OracleBackend(pairs, labels, template),
+                                         max_in_flight=8)
         run_corpus([pairs[0][0]], labels, backend, template, mode, parallelism=4)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_in_process_backend_makes_no_pool_for_one_document(
+            self, monkeypatch, mode, labels, template):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no pool expected")
+
+        monkeypatch.setattr(scheduler, "ThreadPoolExecutor", no_pool)
+        pairs = make_corpus(1, labels, seed=4)
+        oracle = OracleBackend(pairs, labels, template)
+        [outcome] = run_corpus([pairs[0][0]], labels, oracle, template, mode, parallelism=4)
+        assert outcome.traces
 
     def test_bug_stops_the_run_without_decoding_the_rest(self, labels, template):
         pairs = make_corpus(40, labels, seed=4)
